@@ -1,5 +1,9 @@
 """Command-line interface: one subcommand per pipeline stage plus `pipeline`.
 
+Each stage has one implementation, shared by its subcommand and by
+`run_pipeline`. A failure inside a stage raises `PipelineStageError`, which
+the command group prints as ``error in stage '<name>': ...`` before exiting 1.
+
 Multi-channel probability volumes cross the CLI boundary as one 3D NIfTI
 file per class channel (the file format here is strictly 3D); repeatable
 flags take the channel files in class order. Scribble files are label
@@ -8,195 +12,235 @@ volumes where unannotated voxels carry the sentinel value 255.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import label_propagation, losses, metrics, refnet, scribble_sim, supervoxel
-from .errors import ScribsupError
+from .errors import ScribsupError, ShapeMismatchError
 from .volume_io import (
-    DT_INT16,
-    BinaryVolume,
-    LabelVolume,
-    Volume,
-    crop_or_pad,
-    read_nifti,
-    write_nifti,
+    DT_INT16, BinaryVolume, LabelVolume, Volume, crop_or_pad, read_nifti, write_nifti,
 )
 
-_MAX_INT16_IDS = 32768
+_MAX_INT16_ID = 32767
+
+# Every default of the pipeline config; the subcommands' options read theirs
+# from here too.
+_DEFAULTS = {
+    "image": None, "scribbles": None, "gt": None, "edges_input": None, "output_dir": None,
+    "slic": {"k": None, "compactness": 10.0, "iterations": 10},
+    "edge_threshold": 0.2,
+    "ab": {"lambda1": 1.0, "lambda2": 0.1, "epsilon": 1e-6},
+    "weights": {"beta1": 0.3, "beta2": 0.3},
+    "patch_shape": [224, 224, 32], "margin_vox": 10, "seed": 0, "forward": False,
+    "forward_base_filters": 8, "num_classes": 0,
+}
 
 
-@click.group()
+class PipelineStageError(ScribsupError):
+    """Wraps a failure with the pipeline stage it occurred in."""
+
+    def __init__(self, stage: str, cause: Exception):
+        super().__init__(f"stage '{stage}': {cause}")
+        self.stage = stage
+        self.cause = cause
+
+
+@contextmanager
+def stage(name: str):
+    """Re-raise any failure in the block as a PipelineStageError tagged ``name``."""
+    try:
+        yield
+    except PipelineStageError:
+        raise
+    except Exception as exc:
+        raise PipelineStageError(name, exc) from exc
+
+
+class _StageGroup(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except PipelineStageError as exc:
+            click.echo(f"error in {exc}", err=True)
+            ctx.exit(1)
+
+
+@click.group(cls=_StageGroup)
 def main():
     """Scribble-supervised volumetric segmentation toolkit."""
 
 
-def _fail(stage: str, exc: Exception) -> None:
-    click.echo(f"error in stage '{stage}': {exc}", err=True)
-    sys.exit(1)
+# --- stages: one implementation each, shared by the subcommands and run_pipeline
 
 
-def _read_prob_volume(paths) -> losses.ProbVolume:
-    channels = [read_nifti(p, kind="image") for p in paths]
-    spacing = channels[0].spacing
-    for ch in channels[1:]:
-        if ch.shape != channels[0].shape:
-            raise ScribsupError("prediction channel files disagree on shape")
-    data = np.stack([ch.data for ch in channels], axis=-1)
-    return losses.ProbVolume(data, spacing)
+def _read_on_grid(path, kind: str, image: Volume):
+    """Read ``path`` and check that it lies on ``image``'s voxel grid."""
+    vol = read_nifti(path, kind=kind)
+    if vol.shape != image.shape:
+        raise ShapeMismatchError(f"{path}: grid {vol.shape} differs from the image's {image.shape}")
+    return vol
 
 
-def _write_prob_volume(pv: losses.ProbVolume, prefix: str, tag: str) -> list:
-    paths = []
-    for c in range(pv.channels):
-        path = f"{prefix}_{tag}_c{c}.nii"
-        write_nifti(Volume(pv.data[..., c].astype(np.float32), pv.spacing), path)
-        paths.append(path)
-    return paths
-
-
-def _supervoxels_to_labels(sv: supervoxel.SupervoxelMap) -> LabelVolume:
-    if sv.count >= _MAX_INT16_IDS:
-        raise ScribsupError(
-            f"{sv.count} supervoxels exceed the int16 NIfTI limit ({_MAX_INT16_IDS - 1})"
-        )
-    return LabelVolume(sv.ids, sv.spacing, max(2, sv.count), DT_INT16)
-
-
-def _supervoxels_from_labels(vol: LabelVolume) -> supervoxel.SupervoxelMap:
-    return supervoxel.SupervoxelMap(
-        vol.data.astype(np.int32), vol.spacing, int(vol.data.max()) + 1
+def _simulate_scribbles(gt: LabelVolume, margin: int, num_classes: int = 0):
+    """Foreground skeletons plus the background ring; ``num_classes`` widens the set."""
+    merged = scribble_sim.merge_scribbles(
+        scribble_sim.simulate_foreground_scribbles(gt),
+        scribble_sim.simulate_background_scribble(gt, margin),
     )
+    return dataclasses.replace(merged, num_classes=num_classes) if num_classes else merged
+
+
+def _slic(image: Volume, k, compactness: float, iterations: int):
+    """Supervoxels (default ``k``: one per 1000 voxels) and their int16 ID map."""
+    k = k or max(1, image.data.size // 1000)
+    sv = supervoxel.slic3d(image, supervoxel.SlicParams(k, compactness, iterations))
+    if sv.count > _MAX_INT16_ID:
+        raise ScribsupError(f"{sv.count} supervoxels exceed the int16 NIfTI limit ({_MAX_INT16_ID})")
+    return sv, LabelVolume(sv.ids, sv.spacing, max(2, sv.count), DT_INT16)
+
+
+def _edges(image: Volume, threshold: float, precomputed: Volume | None = None) -> BinaryVolume:
+    """Static boundary: the built-in detector, or ``precomputed`` probabilities thresholded."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"edge threshold {threshold} must lie in (0, 1)")
+    if precomputed is None:
+        return label_propagation.static_boundary(image, threshold)
+    return BinaryVolume((precomputed.data >= threshold).astype(np.uint8), precomputed.spacing)
+
+
+def _forward(image: Volume, num_classes: int, seed: int, base_filters: int, patch_shape=None):
+    """Center-crop/pad to ``patch_shape`` (if given), build the network, run it."""
+    patch = crop_or_pad(image, patch_shape, origin="center") if patch_shape else image
+    net = refnet.build(refnet.NetConfig(num_classes, base_filters=base_filters, seed=seed))
+    return patch, net, refnet.forward(net, patch)
+
+
+def _write_channels(data: np.ndarray, spacing, paths) -> list:
+    """Write channel ``c`` of ``data`` (last axis) as float32 to ``paths[c]``."""
+    for c, path in enumerate(paths):
+        write_nifti(Volume(data[..., c].astype(np.float32), spacing), path)
+    return [str(p) for p in paths]
+
+
+def _write_forward(outputs: refnet.NetworkOutputs, boundary_path, mask_prefix) -> dict:
+    """Write the boundary map and one file per class channel of both masks."""
+    b = outputs.boundary
+    written = {"boundary": _write_channels(b.data, b.spacing, [boundary_path])[0]}
+    for tag in ("init", "final"):
+        pv = getattr(outputs, f"mask_{tag}")
+        paths = [f"{mask_prefix}_{tag}_c{c}.nii" for c in range(pv.channels)]
+        written[f"mask_{tag}"] = _write_channels(pv.data, pv.spacing, paths)
+    return written
+
+
+def _evaluate(pred: LabelVolume, gt: LabelVolume) -> metrics.MetricsReport:
+    """Metrics of ``pred`` against ``gt``, both widened to the larger class count."""
+    n = max(pred.num_classes, gt.num_classes)
+    pred, gt = (LabelVolume(v.data, v.spacing, n) for v in (pred, gt))
+    return metrics.evaluate(pred, gt)
+
+
+def _write_json(obj, path) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True))
+
+
+# --- subcommands
 
 
 @main.command("slic")
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--k", type=int, default=None, help="Cluster count; default voxel_count/1000.")
-@click.option("--compactness", type=float, default=10.0, show_default=True)
-@click.option("--iters", type=int, default=10, show_default=True)
+@click.option("--k", type=int, default=_DEFAULTS["slic"]["k"],
+              help="Cluster count; default voxel_count/1000.")
+@click.option("--compactness", type=float, default=_DEFAULTS["slic"]["compactness"], show_default=True)
+@click.option("--iters", type=int, default=_DEFAULTS["slic"]["iterations"], show_default=True)
 @click.option("--output", required=True, type=click.Path())
 def slic_cmd(input_path, k, compactness, iters, output):
     """Cluster a volume into supervoxels and write the ID map (int16)."""
-    try:
-        vol = read_nifti(input_path, kind="image")
-        if k is None:
-            k = max(1, vol.data.size // 1000)
-        sv = supervoxel.slic3d(vol, supervoxel.SlicParams(k, compactness, iters))
-        write_nifti(_supervoxels_to_labels(sv), output)
+    with stage("slic"):
+        sv, ids = _slic(read_nifti(input_path, kind="image"), k, compactness, iters)
+        write_nifti(ids, output)
         click.echo(f"wrote {sv.count} supervoxels to {output}")
-    except Exception as exc:
-        _fail("slic", exc)
 
 
 @main.command("simulate-scribbles")
 @click.option("--gt", "gt_path", required=True, type=click.Path(exists=True))
-@click.option("--margin", type=int, default=10, show_default=True)
+@click.option("--margin", type=int, default=_DEFAULTS["margin_vox"], show_default=True)
 @click.option("--output", required=True, type=click.Path())
 def simulate_scribbles_cmd(gt_path, margin, output):
     """Generate foreground skeleton + background ring scribbles from a mask."""
-    try:
-        gt = read_nifti(gt_path, kind="labels")
-        fg = scribble_sim.simulate_foreground_scribbles(gt)
-        bg = scribble_sim.simulate_background_scribble(gt, margin)
-        merged = scribble_sim.merge_scribbles(fg, bg)
+    with stage("simulate-scribbles"):
+        merged = _simulate_scribbles(read_nifti(gt_path, kind="labels"), margin)
         write_nifti(scribble_sim.scribbles_to_label_volume(merged), output)
         click.echo(f"wrote {len(merged)} scribble voxels to {output}")
-    except Exception as exc:
-        _fail("simulate-scribbles", exc)
 
 
 @main.command("propagate")
 @click.option("--scribbles", "scribbles_path", required=True, type=click.Path(exists=True))
 @click.option("--supervoxels", "sv_path", required=True, type=click.Path(exists=True))
-@click.option("--classes", type=int, default=0, help="Class count; default inferred.")
+@click.option("--classes", type=int, default=_DEFAULTS["num_classes"],
+              help="Class count; default inferred.")
 @click.option("--output-mask", required=True, type=click.Path())
 @click.option("--output-conf", required=True, type=click.Path())
 def propagate_cmd(scribbles_path, sv_path, classes, output_mask, output_conf):
     """Expand scribbles through supervoxels into pseudo labels."""
-    try:
-        scribbles = scribble_sim.scribbles_from_label_volume(
-            read_nifti(scribbles_path, kind="labels"), classes
-        )
-        sv = _supervoxels_from_labels(read_nifti(sv_path, kind="labels"))
+    with stage("propagate"):
+        scribble_vol = read_nifti(scribbles_path, kind="labels")
+        scribbles = scribble_sim.scribbles_from_label_volume(scribble_vol, classes)
+        ids = read_nifti(sv_path, kind="labels")
+        sv = supervoxel.SupervoxelMap(ids.data.astype(np.int32), ids.spacing, int(ids.data.max()) + 1)
         pl = label_propagation.propagate(scribbles, sv)
         write_nifti(pl.mask, output_mask)
         write_nifti(pl.confident, output_conf)
         click.echo(f"confident voxels: {int(pl.confident.data.sum())}")
-    except Exception as exc:
-        _fail("propagate", exc)
 
 
 @main.command("edges")
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--threshold", type=float, default=0.2, show_default=True)
+@click.option("--threshold", type=float, default=_DEFAULTS["edge_threshold"], show_default=True)
 @click.option("--output", required=True, type=click.Path())
-@click.option(
-    "--edges",
-    "precomputed",
-    type=click.Path(exists=True),
-    default=None,
-    help="Precomputed edge-probability volume to threshold instead of the built-in detector.",
-)
+@click.option("--edges", "precomputed", type=click.Path(exists=True), default=None,
+              help="Precomputed edge-probability volume to threshold instead of the built-in detector.")
 def edges_cmd(input_path, threshold, output, precomputed):
     """Compute the static boundary volume (stacked per-slice 2D edges)."""
-    try:
-        if precomputed is not None:
-            ext = read_nifti(precomputed, kind="image")
-            edge_vol = BinaryVolume((ext.data >= threshold).astype(np.uint8), ext.spacing)
-        else:
-            vol = read_nifti(input_path, kind="image")
-            edge_vol = label_propagation.static_boundary(vol, threshold)
+    with stage("edges"):
+        image = read_nifti(input_path, kind="image")
+        pre = _read_on_grid(precomputed, "image", image) if precomputed else None
+        edge_vol = _edges(image, threshold, pre)
         write_nifti(edge_vol, output)
         click.echo(f"edge voxels: {int(edge_vol.data.sum())}")
-    except Exception as exc:
-        _fail("edges", exc)
 
 
 @main.command("forward")
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--classes", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--base-filters", type=int, default=8, show_default=True)
+@click.option("--seed", type=int, default=_DEFAULTS["seed"], show_default=True)
+@click.option("--base-filters", type=int, default=_DEFAULTS["forward_base_filters"], show_default=True)
 @click.option("--patch", default=None, help="Crop/pad to X,Y,Z before the forward pass.")
 @click.option("--out-prefix", required=True)
 def forward_cmd(input_path, classes, seed, base_filters, patch, out_prefix):
     """Run the deterministic reference network and write its outputs."""
-    try:
-        vol = read_nifti(input_path, kind="image")
-        if patch:
-            target = tuple(int(t) for t in patch.split(","))
-            vol = crop_or_pad(vol, target, origin="center")
-        cfg = refnet.NetConfig(num_classes=classes, base_filters=base_filters, seed=seed)
-        net = refnet.build(cfg)
-        outputs = refnet.forward(net, vol)
-        boundary_path = f"{out_prefix}_boundary.nii"
-        write_nifti(
-            Volume(outputs.boundary.data[..., 0].astype(np.float32), vol.spacing),
-            boundary_path,
-        )
-        init_paths = _write_prob_volume(outputs.mask_init, out_prefix, "init")
-        final_paths = _write_prob_volume(outputs.mask_final, out_prefix, "final")
-        summary = {
-            "input_shape": list(vol.shape),
-            "num_classes": classes,
-            "seed": seed,
-            "base_filters": base_filters,
-            "param_count": refnet.count_params(net),
-            "boundary": boundary_path,
-            "mask_init": init_paths,
-            "mask_final": final_paths,
-        }
-        summary_path = f"{out_prefix}_summary.json"
-        with open(summary_path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+    with stage("forward"):
+        patch_shape = tuple(int(t) for t in patch.split(",")) if patch else None
+        image = read_nifti(input_path, kind="image")
+        vol, net, outputs = _forward(image, classes, seed, base_filters, patch_shape)
+        summary = {"input_shape": list(vol.shape), "num_classes": classes, "seed": seed,
+                   "base_filters": base_filters, "param_count": refnet.count_params(net),
+                   **_write_forward(outputs, f"{out_prefix}_boundary.nii", out_prefix)}
+        _write_json(summary, f"{out_prefix}_summary.json")
         click.echo(f"wrote forward outputs with prefix {out_prefix}")
-    except Exception as exc:
-        _fail("forward", exc)
+
+
+def _read_prob_volume(paths) -> losses.ProbVolume:
+    channels = [read_nifti(p, kind="image") for p in paths]
+    if any(ch.shape != channels[0].shape for ch in channels):
+        raise ScribsupError("prediction channel files disagree on shape")
+    return losses.ProbVolume(np.stack([ch.data for ch in channels], axis=-1), channels[0].spacing)
 
 
 @main.command("loss")
@@ -207,19 +251,17 @@ def forward_cmd(input_path, classes, seed, base_filters, patch, out_prefix):
 @click.option("--conf", required=True, type=click.Path(exists=True))
 @click.option("--edges", "edges_path", required=True, type=click.Path(exists=True))
 @click.option("--image", "image_path", required=True, type=click.Path(exists=True))
-@click.option("--beta1", type=float, default=0.3, show_default=True)
-@click.option("--beta2", type=float, default=0.3, show_default=True)
-@click.option("--lambda1", type=float, default=1.0, show_default=True)
-@click.option("--lambda2", type=float, default=0.1, show_default=True)
+@click.option("--beta1", type=float, default=_DEFAULTS["weights"]["beta1"], show_default=True)
+@click.option("--beta2", type=float, default=_DEFAULTS["weights"]["beta2"], show_default=True)
+@click.option("--lambda1", type=float, default=_DEFAULTS["ab"]["lambda1"], show_default=True)
+@click.option("--lambda2", type=float, default=_DEFAULTS["ab"]["lambda2"], show_default=True)
 @click.option("--literal-bry", is_flag=True, help="Use the one-sided boundary CE form.")
 @click.option("--grad-prefix", default=None, help="Also write gradient volumes with this prefix.")
 @click.option("--report", "report_path", required=True, type=click.Path())
-def loss_cmd(
-    pred_init, pred_final, boundary_pred, pseudo, conf, edges_path, image_path,
-    beta1, beta2, lambda1, lambda2, literal_bry, grad_prefix, report_path,
-):
+def loss_cmd(pred_init, pred_final, boundary_pred, pseudo, conf, edges_path, image_path,
+             beta1, beta2, lambda1, lambda2, literal_bry, grad_prefix, report_path):
     """Evaluate all loss terms on saved predictions; emit a JSON breakdown."""
-    try:
+    with stage("loss"):
         probs_init = _read_prob_volume(pred_init)
         probs_final = _read_prob_volume(pred_final)
         bvol = read_nifti(boundary_pred, kind="image")
@@ -232,26 +274,17 @@ def loss_cmd(
         image = read_nifti(image_path, kind="image")
         report = losses.total_loss(
             boundary, static_edges, probs_init, probs_final, pl, image,
-            ab=losses.AbParams(lambda1, lambda2),
+            ab=losses.AbParams(lambda1, lambda2, _DEFAULTS["ab"]["epsilon"]),
             weights=losses.TotalLossWeights(beta1, beta2),
             literal_boundary=literal_bry,
         )
-        with open(report_path, "w") as fh:
-            json.dump(report.terms, fh, indent=2, sort_keys=True)
+        _write_json(report.terms, report_path)
         if grad_prefix:
-            write_nifti(
-                Volume(report.grad_boundary[..., 0].astype(np.float32), image.spacing),
-                f"{grad_prefix}_grad_boundary.nii",
-            )
+            _write_channels(report.grad_boundary, image.spacing, [f"{grad_prefix}_grad_boundary.nii"])
             for name, grad in (("init", report.grad_init), ("final", report.grad_final)):
-                for c in range(grad.shape[-1]):
-                    write_nifti(
-                        Volume(grad[..., c].astype(np.float32), image.spacing),
-                        f"{grad_prefix}_grad_{name}_c{c}.nii",
-                    )
+                paths = [f"{grad_prefix}_grad_{name}_c{c}.nii" for c in range(grad.shape[-1])]
+                _write_channels(grad, image.spacing, paths)
         click.echo(f"total loss: {report.value:.6f}")
-    except Exception as exc:
-        _fail("loss", exc)
 
 
 @main.command("eval")
@@ -260,45 +293,17 @@ def loss_cmd(
 @click.option("--report", "report_path", required=True, type=click.Path())
 def eval_cmd(pred_path, gt_path, report_path):
     """Dice / HD95 / precision per class, plus foreground means."""
-    try:
-        pred = read_nifti(pred_path, kind="labels")
-        gt = read_nifti(gt_path, kind="labels")
-        n = max(pred.num_classes, gt.num_classes)
-        pred = LabelVolume(pred.data, pred.spacing, n)
-        gt = LabelVolume(gt.data, gt.spacing, n)
-        report = metrics.evaluate(pred, gt)
-        with open(report_path, "w") as fh:
-            fh.write(report.to_json())
+    with stage("eval"):
+        report = _evaluate(read_nifti(pred_path, kind="labels"), read_nifti(gt_path, kind="labels"))
+        Path(report_path).write_text(report.to_json())
         click.echo(f"mean dice: {report.mean_dice}")
-    except Exception as exc:
-        _fail("eval", exc)
 
 
-# ---------------------------------------------------------------------------
-# pipeline
-
-
-_PIPELINE_DEFAULTS = {
-    "image": None,
-    "scribbles": None,
-    "gt": None,
-    "edges_input": None,
-    "output_dir": None,
-    "slic": {"k": None, "compactness": 10.0, "iterations": 10},
-    "edge_threshold": 0.2,
-    "ab": {"lambda1": 1.0, "lambda2": 0.1, "epsilon": 1e-6},
-    "weights": {"beta1": 0.3, "beta2": 0.3},
-    "patch_shape": [224, 224, 32],
-    "margin_vox": 10,
-    "seed": 0,
-    "forward": False,
-    "forward_base_filters": 8,
-    "num_classes": 0,
-}
+# --- pipeline
 
 
 def _merge_config(user: dict) -> dict:
-    cfg = json.loads(json.dumps(_PIPELINE_DEFAULTS))
+    cfg = json.loads(json.dumps(_DEFAULTS))
     for key, value in user.items():
         if key not in cfg:
             raise ScribsupError(f"unknown config key {key!r}")
@@ -312,19 +317,14 @@ def _merge_config(user: dict) -> dict:
     return cfg
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def run_pipeline(cfg: dict, echo=click.echo) -> dict:
     """Execute slic -> propagate -> edges -> (forward) -> loss/eval.
 
     Every intermediate lands in ``output_dir`` as NIfTI or JSON; the
     returned manifest records the full effective config and a sha256 per
-    artifact. Raises ScribsupError subclasses tagged by the caller.
+    artifact. Raises PipelineStageError naming the stage that failed.
     """
-    stage = "config"
-    try:
+    with stage("config"):
         cfg = _merge_config(cfg)
         if not cfg["image"] or not cfg["output_dir"]:
             raise ScribsupError("config must set 'image' and 'output_dir'")
@@ -335,143 +335,85 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
             raise ScribsupError("need either 'scribbles' or 'gt' (to simulate them)")
         out_dir = Path(cfg["output_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        artifacts = []
+    artifacts = []
 
-        def emit(name: str, path: Path):
-            artifacts.append({"name": name, "path": str(path)})
+    def emit(name: str, path):
+        artifacts.append({"name": name, "path": str(path)})
 
-        stage = "read"
+    def write(vol, name: str):
+        write_nifti(vol, out_dir / f"{name}.nii")
+        emit(name, out_dir / f"{name}.nii")
+
+    with stage("read"):
         image = read_nifti(cfg["image"], kind="image")
-        gt = read_nifti(cfg["gt"], kind="labels") if cfg["gt"] else None
-
-        stage = "scribbles"
-        if cfg["scribbles"]:
-            scribbles = scribble_sim.scribbles_from_label_volume(
-                read_nifti(cfg["scribbles"], kind="labels"), cfg["num_classes"]
-            )
-        else:
-            fg = scribble_sim.simulate_foreground_scribbles(gt)
-            bg = scribble_sim.simulate_background_scribble(gt, cfg["margin_vox"])
-            scribbles = scribble_sim.merge_scribbles(fg, bg)
-            if cfg["num_classes"]:
-                scribbles = scribble_sim.ScribbleSet(
-                    scribbles.indices, scribbles.classes, cfg["num_classes"],
-                    scribbles.shape, scribbles.spacing,
-                )
-            path = out_dir / "scribbles.nii"
-            write_nifti(scribble_sim.scribbles_to_label_volume(scribbles), path)
-            emit("scribbles", path)
-
-        stage = "slic"
-        k = cfg["slic"]["k"] or max(1, image.data.size // 1000)
-        sv = supervoxel.slic3d(
-            image,
-            supervoxel.SlicParams(k, cfg["slic"]["compactness"], cfg["slic"]["iterations"]),
+        gt, scribble_vol, edges_in = (
+            _read_on_grid(cfg[key], kind, image) if cfg[key] else None
+            for key, kind in (("gt", "labels"), ("scribbles", "labels"), ("edges_input", "image"))
         )
-        path = out_dir / "supervoxels.nii"
-        write_nifti(_supervoxels_to_labels(sv), path)
-        emit("supervoxels", path)
 
-        stage = "propagate"
-        pl = label_propagation.propagate(scribbles, sv)
-        mask_path = out_dir / "pseudo_mask.nii"
-        conf_path = out_dir / "confidence.nii"
-        write_nifti(pl.mask, mask_path)
-        write_nifti(pl.confident, conf_path)
-        emit("pseudo_mask", mask_path)
-        emit("confidence", conf_path)
-
-        stage = "edges"
-        if cfg["edges_input"]:
-            ext = read_nifti(cfg["edges_input"], kind="image")
-            edge_vol = BinaryVolume(
-                (ext.data >= cfg["edge_threshold"]).astype(np.uint8), ext.spacing
-            )
+    with stage("scribbles"):
+        if scribble_vol is not None:
+            scribbles = scribble_sim.scribbles_from_label_volume(scribble_vol, cfg["num_classes"])
         else:
-            edge_vol = label_propagation.static_boundary(image, cfg["edge_threshold"])
-        path = out_dir / "edges.nii"
-        write_nifti(edge_vol, path)
-        emit("edges", path)
+            scribbles = _simulate_scribbles(gt, cfg["margin_vox"], cfg["num_classes"])
+            write(scribble_sim.scribbles_to_label_volume(scribbles), "scribbles")
 
-        if cfg["forward"]:
-            stage = "forward"
+    with stage("slic"):
+        sv, ids = _slic(image, **cfg["slic"])
+        write(ids, "supervoxels")
+
+    with stage("propagate"):
+        pl = label_propagation.propagate(scribbles, sv)
+        write(pl.mask, "pseudo_mask")
+        write(pl.confident, "confidence")
+
+    with stage("edges"):
+        edge_vol = _edges(image, cfg["edge_threshold"], edges_in)
+        write(edge_vol, "edges")
+
+    if cfg["forward"]:
+        with stage("forward"):
             patch_shape = tuple(cfg["patch_shape"])
-            patch = crop_or_pad(image, patch_shape, origin="center")
-            net_cfg = refnet.NetConfig(
-                num_classes=scribbles.num_classes,
-                base_filters=cfg["forward_base_filters"],
-                seed=cfg["seed"],
-            )
-            net = refnet.build(net_cfg)
-            outputs = refnet.forward(net, patch)
-            bpath = out_dir / "boundary_pred.nii"
-            write_nifti(
-                Volume(outputs.boundary.data[..., 0].astype(np.float32), patch.spacing), bpath
-            )
-            emit("boundary_pred", bpath)
-            for tag, pv in (("init", outputs.mask_init), ("final", outputs.mask_final)):
-                for p in _write_prob_volume(pv, str(out_dir / "mask"), tag):
-                    emit(Path(p).stem, Path(p))
+            patch, _, outputs = _forward(image, scribbles.num_classes, cfg["seed"],
+                                         cfg["forward_base_filters"], patch_shape)
+            written = _write_forward(outputs, out_dir / "boundary_pred.nii", out_dir / "mask")
+            for path in (written["boundary"], *written["mask_init"], *written["mask_final"]):
+                emit(Path(path).stem, path)
 
-            stage = "loss"
-            pl_patch = label_propagation.PseudoLabels(
-                crop_or_pad(pl.mask, patch_shape, origin="center"),
-                crop_or_pad(pl.confident, patch_shape, origin="center"),
-            )
-            edges_patch = crop_or_pad(edge_vol, patch_shape, origin="center")
+        with stage("loss"):
+            def crop(vol):
+                return crop_or_pad(vol, patch_shape, origin="center")
+
+            pl_patch = label_propagation.PseudoLabels(crop(pl.mask), crop(pl.confident))
             report = losses.total_loss(
-                outputs.boundary, edges_patch, outputs.mask_init, outputs.mask_final,
-                pl_patch, patch,
-                ab=losses.AbParams(cfg["ab"]["lambda1"], cfg["ab"]["lambda2"], cfg["ab"]["epsilon"]),
-                weights=losses.TotalLossWeights(cfg["weights"]["beta1"], cfg["weights"]["beta2"]),
+                outputs.boundary, crop(edge_vol), outputs.mask_init, outputs.mask_final,
+                pl_patch, patch, ab=losses.AbParams(**cfg["ab"]),
+                weights=losses.TotalLossWeights(**cfg["weights"]),
             )
-            path = out_dir / "loss.json"
-            path.write_text(json.dumps(report.terms, indent=2, sort_keys=True))
-            emit("loss", path)
+            _write_json(report.terms, out_dir / "loss.json")
+            emit("loss", out_dir / "loss.json")
 
-        if gt is not None:
-            stage = "eval"
-            n = max(pl.mask.num_classes, gt.num_classes)
-            pred = LabelVolume(pl.mask.data, pl.mask.spacing, n)
-            gt_n = LabelVolume(gt.data, gt.spacing, n)
-            path = out_dir / "eval.json"
-            path.write_text(metrics.evaluate(pred, gt_n).to_json())
-            emit("eval", path)
+    if gt is not None:
+        with stage("eval"):
+            (out_dir / "eval.json").write_text(_evaluate(pl.mask, gt).to_json())
+            emit("eval", out_dir / "eval.json")
 
-        stage = "manifest"
+    with stage("manifest"):
         for art in artifacts:
-            art["sha256"] = _sha256(Path(art["path"]))
+            art["sha256"] = hashlib.sha256(Path(art["path"]).read_bytes()).hexdigest()
         manifest = {"config": cfg, "artifacts": artifacts}
-        manifest_path = out_dir / "manifest.json"
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        _write_json(manifest, out_dir / "manifest.json")
         echo(f"pipeline complete: {len(artifacts)} artifacts in {out_dir}")
         return manifest
-    except Exception as exc:
-        raise PipelineStageError(stage, exc) from exc
-
-
-class PipelineStageError(ScribsupError):
-    """Wraps a failure with the pipeline stage it occurred in."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage '{stage}': {cause}")
-        self.stage = stage
-        self.cause = cause
 
 
 @main.command("pipeline")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 def pipeline_cmd(config_path):
     """Run the full pipeline from a JSON config document."""
-    try:
-        with open(config_path) as fh:
-            cfg = json.load(fh)
-        run_pipeline(cfg)
-    except PipelineStageError as exc:
-        click.echo(f"error in {exc}", err=True)
-        sys.exit(1)
-    except Exception as exc:
-        _fail("config", exc)
+    with stage("config"):
+        cfg = json.loads(Path(config_path).read_text())
+    run_pipeline(cfg)
 
 
 if __name__ == "__main__":

@@ -52,38 +52,32 @@ _GATE_CLIP = 26.0
 class NetConfig:
     """Architecture hyper-parameters; all non-obvious values are exposed.
 
-    ``depth``, ``levels_2d``, ``base_filters``, ``aspp_rates`` and
-    ``aspp_growth`` are choices of this reference (the backbone/bottleneck
-    designs leave them open), documented here rather than hard-coded.
+    ``depth``, ``levels_2d``, ``base_filters`` and ``aspp_rates`` are
+    choices of this reference (the backbone/bottleneck designs leave them
+    open), documented here rather than hard-coded. Inputs are single-channel,
+    and each ASPP branch adds ``growth`` = 2 * ``base_filters`` channels.
     """
 
     num_classes: int
-    in_channels: int = 1
     base_filters: int = 8
     depth: int = 5
     levels_2d: int = 2
     seed: int = 0
     aspp_rates: Tuple[int, ...] = (3, 6, 12, 18)
-    aspp_growth: int = 0  # 0 means 2 * base_filters
-    normalize_features: bool = True
 
     def __post_init__(self):
         if self.num_classes < 2:
             raise InvalidConfigError("num_classes must be at least 2")
-        if self.in_channels != 1:
-            raise InvalidConfigError("only single-channel inputs are supported")
         if self.base_filters < 1:
             raise InvalidConfigError("base_filters must be at least 1")
         if self.levels_2d < 0 or self.depth < self.levels_2d + 1:
             raise InvalidConfigError("depth must be at least levels_2d + 1")
         if not self.aspp_rates or any(r < 1 for r in self.aspp_rates):
             raise InvalidConfigError("aspp_rates must be positive")
-        if self.aspp_growth < 0:
-            raise InvalidConfigError("aspp_growth must be nonnegative")
 
     @property
     def growth(self) -> int:
-        return self.aspp_growth or 2 * self.base_filters
+        return 2 * self.base_filters
 
     def channels(self, level: int) -> int:
         return self.base_filters * (2 ** level)
@@ -139,7 +133,7 @@ def _param_specs(cfg: NetConfig) -> List[Tuple[str, Tuple[int, ...]]]:
         specs.append((f"{name}.b", (c_out,)))
 
     for i in range(cfg.depth):
-        c_in = cfg.in_channels if i == 0 else cfg.channels(i - 1)
+        c_in = 1 if i == 0 else cfg.channels(i - 1)
         conv(f"enc{i}.conv1", cfg.channels(i), c_in, cfg.kernel(i))
         conv(f"enc{i}.conv2", cfg.channels(i), cfg.channels(i), cfg.kernel(i))
 
@@ -321,12 +315,9 @@ def _upsample_to(x, target):
 
 
 def _conv_block(net, prefix, x, level):
-    cfg = net.config
     for tag in ("conv1", "conv2"):
         x = _conv3d(x, net.params[f"{prefix}.{tag}.w"], net.params[f"{prefix}.{tag}.b"])
-        if cfg.normalize_features:
-            x = _instance_norm(x)
-        x = _relu(x)
+        x = _relu(_instance_norm(x))
     return x
 
 
@@ -340,14 +331,10 @@ def _aspp(net, x):
             net.params[f"aspp.branch{j}.b"],
             dilation=(rate, rate, rate),
         )
-        if cfg.normalize_features:
-            y = _instance_norm(y)
-        y = _relu(y)
+        y = _relu(_instance_norm(y))
         feats = np.concatenate([feats, y], axis=0)
     out = _conv1x1(feats, net.params["aspp.fuse.w"], net.params["aspp.fuse.b"])
-    if cfg.normalize_features:
-        out = _instance_norm(out)
-    return _relu(out)
+    return _relu(_instance_norm(out))
 
 
 def _rcab(net, prefix, x):
@@ -411,9 +398,7 @@ def forward(net: Network, patch: Volume) -> NetworkOutputs:
     h = bottleneck
     for tag in ("conv1", "conv2"):
         h = _conv3d(h, net.params[f"init.{tag}.w"], net.params[f"init.{tag}.b"])
-        if cfg.normalize_features:
-            h = _instance_norm(h)
-        h = _relu(h)
+        h = _relu(_instance_norm(h))
     logits_low = _conv1x1(h, net.params["init.head.w"], net.params["init.head.b"])
     init_logits = _upsample_to(logits_low, full_shape)
     m_init = _softmax64(init_logits)

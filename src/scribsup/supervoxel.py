@@ -64,7 +64,6 @@ class SlicParams:
     k: int
     compactness: float = 10.0
     iterations: int = 10
-    epsilon_conv: float = 0.0
 
     def __post_init__(self):
         if self.k <= 0:
@@ -73,8 +72,6 @@ class SlicParams:
             raise ValueError("compactness must be positive")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.epsilon_conv < 0:
-            raise ValueError("epsilon_conv must be nonnegative")
 
 
 def _normalize(data: np.ndarray) -> np.ndarray:
@@ -231,7 +228,7 @@ def _slic_state(vol: Volume, params: SlicParams):
         new_int[nonempty] = int_sums[nonempty] / counts[nonempty]
         moved = float(np.abs(new_pos - centers_pos).sum())
         centers_pos, centers_int = new_pos, new_int
-        if moved <= params.epsilon_conv:
+        if moved == 0.0:
             break
     labels, _ = _assign(intensity, coords_mm, centers_pos, centers_int, step, params.compactness)
     return labels, centers_pos, centers_int, step

@@ -37,6 +37,8 @@ DT_UINT8 = 2
 DT_INT16 = 4
 DT_FLOAT32 = 16
 
+_MAX_LABEL = np.iinfo(np.uint16).max  # labels are held as uint16
+
 _DTYPES = {
     DT_UINT8: np.dtype("<u1"),
     DT_INT16: np.dtype("<i2"),
@@ -162,13 +164,14 @@ class LabelVolume:
             raise ValueError(f"label data must be 3D, got {data.ndim}D")
         if data.size and data.min() < 0:
             raise ValueError("labels must be nonnegative")
-        data = data.astype(np.uint16)
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
-        if data.size and int(data.max()) >= self.num_classes:
+        top = int(data.max()) if data.size else 0
+        if top >= min(self.num_classes, _MAX_LABEL + 1):
             raise ValueError(
-                f"label {int(data.max())} out of range for {self.num_classes} classes"
+                f"label {top} out of range for {self.num_classes} classes (max {_MAX_LABEL})"
             )
+        data = data.astype(np.uint16)
         if self.storage_datatype not in (None, DT_UINT8, DT_INT16):
             raise UnsupportedDatatypeError(
                 f"labels cannot be stored as datatype code {self.storage_datatype}"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import sphere_labels
+from scribsup import cli, scribble_sim, supervoxel
 from scribsup.cli import main, run_pipeline, PipelineStageError
+from scribsup.errors import ShapeMismatchError
 from scribsup.volume_io import LabelVolume, Volume, read_nifti, write_nifti
 
 
@@ -189,3 +192,107 @@ def test_pipeline_with_forward(tmp_path):
     loss_art = next(a for a in manifest["artifacts"] if a["name"] == "loss")
     payload = json.loads(open(loss_art["path"]).read())
     assert np.isfinite(payload["total"])
+
+
+def test_subcommands_and_pipeline_write_identical_artifacts(tmp_path, runner):
+    img_path, gt_path = _phantom(tmp_path)
+    manifest = run_pipeline(
+        {"image": str(img_path), "gt": str(gt_path), "output_dir": str(tmp_path / "pipe"),
+         "slic": {"k": 24, "compactness": 8.0, "iterations": 6}, "edge_threshold": 0.3,
+         "margin_vox": 3},
+        echo=lambda *_: None,
+    )
+    want = {a["name"]: a["sha256"] for a in manifest["artifacts"]}
+    out = {name: tmp_path / f"cmd_{name}" for name in
+           ("scribbles", "supervoxels", "pseudo_mask", "confidence", "edges", "eval")}
+    for args in (
+        ["simulate-scribbles", "--gt", gt_path, "--margin", "3", "--output", out["scribbles"]],
+        ["slic", "--input", img_path, "--k", "24", "--compactness", "8", "--iters", "6",
+         "--output", out["supervoxels"]],
+        ["propagate", "--scribbles", out["scribbles"], "--supervoxels", out["supervoxels"],
+         "--output-mask", out["pseudo_mask"], "--output-conf", out["confidence"]],
+        ["edges", "--input", img_path, "--threshold", "0.3", "--output", out["edges"]],
+        ["eval", "--pred", out["pseudo_mask"], "--gt", gt_path, "--report", out["eval"]],
+    ):
+        result = runner.invoke(main, [str(a) for a in args])
+        assert result.exit_code == 0, f"{args}: {result.output}"
+    got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in out.items()}
+    assert got == want
+
+
+def _write_edges(tmp_path, shape):
+    path = tmp_path / "pre.nii"
+    write_nifti(Volume(np.full(shape, 0.5, dtype=np.float32), (1.0, 1.0, 4.0)), path)
+    return path
+
+
+def test_precomputed_edges_on_another_grid_are_rejected(tmp_path, runner):
+    img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
+    pre = _write_edges(tmp_path, (20, 12, 4))
+    result = runner.invoke(main, ["edges", "--input", str(img_path), "--edges", str(pre),
+                                  "--output", str(tmp_path / "e.nii")])
+    assert result.exit_code == 1
+    assert "error in stage 'edges'" in result.output and str(pre) in result.output
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline({"image": str(img_path), "gt": str(gt_path), "edges_input": str(pre),
+                      "output_dir": str(tmp_path / "out"), "forward": True,
+                      "patch_shape": [16, 16, 4]})
+    assert isinstance(info.value.cause, ShapeMismatchError)
+    assert str(pre) in str(info.value)
+
+
+def test_precomputed_edges_threshold_must_lie_in_unit_interval(tmp_path, runner):
+    img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
+    pre = _write_edges(tmp_path, (16, 16, 4))
+    result = runner.invoke(main, ["edges", "--input", str(img_path), "--edges", str(pre),
+                                  "--threshold", "5.0", "--output", str(tmp_path / "e.nii")])
+    assert result.exit_code == 1
+    assert "error in stage 'edges'" in result.output
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline({"image": str(img_path), "gt": str(gt_path), "edges_input": str(pre),
+                      "edge_threshold": 5.0, "output_dir": str(tmp_path / "out")},
+                     echo=lambda *_: None)
+    assert info.value.stage == "edges"
+
+
+@pytest.mark.parametrize("key", ["gt", "scribbles"])
+def test_input_on_another_grid_fails_in_read_before_any_compute(tmp_path, monkeypatch, key):
+    img_path, _ = _phantom(tmp_path, shape=(16, 16, 4))
+    other = tmp_path / "other.nii"
+    write_nifti(LabelVolume(np.ones((16, 12, 4), dtype=np.uint16), (1.0, 1.0, 4.0), 2), other)
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute ran before the input grids were checked")
+
+    monkeypatch.setattr(supervoxel, "slic3d", no_compute)
+    monkeypatch.setattr(scribble_sim, "simulate_foreground_scribbles", no_compute)
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline({"image": str(img_path), key: str(other), "output_dir": str(tmp_path / "out")})
+    assert info.value.stage == "read"
+    assert isinstance(info.value.cause, ShapeMismatchError)
+    assert str(other) in str(info.value)
+
+
+def test_pipeline_file_io_goes_through_cli_module_attributes(tmp_path, monkeypatch):
+    """The benchmark tracer times I/O by rebinding ``cli.read_nifti``/``cli.write_nifti``."""
+    img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
+    read, written = [], []
+
+    def counting(fn, log, path_arg):
+        def wrapper(*args, **kwargs):
+            log.append(str(args[path_arg]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "read_nifti", counting(cli.read_nifti, read, 0))
+    monkeypatch.setattr(cli, "write_nifti", counting(cli.write_nifti, written, 1))
+    manifest = run_pipeline(
+        {"image": str(img_path), "gt": str(gt_path), "output_dir": str(tmp_path / "out"),
+         "slic": {"k": 8}, "margin_vox": 2, "patch_shape": [16, 16, 4], "forward": True,
+         "forward_base_filters": 2},
+        echo=lambda *_: None,
+    )
+    nii = [a["path"] for a in manifest["artifacts"] if a["path"].endswith(".nii")]
+    assert len(nii) == 10  # scribbles .. edges, boundary_pred, 2 x 2 mask channels
+    assert written == nii
+    assert read == [str(img_path), str(gt_path)]

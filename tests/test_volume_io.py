@@ -132,6 +132,15 @@ def test_large_labels_use_int16_and_overflow_errors(tmp_path):
         write_nifti(LabelVolume(data, (1, 1, 1), 40001), tmp_path / "huge.nii")
 
 
+def test_labels_range_checked_before_uint16_narrowing():
+    data = np.zeros((2, 2, 2), dtype=np.int64)
+    data[0, 0, 0] = 70000
+    with pytest.raises(ValueError, match="70000"):
+        LabelVolume(data, (1, 1, 1), 80000)
+    data[0, 0, 0] = 65535
+    assert LabelVolume(data, (1, 1, 1), 80000).data[0, 0, 0] == 65535
+
+
 def test_volume_invariants():
     with pytest.raises(ValueError):
         Volume(np.full((2, 2, 2), np.nan, dtype=np.float32), (1, 1, 1))
