@@ -18,6 +18,7 @@ from .errors import (
     ShapeMismatchError,
     TruncatedDataError,
     UnsupportedDatatypeError,
+    UnsupportedScalingError,
 )
 from .volume_io import (
     BinaryVolume,
@@ -74,7 +75,7 @@ __all__ = [
     "NetConfig", "Network", "NetworkOutputs", "build", "forward", "count_params",
     "export_weights", "import_weights",
     "ScribsupError", "MalformedHeaderError", "UnsupportedDatatypeError",
-    "TruncatedDataError", "ShapeMismatchError", "KTooLargeError",
+    "UnsupportedScalingError", "TruncatedDataError", "ShapeMismatchError", "KTooLargeError",
     "EmptyForegroundError", "NoConfidentVoxelsError", "InvalidConfigError",
     "BadPatchShapeError",
 ]

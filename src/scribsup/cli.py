@@ -105,10 +105,14 @@ def _slic(image: Volume, k, compactness: float, iterations: int):
     return sv, LabelVolume(sv.ids, sv.spacing, max(2, sv.count), DT_INT16)
 
 
-def _edges(image: Volume, threshold: float, precomputed: Volume | None = None) -> BinaryVolume:
-    """Static boundary: the built-in detector, or ``precomputed`` probabilities thresholded."""
+def _check_edge_threshold(threshold: float) -> None:
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"edge threshold {threshold} must lie in (0, 1)")
+
+
+def _edges(image: Volume, threshold: float, precomputed: Volume | None = None) -> BinaryVolume:
+    """Static boundary: the built-in detector, or ``precomputed`` probabilities thresholded."""
+    _check_edge_threshold(threshold)
     if precomputed is None:
         return label_propagation.static_boundary(image, threshold)
     return BinaryVolume((precomputed.data >= threshold).astype(np.uint8), precomputed.spacing)
@@ -333,6 +337,11 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
                 raise ScribsupError(f"input path for {key!r} does not exist: {cfg[key]}")
         if not cfg["scribbles"] and not cfg["gt"]:
             raise ScribsupError("need either 'scribbles' or 'gt' (to simulate them)")
+        _check_edge_threshold(cfg["edge_threshold"])
+        if cfg["forward"]:
+            # the class count does not bear on base filters or the patch ladder
+            net_cfg = refnet.NetConfig(num_classes=2, base_filters=cfg["forward_base_filters"])
+            net_cfg.check_patch_shape(tuple(cfg["patch_shape"]))
         out_dir = Path(cfg["output_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []

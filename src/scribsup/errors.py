@@ -13,6 +13,10 @@ class UnsupportedDatatypeError(ScribsupError):
     """Voxel datatype outside the supported {uint8, int16, float32} set."""
 
 
+class UnsupportedScalingError(ScribsupError):
+    """NIfTI header asks for intensity scaling (scl_slope/scl_inter)."""
+
+
 class TruncatedDataError(ScribsupError):
     """File ends before the declared voxel payload."""
 

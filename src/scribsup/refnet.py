@@ -14,8 +14,7 @@ Everything is plain NumPy: weights are drawn once from a seeded generator
 (normal, mean 0, std 0.1) and never change, so the forward pass is a pure
 function usable for wiring and invariant checks. Feature standardization
 (per-channel, per-instance) follows every spatial convolution to keep
-activations bounded; it is a non-architectural stabilizer and can be
-disabled via the config.
+activations bounded; it is a non-architectural stabilizer and always on.
 """
 
 from __future__ import annotations
@@ -46,6 +45,10 @@ _NORM_EPS = 1e-5
 # Sigmoid pre-activations are clipped here so gates stay strictly inside
 # (1e-12, 1 - 1e-12) even for adversarial features.
 _GATE_CLIP = 26.0
+# Byte budget of the im2col buffer that _conv3d fills per x-slab. Larger
+# slabs made the 224x224x32 forward no faster but raised peak RSS on small
+# volumes.
+_IM2COL_BUDGET = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,12 @@ class NetConfig:
         n_xy = self.depth - 1
         n_z = self.depth - 1 - self.levels_2d
         return (2 ** n_xy, 2 ** n_xy, 2 ** n_z)
+
+    def check_patch_shape(self, shape) -> None:
+        """Raise BadPatchShapeError unless ``shape`` divides through the ladder."""
+        div = self.divisors
+        if len(shape) != 3 or any(s % d != 0 or s < d for s, d in zip(shape, div)):
+            raise BadPatchShapeError(f"patch {tuple(shape)} must be divisible by {div} (x, y, z)")
 
 
 @dataclass(frozen=True)
@@ -243,18 +252,37 @@ def import_weights(config: NetConfig, blob_path, manifest_path) -> Network:
 
 
 def _conv3d(x, w, b, dilation=(1, 1, 1)):
+    """Zero-padded 'same' convolution as im2col plus one GEMM per x-slab.
+
+    The im2col buffer holds whole x-rows of (c_in * taps) columns and is
+    sized by ``_IM2COL_BUDGET`` bytes (at least one row), so memory stays
+    bounded whatever the grid.
+    """
     c_out, c_in = w.shape[:2]
     kx, ky, kz = w.shape[2:]
     dx, dy, dz = dilation
     px, py, pz = dx * (kx // 2), dy * (ky // 2), dz * (kz // 2)
     xp = np.pad(x, ((0, 0), (px, px), (py, py), (pz, pz)))
     sx, sy, sz = x.shape[1:]
-    out = np.broadcast_to(b[:, None, None, None], (c_out, sx, sy, sz)).astype(np.float32).copy()
-    for i in range(kx):
-        for j in range(ky):
-            for l in range(kz):
-                view = xp[:, i * dx : i * dx + sx, j * dy : j * dy + sy, l * dz : l * dz + sz]
-                out += np.tensordot(w[:, :, i, j, l], view, axes=([1], [0]))
+    rows = c_in * kx * ky * kz
+    w2d = w.reshape(c_out, rows)
+    plane = sy * sz
+    step = max(1, min(sx, _IM2COL_BUDGET // (rows * plane * 4)))
+    buf = np.empty(rows * step * plane, dtype=np.float32)
+    out = np.empty((c_out, sx, sy, sz), dtype=np.float32)
+    out2d = out.reshape(c_out, sx * plane)
+    for x0 in range(0, sx, step):
+        n = min(step, sx - x0)
+        col = buf[: rows * n * plane].reshape(c_in, kx, ky, kz, n, sy, sz)
+        for i in range(kx):
+            for j in range(ky):
+                for l in range(kz):
+                    col[:, i, j, l] = xp[
+                        :, x0 + i * dx : x0 + i * dx + n, j * dy : j * dy + sy, l * dz : l * dz + sz
+                    ]
+        dst = out2d[:, x0 * plane : (x0 + n) * plane]
+        np.matmul(w2d, col.reshape(rows, n * plane), out=dst)
+        dst += b[:, None]
     return out
 
 
@@ -300,17 +328,29 @@ def _lin_weights(n_src: int, n_dst: int):
     return i0c, i1c, w1
 
 
+def _interp_matrix(n_src: int, n_dst: int) -> np.ndarray:
+    """(n_dst, n_src) linear-interpolation matrix built from _lin_weights."""
+    i0, i1, w1 = _lin_weights(n_src, n_dst)
+    m = np.zeros((n_dst, n_src), dtype=np.float32)
+    rows = np.arange(n_dst)
+    np.add.at(m, (rows, i0), 1.0 - w1)
+    np.add.at(m, (rows, i1), w1)
+    return m
+
+
 def _upsample_to(x, target):
     """Separable trilinear resize (half-pixel centers, clamped borders)."""
     for axis, n_dst in zip((1, 2, 3), target):
-        n_src = x.shape[axis]
-        if n_src == n_dst:
+        if x.shape[axis] == n_dst:
             continue
-        i0, i1, w1 = _lin_weights(n_src, n_dst)
-        wshape = [1, 1, 1, 1]
-        wshape[axis] = n_dst
-        w1 = w1.reshape(wshape)
-        x = np.take(x, i0, axis=axis) * (1.0 - w1) + np.take(x, i1, axis=axis) * w1
+        m = _interp_matrix(x.shape[axis], n_dst)
+        c, sx, sy, sz = x.shape
+        if axis == 1:
+            x = (m @ x.reshape(c, sx, sy * sz)).reshape(c, n_dst, sy, sz)
+        elif axis == 2:
+            x = m @ x
+        else:
+            x = x @ m.T
     return x
 
 
@@ -356,11 +396,7 @@ def forward(net: Network, patch: Volume) -> NetworkOutputs:
             2**(depth-1-levels_2d)).
     """
     cfg = net.config
-    div = cfg.divisors
-    if any(patch.shape[a] % div[a] != 0 or patch.shape[a] < div[a] for a in range(3)):
-        raise BadPatchShapeError(
-            f"patch {patch.shape} must be divisible by {div} (x, y, z)"
-        )
+    cfg.check_patch_shape(patch.shape)
     full_shape = patch.shape
     x = patch.data.astype(np.float32)[None]
 

@@ -5,7 +5,8 @@ byte stream, matching the NIfTI voxel order. Spacing is physical, in
 millimeters, one value per axis. The reader/writer supports uncompressed
 single-file ``.nii`` only, with datatypes uint8 (code 2), int16 (code 4) and
 float32 (code 16); qform/sform orientation is ignored and spacing is taken
-from ``pixdim`` alone.
+from ``pixdim`` alone. Intensity scaling (``scl_slope``/``scl_inter``) is
+rejected rather than ignored.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (
     MalformedHeaderError,
     TruncatedDataError,
     UnsupportedDatatypeError,
+    UnsupportedScalingError,
 )
 
 __all__ = [
@@ -162,6 +164,10 @@ class LabelVolume:
         data = np.asarray(self.data)
         if data.ndim != 3:
             raise ValueError(f"label data must be 3D, got {data.ndim}D")
+        if data.dtype.kind == "f" and not (
+            np.isfinite(data).all() and np.array_equal(data, np.trunc(data))
+        ):
+            raise ValueError("labels must be integers")
         if data.size and data.min() < 0:
             raise ValueError("labels must be nonnegative")
         if self.num_classes < 2:
@@ -238,6 +244,12 @@ def _parse_header(raw: bytes, path: str):
     vox_offset = int(hdr["vox_offset"])
     if vox_offset < _HEADER_SIZE:
         raise MalformedHeaderError(f"{path}: vox_offset {vox_offset} < 348")
+    # NIfTI-1: scl_slope 0 means unscaled; any other slope scales every voxel.
+    slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
+    if slope != 0.0 and (slope != 1.0 or inter != 0.0):
+        raise UnsupportedScalingError(
+            f"{path}: scl_slope {slope} / scl_inter {inter} scaling is not supported"
+        )
     return shape, spacing, code, vox_offset
 
 
@@ -256,6 +268,7 @@ def read_nifti(path, kind: str = "auto") -> AnyVolume:
     Raises:
         MalformedHeaderError: bad magic, size, dims, or pixdim.
         UnsupportedDatatypeError: datatype outside {uint8, int16, float32}.
+        UnsupportedScalingError: scl_slope/scl_inter other than unscaled.
         TruncatedDataError: payload shorter than the header declares.
     """
     if kind not in ("auto", "image", "labels", "binary"):

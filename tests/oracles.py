@@ -198,3 +198,53 @@ def random_partition(rng, shape, n_cells):
     remap = np.zeros(int(uniq.max()) + 1, dtype=np.int32)
     remap[uniq] = np.arange(len(uniq), dtype=np.int32)
     return remap[ids]
+
+
+def brute_conv3d(x, w, b, dilation=(1, 1, 1)):
+    """Zero-padded 'same' 3D convolution in float64, one ``take`` per tap.
+
+    ``x`` is (c_in, sx, sy, sz), ``w`` is (c_out, c_in, kx, ky, kz) with odd
+    kernel sides; tap (i, j, l) reads input at offset
+    ((i - kx // 2) * dx, (j - ky // 2) * dy, (l - kz // 2) * dz).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    c_out, _, kx, ky, kz = w.shape
+    out = np.zeros((c_out,) + x.shape[1:]) + np.asarray(b, dtype=np.float64)[:, None, None, None]
+    for i in range(kx):
+        for j in range(ky):
+            for l in range(kz):
+                shifted = x
+                for axis, k, tap, d in ((1, kx, i, dilation[0]), (2, ky, j, dilation[1]),
+                                        (3, kz, l, dilation[2])):
+                    n = x.shape[axis]
+                    src = np.arange(n) + (tap - k // 2) * d
+                    inside = ((src >= 0) & (src < n)).astype(np.float64)
+                    shape = [1, 1, 1, 1]
+                    shape[axis] = n
+                    shifted = np.take(shifted, np.clip(src, 0, n - 1), axis=axis)
+                    shifted = shifted * inside.reshape(shape)
+                out += np.einsum("oc,cxyz->oxyz", w[:, :, i, j, l], shifted)
+    return out
+
+
+def brute_upsample(x, target):
+    """Separable linear resize in float64, one output index at a time.
+
+    Output index d on an axis of n_src inputs samples source coordinate
+    (d + 0.5) * n_src / n_dst - 0.5, blending its two neighbours, each
+    clamped into [0, n_src - 1].
+    """
+    out = np.asarray(x, dtype=np.float64)
+    for axis, n_dst in zip((1, 2, 3), target):
+        n_src = out.shape[axis]
+        planes = []
+        for d in range(n_dst):
+            pos = (d + 0.5) * n_src / n_dst - 0.5
+            lo = int(np.floor(pos))
+            frac = pos - lo
+            a = np.take(out, min(max(lo, 0), n_src - 1), axis=axis)
+            b = np.take(out, min(max(lo + 1, 0), n_src - 1), axis=axis)
+            planes.append((1.0 - frac) * a + frac * b)
+        out = np.stack(planes, axis=axis)
+    return out

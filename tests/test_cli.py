@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from conftest import sphere_labels
 from scribsup import cli, scribble_sim, supervoxel
 from scribsup.cli import main, run_pipeline, PipelineStageError
-from scribsup.errors import ShapeMismatchError
+from scribsup.errors import BadPatchShapeError, InvalidConfigError, ShapeMismatchError
 from scribsup.volume_io import LabelVolume, Volume, read_nifti, write_nifti
 
 
@@ -252,7 +252,29 @@ def test_precomputed_edges_threshold_must_lie_in_unit_interval(tmp_path, runner)
         run_pipeline({"image": str(img_path), "gt": str(gt_path), "edges_input": str(pre),
                       "edge_threshold": 5.0, "output_dir": str(tmp_path / "out")},
                      echo=lambda *_: None)
-    assert info.value.stage == "edges"
+    assert info.value.stage == "config"
+
+
+@pytest.mark.parametrize("setting, cause", [
+    ({"patch_shape": [24, 16, 4]}, BadPatchShapeError),
+    ({"forward_base_filters": 0}, InvalidConfigError),
+    ({"edge_threshold": 0.0}, ValueError),
+], ids=["patch_shape", "base_filters", "edge_threshold"])
+def test_forward_and_edge_settings_fail_in_config_before_any_compute(
+        tmp_path, monkeypatch, setting, cause):
+    img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute ran before the settings were checked")
+
+    monkeypatch.setattr(supervoxel, "slic3d", no_compute)
+    monkeypatch.setattr(scribble_sim, "simulate_foreground_scribbles", no_compute)
+    cfg = {"image": str(img_path), "gt": str(gt_path), "output_dir": str(tmp_path / "out"),
+           "forward": True, "patch_shape": [16, 16, 4], **setting}
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline(cfg, echo=lambda *_: None)
+    assert info.value.stage == "config"
+    assert isinstance(info.value.cause, cause)
 
 
 @pytest.mark.parametrize("key", ["gt", "scribbles"])

@@ -1,6 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from oracles import brute_conv3d, brute_upsample
+from scribsup import refnet
 from scribsup.errors import BadPatchShapeError, InvalidConfigError
 from scribsup.refnet import (
     NetConfig,
@@ -15,6 +20,37 @@ from scribsup.volume_io import Volume
 
 def _patch(rng, shape, spacing=(1.0, 1.0, 4.0)):
     return Volume(rng.random(shape).astype(np.float32), spacing)
+
+
+# Per-channel output summaries of ``forward`` captured with the per-tap
+# ``tensordot`` convolution and ``take``-based upsampling that preceded the
+# im2col/GEMM rewrite. Later implementations may reorder float32 sums, so
+# they are compared within GOLDEN_ATOL, never regenerated.
+GOLDEN_PATH = Path(__file__).parent / "data" / "refnet_forward_golden.json"
+GOLDEN_ATOL = 1e-5
+GOLDEN_SHAPES = ((32, 32, 8), (64, 64, 16))
+
+
+def _summary(arr):
+    """Mean, std, min, max and 16 evenly spaced values of one channel."""
+    a = np.asarray(arr, dtype=np.float64).ravel()
+    probes = a[np.linspace(0, a.size - 1, 16).astype(np.int64)]
+    return [float(a.mean()), float(a.std()), float(a.min()), float(a.max())] + probes.tolist()
+
+
+def _forward_summaries(shape):
+    """Summaries of every output channel and attention map for a seeded patch."""
+    net = build(NetConfig(num_classes=4, base_filters=8, seed=0))
+    patch = _patch(np.random.default_rng(shape[0] * 1000 + shape[2]), shape)
+    out = forward(net, patch)
+    sums = {}
+    for name in ("boundary", "mask_init", "mask_final"):
+        data = getattr(out, name).data
+        for c in range(data.shape[-1]):
+            sums[f"{name}_c{c}"] = _summary(data[..., c])
+    for k, gate in enumerate(out.attention_maps):
+        sums[f"attention{k}"] = _summary(gate)
+    return sums
 
 
 def test_same_seed_identical_weights():
@@ -170,3 +206,44 @@ def test_import_rejects_wrong_config(tmp_path):
     export_weights(net, blob, manifest)
     with pytest.raises(InvalidConfigError):
         import_weights(NetConfig(num_classes=4, base_filters=2, seed=9), blob, manifest)
+
+
+@pytest.mark.parametrize("shape", GOLDEN_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_forward_matches_pre_change_golden(shape):
+    golden = json.loads(GOLDEN_PATH.read_text())["x".join(map(str, shape))]
+    got = _forward_summaries(shape)
+    assert sorted(got) == sorted(golden)
+    for name, want in golden.items():
+        err = np.abs(np.asarray(got[name]) - np.asarray(want)).max()
+        assert err <= GOLDEN_ATOL, f"{name}: {err:.3g} from golden"
+
+
+# Budgets for _conv3d's im2col buffer: the default (one chunk on these grids),
+# one x-row per chunk, and three x-rows per chunk (a short last chunk).
+@pytest.mark.parametrize("rows_per_chunk", [None, 1, 3], ids=["default", "1row", "3rows"])
+@pytest.mark.parametrize("kernel", [(3, 3, 1), (3, 3, 3)], ids=["3x3x1", "3x3x3"])
+@pytest.mark.parametrize("dil", [1, 3], ids=["dil1", "dil3"])
+def test_conv3d_matches_per_tap_reference(monkeypatch, rows_per_chunk, kernel, dil):
+    rng = np.random.default_rng(31)
+    c_in, c_out, grid = 3, 5, (7, 5, 9)
+    x = rng.standard_normal((c_in,) + grid).astype(np.float32)
+    w = rng.standard_normal((c_out, c_in) + kernel).astype(np.float32)
+    b = rng.standard_normal(c_out).astype(np.float32)
+    if rows_per_chunk is not None:
+        row_bytes = c_in * int(np.prod(kernel)) * grid[1] * grid[2] * 4
+        monkeypatch.setattr(refnet, "_IM2COL_BUDGET", rows_per_chunk * row_bytes)
+    got = refnet._conv3d(x, w, b, dilation=(dil, dil, dil))
+    assert got.dtype == np.float32 and got.shape == (c_out,) + grid
+    assert np.abs(got - brute_conv3d(x, w, b, (dil, dil, dil))).max() <= 1e-5
+
+
+@pytest.mark.parametrize("target", [
+    (10, 4, 3), (5, 8, 3), (5, 4, 6),  # 2x on one axis
+    (7, 4, 3), (5, 9, 3), (5, 4, 5),  # non-integer ratio on one axis
+    (13, 11, 7),  # all axes at once
+], ids=lambda t: "x".join(map(str, t)))
+def test_upsample_matches_per_axis_reference(target):
+    x = np.random.default_rng(32).standard_normal((2, 5, 4, 3)).astype(np.float32)
+    got = refnet._upsample_to(x, target)
+    assert got.dtype == np.float32 and got.shape == (2,) + target
+    assert np.abs(got - brute_upsample(x, target)).max() <= 1e-5

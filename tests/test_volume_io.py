@@ -7,6 +7,7 @@ from scribsup.errors import (
     MalformedHeaderError,
     TruncatedDataError,
     UnsupportedDatatypeError,
+    UnsupportedScalingError,
 )
 from scribsup.volume_io import (
     DT_FLOAT32,
@@ -139,6 +140,36 @@ def test_labels_range_checked_before_uint16_narrowing():
         LabelVolume(data, (1, 1, 1), 80000)
     data[0, 0, 0] = 65535
     assert LabelVolume(data, (1, 1, 1), 80000).data[0, 0, 0] == 65535
+
+
+def test_labels_must_be_integral():
+    with pytest.raises(ValueError, match="integer"):
+        LabelVolume(np.full((2, 2, 2), 1.5), (1, 1, 1), 3)
+    with pytest.raises(ValueError, match="integer"):
+        LabelVolume(np.full((2, 2, 2), np.nan), (1, 1, 1), 3)
+    assert LabelVolume(np.full((2, 2, 2), 2.0), (1, 1, 1), 3).data[0, 0, 0] == 2
+
+
+def _with_scaling(tmp_path, slope: float, inter: float):
+    path = tmp_path / "three.nii"
+    write_nifti(Volume(np.full((2, 2, 2), 3.0, dtype=np.float32), (1, 1, 1)), path)
+    raw = bytearray(path.read_bytes())
+    raw[112:116] = np.float32(slope).tobytes()  # scl_slope
+    raw[116:120] = np.float32(inter).tobytes()  # scl_inter
+    scaled = tmp_path / "scaled.nii"
+    scaled.write_bytes(bytes(raw))
+    return scaled
+
+
+def test_intensity_scaling_is_rejected_not_ignored(tmp_path):
+    # slope 2, intercept 1 declares 7.0 for the stored 3.0
+    for slope, inter in ((2.0, 1.0), (1.0, 0.5), (float("nan"), 0.0)):
+        path = _with_scaling(tmp_path, slope, inter)
+        with pytest.raises(UnsupportedScalingError, match=str(path)):
+            read_nifti(path)
+    # NIfTI-1: a zero slope means the data are not scaled
+    for slope, inter in ((0.0, 0.0), (0.0, 4.0), (1.0, 0.0)):
+        assert read_nifti(_with_scaling(tmp_path, slope, inter)).data[0, 0, 0] == 3.0
 
 
 def test_volume_invariants():
