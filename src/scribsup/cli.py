@@ -96,10 +96,18 @@ def _simulate_scribbles(gt: LabelVolume, margin: int, num_classes: int = 0):
     return dataclasses.replace(merged, num_classes=num_classes) if num_classes else merged
 
 
-def _slic(image: Volume, k, compactness: float, iterations: int):
-    """Supervoxels (default ``k``: one per 1000 voxels) and their int16 ID map."""
+def _slic_k(image: Volume, k) -> int:
+    """``k`` or its default (one per 1000 voxels), if an int16 ID map can hold it."""
     k = k or max(1, image.data.size // 1000)
-    sv = supervoxel.slic3d(image, supervoxel.SlicParams(k, compactness, iterations))
+    if k > _MAX_INT16_ID:
+        raise ScribsupError(f"k={k} supervoxels exceed the int16 NIfTI limit ({_MAX_INT16_ID})")
+    return k
+
+
+def _slic(image: Volume, k, compactness: float, iterations: int):
+    """Supervoxels and their int16 ID map; connectivity may still add fragments beyond ``k``."""
+    params = supervoxel.SlicParams(_slic_k(image, k), compactness, iterations)
+    sv = supervoxel.slic3d(image, params)
     if sv.count > _MAX_INT16_ID:
         raise ScribsupError(f"{sv.count} supervoxels exceed the int16 NIfTI limit ({_MAX_INT16_ID})")
     return sv, LabelVolume(sv.ids, sv.spacing, max(2, sv.count), DT_INT16)
@@ -355,6 +363,7 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
 
     with stage("read"):
         image = read_nifti(cfg["image"], kind="image")
+        _slic_k(image, cfg["slic"]["k"])  # an oversized k fails before scribbles and SLIC run
         gt, scribble_vol, edges_in = (
             _read_on_grid(cfg[key], kind, image) if cfg[key] else None
             for key, kind in (("gt", "labels"), ("scribbles", "labels"), ("edges_input", "image"))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NoConfidentVoxelsError, ShapeMismatchError
 from .label_propagation import PseudoLabels
-from .volume_io import BinaryVolume, Volume
+from .volume_io import BinaryVolume, Volume, _check_spacing, _freeze
 
 __all__ = [
     "ProbVolume",
@@ -69,10 +69,8 @@ class ProbVolume:
                 sums = data.sum(axis=3)
                 if np.abs(sums - 1.0).max() > _SUM_ATOL:
                     raise ValueError("per-voxel channel sums must equal 1")
-        data = np.array(data, order="C")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
+        object.__setattr__(self, "data", _freeze(data))
+        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
 
     @property
     def shape(self) -> Tuple[int, int, int]:

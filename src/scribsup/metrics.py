@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
@@ -115,25 +115,21 @@ def boundary_voxels(mask: np.ndarray) -> np.ndarray:
     return mask.astype(bool) & ~interior
 
 
-def hd95(
-    pred: LabelVolume, gt: LabelVolume, c: int, spacing: Optional[Tuple[float, float, float]] = None
-) -> Optional[float]:
+def hd95(pred: LabelVolume, gt: LabelVolume, c: int) -> Optional[float]:
     """95th percentile of pooled bidirectional boundary distances, in mm.
 
     Returns ``None`` when either class-c region is empty. Distances come
     from an exact Euclidean distance transform with anisotropic sampling.
     """
     _check_shapes(pred, gt)
-    if spacing is None:
-        spacing = gt.spacing
     p = _class_mask(pred, c)
     g = _class_mask(gt, c)
     if not p.any() or not g.any():
         return None
     bp = boundary_voxels(p)
     bg = boundary_voxels(g)
-    dist_to_g = distance_transform_edt(~bg, sampling=spacing)
-    dist_to_p = distance_transform_edt(~bp, sampling=spacing)
+    dist_to_g = distance_transform_edt(~bg, sampling=gt.spacing)
+    dist_to_p = distance_transform_edt(~bp, sampling=gt.spacing)
     pooled = np.concatenate([dist_to_g[bp], dist_to_p[bg]])
     return float(np.percentile(pooled, 95))
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.ndimage import binary_dilation, binary_erosion
 
 from .errors import EmptyForegroundError
-from .volume_io import LabelVolume
+from .volume_io import LabelVolume, _check_spacing, _freeze
 
 __all__ = [
     "ScribbleSet",
@@ -66,14 +66,10 @@ class ScribbleSet:
         dup = f[1:] == f[:-1]
         if dup.any() and (c[1:][dup] != c[:-1][dup]).any():
             raise ValueError("conflicting classes at a shared voxel")
-        idx = np.array(idx, order="C")
-        cls = np.array(cls, order="C")
-        idx.setflags(write=False)
-        cls.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "classes", cls)
+        object.__setattr__(self, "indices", _freeze(idx))
+        object.__setattr__(self, "classes", _freeze(cls))
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
+        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
 
     def __len__(self) -> int:
         return len(self.classes)

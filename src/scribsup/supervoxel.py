@@ -21,7 +21,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import KTooLargeError
-from .volume_io import Volume
+from .volume_io import Volume, _check_spacing, _freeze
 
 __all__ = ["SupervoxelMap", "SlicParams", "slic3d", "enforce_connectivity"]
 
@@ -38,19 +38,17 @@ class SupervoxelMap:
     count: int
 
     def __post_init__(self):
-        ids = np.asarray(self.ids)
+        ids = np.asarray(self.ids, dtype=np.int32)
         if ids.ndim != 3:
             raise ValueError("supervoxel ids must be 3D")
-        ids = np.ascontiguousarray(ids.astype(np.int32))
         if ids.size:
             if ids.min() < 0 or ids.max() >= self.count:
                 raise ValueError("supervoxel ids out of range")
             present = np.bincount(ids.ravel(), minlength=self.count)
             if (present == 0).any():
                 raise ValueError("every supervoxel id must occur at least once")
-        ids.setflags(write=False)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
+        object.__setattr__(self, "ids", _freeze(ids))
+        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
 
     @property
     def shape(self) -> Tuple[int, int, int]:

@@ -6,13 +6,19 @@ millimeters, one value per axis. The reader/writer supports uncompressed
 single-file ``.nii`` only, with datatypes uint8 (code 2), int16 (code 4) and
 float32 (code 16); qform/sform orientation is ignored and spacing is taken
 from ``pixdim`` alone. Intensity scaling (``scl_slope``/``scl_inter``) is
-rejected rather than ignored.
+rejected rather than ignored. A header with ``dim[0]=4`` and a singleton
+fourth dimension is read as 3D.
+
+The container constructors are the one place that decides which values and
+which spacing a grid may hold; the reader passes the payload straight to the
+requested container and raises ``UnsupportedDatatypeError``, naming the file,
+when the container refuses it.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -201,13 +207,9 @@ class BinaryVolume:
         data = np.asarray(self.data)
         if data.ndim != 3:
             raise ValueError(f"mask data must be 3D, got {data.ndim}D")
-        if data.dtype == bool:
-            data = data.astype(np.uint8)
-        else:
-            data = data.astype(np.uint8, casting="unsafe")
-        if data.size and not np.isin(np.unique(data), (0, 1)).all():
+        if not np.isin(data, (0, 1)).all():
             raise ValueError("binary volume values must be 0 or 1")
-        object.__setattr__(self, "data", _freeze(data))
+        object.__setattr__(self, "data", _freeze(data.astype(np.uint8)))
         object.__setattr__(self, "spacing", _check_spacing(self.spacing))
 
     @property
@@ -230,8 +232,8 @@ def _parse_header(raw: bytes, path: str):
     if raw[344:348] != _MAGIC:  # numpy S4 strips trailing nulls; check raw bytes
         raise MalformedHeaderError(f"{path}: bad magic {raw[344:348]!r}")
     dim = hdr["dim"]
-    if int(dim[0]) != 3:
-        raise MalformedHeaderError(f"{path}: dim[0] is {int(dim[0])}, expected 3")
+    if int(dim[0]) != 3 and (int(dim[0]), int(dim[4])) != (4, 1):  # 4D with one frame is 3D
+        raise MalformedHeaderError(f"{path}: dim[0] is {int(dim[0])}, dim[4] {int(dim[4])}; not 3D")
     shape = tuple(int(d) for d in dim[1:4])
     if any(d < 1 for d in shape):
         raise MalformedHeaderError(f"{path}: nonpositive dimension in {shape}")
@@ -241,16 +243,16 @@ def _parse_header(raw: bytes, path: str):
     spacing = tuple(float(p) for p in hdr["pixdim"][1:4])
     if not all(np.isfinite(s) and s > 0 for s in spacing):
         raise MalformedHeaderError(f"{path}: nonpositive pixdim {spacing}")
-    vox_offset = int(hdr["vox_offset"])
-    if vox_offset < _HEADER_SIZE:
-        raise MalformedHeaderError(f"{path}: vox_offset {vox_offset} < 348")
+    vox_offset = float(hdr["vox_offset"])
+    if not (np.isfinite(vox_offset) and vox_offset >= _HEADER_SIZE):
+        raise MalformedHeaderError(f"{path}: vox_offset {vox_offset} is not a finite value >= 348")
     # NIfTI-1: scl_slope 0 means unscaled; any other slope scales every voxel.
     slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
     if slope != 0.0 and (slope != 1.0 or inter != 0.0):
         raise UnsupportedScalingError(
             f"{path}: scl_slope {slope} / scl_inter {inter} scaling is not supported"
         )
-    return shape, spacing, code, vox_offset
+    return shape, spacing, code, int(vox_offset)
 
 
 def read_nifti(path, kind: str = "auto") -> AnyVolume:
@@ -267,7 +269,8 @@ def read_nifti(path, kind: str = "auto") -> AnyVolume:
 
     Raises:
         MalformedHeaderError: bad magic, size, dims, or pixdim.
-        UnsupportedDatatypeError: datatype outside {uint8, int16, float32}.
+        UnsupportedDatatypeError: datatype outside {uint8, int16, float32},
+            or a payload the requested container refuses.
         UnsupportedScalingError: scl_slope/scl_inter other than unscaled.
         TruncatedDataError: payload shorter than the header declares.
     """
@@ -283,29 +286,17 @@ def read_nifti(path, kind: str = "auto") -> AnyVolume:
             f"{path}: expected {vox_offset + nbytes} bytes, file has {len(raw)}"
         )
     flat = np.frombuffer(raw[vox_offset : vox_offset + nbytes], dtype=dtype)
-    data = flat.reshape(shape, order="F").copy()
-
-    if kind == "image":
-        return Volume(data.astype(np.float32), spacing)
-    if kind == "binary":
-        if not np.isin(np.unique(data), (0, 1)).all():
-            raise ValueError(f"{path}: binary volume contains values outside {{0,1}}")
-        return BinaryVolume(data.astype(np.uint8), spacing)
-    if kind == "labels" or code in (DT_UINT8, DT_INT16):
-        if data.size and data.min() < 0:
-            raise UnsupportedDatatypeError(
-                f"{path}: negative values cannot be labels; read with kind='image'"
-            )
-        if code == DT_FLOAT32:
-            if data.size and not np.array_equal(data, np.round(data)):
-                raise UnsupportedDatatypeError(
-                    f"{path}: float payload has non-integer values; not a label map"
-                )
-            data = data.astype(np.int64)
-            code = None  # let the writer pick a width for re-saved float labels
-        num_classes = max(2, int(data.max()) + 1) if data.size else 2
-        return LabelVolume(data.astype(np.uint16), spacing, num_classes, code)
-    return Volume(data, spacing)
+    data = flat.reshape(shape, order="F")
+    try:
+        if kind == "binary":
+            return BinaryVolume(data, spacing)
+        if kind == "labels" or (kind == "auto" and code != DT_FLOAT32):
+            # float labels have no integer width to keep; the writer picks one
+            storage = None if code == DT_FLOAT32 else code
+            return LabelVolume(data, spacing, max(2, int(data.max()) + 1), storage)
+        return Volume(data, spacing)
+    except (ValueError, OverflowError) as exc:
+        raise UnsupportedDatatypeError(f"{path}: {exc}") from exc
 
 
 def _storage_code(vol: AnyVolume) -> int:
@@ -314,12 +305,8 @@ def _storage_code(vol: AnyVolume) -> int:
     if isinstance(vol, BinaryVolume):
         return DT_UINT8
     if isinstance(vol, LabelVolume):
-        if vol.storage_datatype is not None:
-            code = vol.storage_datatype
-        else:
-            peak = int(vol.data.max()) if vol.data.size else 0
-            code = DT_UINT8 if peak <= 255 else DT_INT16
         peak = int(vol.data.max()) if vol.data.size else 0
+        code = vol.storage_datatype or (DT_UINT8 if peak <= 255 else DT_INT16)
         limit = 255 if code == DT_UINT8 else 32767
         if peak > limit:
             raise UnsupportedDatatypeError(
@@ -357,16 +344,6 @@ def write_nifti(vol: AnyVolume, path) -> None:
     os.replace(tmp, path)
 
 
-def _rebuild_like(template: AnyVolume, data: np.ndarray) -> AnyVolume:
-    if isinstance(template, Volume):
-        return Volume(data, template.spacing)
-    if isinstance(template, BinaryVolume):
-        return BinaryVolume(data, template.spacing)
-    return LabelVolume(
-        data, template.spacing, template.num_classes, template.storage_datatype
-    )
-
-
 def crop_or_pad(vol: AnyVolume, target_shape, origin="center") -> AnyVolume:
     """Crop and/or zero-pad a volume to ``target_shape``.
 
@@ -397,7 +374,7 @@ def crop_or_pad(vol: AnyVolume, target_shape, origin="center") -> AnyVolume:
         lo = max(0, -o)
         hi = min(src.shape[axis], target_shape[axis] - o)
         if lo >= hi:
-            return _rebuild_like(vol, out)
+            return replace(vol, data=out)
         src_lo.append(lo)
         src_hi.append(hi)
         dst_lo.append(lo + o)
@@ -405,4 +382,4 @@ def crop_or_pad(vol: AnyVolume, target_shape, origin="center") -> AnyVolume:
     out[dst_lo[0] : dst_hi[0], dst_lo[1] : dst_hi[1], dst_lo[2] : dst_hi[2]] = src[
         src_lo[0] : src_hi[0], src_lo[1] : src_hi[1], src_lo[2] : src_hi[2]
     ]
-    return _rebuild_like(vol, out)
+    return replace(vol, data=out)

@@ -277,6 +277,29 @@ def test_forward_and_edge_settings_fail_in_config_before_any_compute(
     assert isinstance(info.value.cause, cause)
 
 
+@pytest.mark.parametrize("k, limit", [(40000, cli._MAX_INT16_ID), (None, 0)],
+                         ids=["given_k", "default_k"])
+def test_oversized_k_fails_before_slic(tmp_path, monkeypatch, runner, k, limit):
+    img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute ran before k was checked")
+
+    monkeypatch.setattr(supervoxel, "slic3d", no_compute)
+    monkeypatch.setattr(scribble_sim, "simulate_foreground_scribbles", no_compute)
+    # the default k of a 1024-voxel image is 1, so a limit of 0 stands in for a huge volume
+    monkeypatch.setattr(cli, "_MAX_INT16_ID", limit)
+    args = ["slic", "--input", str(img_path), "--output", str(tmp_path / "sv.nii")]
+    result = runner.invoke(main, args + (["--k", str(k)] if k else []))
+    assert result.exit_code == 1
+    assert "error in stage 'slic'" in result.output and "int16 NIfTI limit" in result.output
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline({"image": str(img_path), "gt": str(gt_path), "slic": {"k": k},
+                      "output_dir": str(tmp_path / "out")}, echo=lambda *_: None)
+    assert info.value.stage == "read"
+    assert "int16 NIfTI limit" in str(info.value)
+
+
 @pytest.mark.parametrize("key", ["gt", "scribbles"])
 def test_input_on_another_grid_fails_in_read_before_any_compute(tmp_path, monkeypatch, key):
     img_path, _ = _phantom(tmp_path, shape=(16, 16, 4))

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scribsup.errors import (
     MalformedHeaderError,
+    ScribsupError,
     TruncatedDataError,
     UnsupportedDatatypeError,
     UnsupportedScalingError,
@@ -20,6 +23,20 @@ from scribsup.volume_io import (
     read_nifti,
     write_nifti,
 )
+from scribsup.losses import ProbVolume
+from scribsup.scribble_sim import ScribbleSet
+from scribsup.supervoxel import SupervoxelMap
+
+
+def _patched_file(tmp_path, patches, name="patched.nii"):
+    """A 2x2x2 float32 zero volume with ``{offset: bytes}`` written over its file bytes."""
+    path = tmp_path / name
+    write_nifti(Volume(np.zeros((2, 2, 2), dtype=np.float32), (1, 1, 1)), path)
+    raw = bytearray(path.read_bytes())
+    for offset, value in patches.items():
+        raw[offset : offset + len(value)] = value
+    path.write_bytes(bytes(raw))
+    return path
 
 
 def test_read_zero_volume_with_anisotropic_spacing(tmp_path):
@@ -61,6 +78,22 @@ def test_dim0_not_3_is_malformed(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(MalformedHeaderError):
         read_nifti(bad)
+
+
+def test_singleton_fourth_dim_reads_as_3d(tmp_path):
+    four_d = {40: (4).to_bytes(2, "little"), 48: (1).to_bytes(2, "little")}  # dim[0], dim[4]
+    vol = read_nifti(_patched_file(tmp_path, four_d))
+    assert vol.shape == (2, 2, 2) and np.array_equal(vol.data, np.zeros((2, 2, 2)))
+    for patch in ({**four_d, 48: (2).to_bytes(2, "little")}, {40: (5).to_bytes(2, "little")}):
+        with pytest.raises(MalformedHeaderError):
+            read_nifti(_patched_file(tmp_path, patch))
+
+
+@pytest.mark.parametrize("offset", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_vox_offset_is_malformed(tmp_path, offset):
+    path = _patched_file(tmp_path, {108: np.float32(offset).tobytes()})
+    with pytest.raises(MalformedHeaderError, match=re.escape(str(path))):
+        read_nifti(path)
 
 
 def test_bad_magic_and_bad_size(tmp_path):
@@ -133,13 +166,18 @@ def test_large_labels_use_int16_and_overflow_errors(tmp_path):
         write_nifti(LabelVolume(data, (1, 1, 1), 40001), tmp_path / "huge.nii")
 
 
-def test_labels_range_checked_before_uint16_narrowing():
+def test_labels_range_checked_before_uint16_narrowing(tmp_path):
     data = np.zeros((2, 2, 2), dtype=np.int64)
     data[0, 0, 0] = 70000
     with pytest.raises(ValueError, match="70000"):
         LabelVolume(data, (1, 1, 1), 80000)
     data[0, 0, 0] = 65535
     assert LabelVolume(data, (1, 1, 1), 80000).data[0, 0, 0] == 65535
+    # float32 label files reach the same check, and name the file when they fail it
+    for bad in (70000.0, np.inf):
+        path = _patched_file(tmp_path, {352: np.float32(bad).tobytes()})
+        with pytest.raises(UnsupportedDatatypeError, match=re.escape(str(path))):
+            read_nifti(path, kind="labels")
 
 
 def test_labels_must_be_integral():
@@ -148,6 +186,13 @@ def test_labels_must_be_integral():
     with pytest.raises(ValueError, match="integer"):
         LabelVolume(np.full((2, 2, 2), np.nan), (1, 1, 1), 3)
     assert LabelVolume(np.full((2, 2, 2), 2.0), (1, 1, 1), 3).data[0, 0, 0] == 2
+
+
+@pytest.mark.parametrize("kind, value", [("image", np.nan), ("auto", np.inf), ("binary", 2.0)])
+def test_payload_the_container_refuses_names_the_file(tmp_path, kind, value):
+    path = _patched_file(tmp_path, {352: np.float32(value).tobytes()})
+    with pytest.raises(UnsupportedDatatypeError, match=re.escape(str(path))):
+        read_nifti(path, kind=kind)
 
 
 def _with_scaling(tmp_path, slope: float, inter: float):
@@ -181,6 +226,24 @@ def test_volume_invariants():
         LabelVolume(np.full((2, 2, 2), 5, dtype=np.uint16), (1, 1, 1), 3)
     with pytest.raises(ValueError):
         BinaryVolume(np.full((2, 2, 2), 2, dtype=np.uint8), (1, 1, 1))
+    for bad in (256, 0.7, np.nan):  # checked before the uint8 cast, so none wraps
+        with pytest.raises(ValueError):
+            BinaryVolume(np.full((2, 2, 2), bad), (1, 1, 1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda sp: Volume(np.zeros((2, 2, 2), dtype=np.float32), sp),
+    lambda sp: LabelVolume(np.zeros((2, 2, 2), dtype=np.uint16), sp, 2),
+    lambda sp: BinaryVolume(np.zeros((2, 2, 2), dtype=np.uint8), sp),
+    lambda sp: ProbVolume(np.full((2, 2, 2, 2), 0.5), sp),
+    lambda sp: SupervoxelMap(np.zeros((2, 2, 2), dtype=np.int32), sp, 1),
+    lambda sp: ScribbleSet(np.array([[0, 0, 0]]), np.array([1]), 2, (2, 2, 2), sp),
+], ids=["Volume", "LabelVolume", "BinaryVolume", "ProbVolume", "SupervoxelMap", "ScribbleSet"])
+def test_every_container_checks_its_spacing(make):
+    assert make((1.0, 2.0, 3.0)).spacing == (1.0, 2.0, 3.0)
+    for bad in ((1.0, np.nan, 1.0), (1.0, -1.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="spacing"):
+            make(bad)
 
 
 def test_crop_or_pad_corner_origin():
@@ -242,3 +305,45 @@ def test_write_read_roundtrip_bit_exact(tmp_path_factory, seed):
     back = read_nifti(path)
     assert np.array_equal(back.data, vol.data)
     assert back.spacing == pytest.approx(spacing)
+
+
+# sizeof_hdr, dim[0], dim[1], dim[4], datatype, bitpix, pixdim[1..3], vox_offset, scl_slope,
+# scl_inter, magic
+_HEADER_FIELDS = [0, 40, 42, 48, 70, 72, 80, 84, 88, 108, 112, 116, 344]
+_SPECIAL_VALUES = [np.float32(v).tobytes() for v in (np.nan, np.inf, -np.inf, -1, 0, 1, 351, 1e30)]
+_SPECIAL_VALUES += [np.int16(v).tobytes() for v in (-1, 0, 1, 2, 3, 4, 5, 16, 32767)]
+_NAN, _INF = np.float32(np.nan).tobytes(), np.float32(np.inf).tobytes()
+
+
+@settings(max_examples=150, deadline=1000)
+@given(
+    mutations=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(_HEADER_FIELDS), st.integers(0, 347)),
+            st.one_of(st.sampled_from(_SPECIAL_VALUES), st.binary(min_size=1, max_size=4)),
+        ),
+        max_size=3,
+    ),
+    voxel=st.tuples(st.integers(0, 7), st.sampled_from([None, np.nan, np.inf, -3.0, 70000.0])),
+)
+@example(mutations=[(108, _NAN)], voxel=(0, None))
+@example(mutations=[(108, _INF)], voxel=(0, None))
+def test_fuzzed_file_reads_as_a_volume_or_raises_a_toolkit_error(
+    tmp_path_factory, mutations, voxel
+):
+    path = tmp_path_factory.mktemp("fuzz") / "f.nii"
+    write_nifti(Volume((np.arange(8) % 2).reshape(2, 2, 2).astype(np.float32), (1, 1, 2)), path)
+    raw = bytearray(path.read_bytes())
+    for offset, value in mutations:
+        raw[offset : offset + len(value)] = value
+    index, value = voxel
+    if value is not None:
+        raw[352 + 4 * index : 356 + 4 * index] = np.float32(value).tobytes()
+    path.write_bytes(bytes(raw))
+    for kind in ("auto", "image", "labels", "binary"):
+        try:
+            vol = read_nifti(path, kind=kind)
+        except ScribsupError:
+            continue
+        assert isinstance(vol, (Volume, LabelVolume, BinaryVolume)) and vol.data.ndim == 3
+        assert not vol.data.flags.writeable
