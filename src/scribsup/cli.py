@@ -151,13 +151,6 @@ def _write_forward(outputs: refnet.NetworkOutputs, boundary_path, mask_prefix) -
     return written
 
 
-def _evaluate(pred: LabelVolume, gt: LabelVolume) -> metrics.MetricsReport:
-    """Metrics of ``pred`` against ``gt``, both widened to the larger class count."""
-    n = max(pred.num_classes, gt.num_classes)
-    pred, gt = (LabelVolume(v.data, v.spacing, n) for v in (pred, gt))
-    return metrics.evaluate(pred, gt)
-
-
 def _write_json(obj, path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -205,7 +198,7 @@ def propagate_cmd(scribbles_path, sv_path, classes, output_mask, output_conf):
         scribble_vol = read_nifti(scribbles_path, kind="labels")
         scribbles = scribble_sim.scribbles_from_label_volume(scribble_vol, classes)
         ids = read_nifti(sv_path, kind="labels")
-        sv = supervoxel.SupervoxelMap(ids.data.astype(np.int32), ids.spacing, int(ids.data.max()) + 1)
+        sv = supervoxel.SupervoxelMap(ids.data, ids.spacing, int(ids.data.max()) + 1)
         pl = label_propagation.propagate(scribbles, sv)
         write_nifti(pl.mask, output_mask)
         write_nifti(pl.confident, output_conf)
@@ -306,7 +299,9 @@ def loss_cmd(pred_init, pred_final, boundary_pred, pseudo, conf, edges_path, ima
 def eval_cmd(pred_path, gt_path, report_path):
     """Dice / HD95 / precision per class, plus foreground means."""
     with stage("eval"):
-        report = _evaluate(read_nifti(pred_path, kind="labels"), read_nifti(gt_path, kind="labels"))
+        report = metrics.evaluate(
+            read_nifti(pred_path, kind="labels"), read_nifti(gt_path, kind="labels")
+        )
         Path(report_path).write_text(report.to_json())
         click.echo(f"mean dice: {report.mean_dice}")
 
@@ -413,7 +408,7 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
 
     if gt is not None:
         with stage("eval"):
-            (out_dir / "eval.json").write_text(_evaluate(pl.mask, gt).to_json())
+            (out_dir / "eval.json").write_text(metrics.evaluate(pl.mask, gt).to_json())
             emit("eval", out_dir / "eval.json")
 
     with stage("manifest"):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.ndimage import binary_dilation, binary_erosion
 
 from .errors import EmptyForegroundError
-from .volume_io import LabelVolume, _check_spacing, _freeze
+from .volume_io import LabelVolume, _check_integers, _check_spacing, _freeze
 
 __all__ = [
     "ScribbleSet",
@@ -48,16 +48,13 @@ class ScribbleSet:
     spacing: Tuple[float, float, float]
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64).reshape(-1, 3)
-        cls = np.asarray(self.classes, dtype=np.uint16).reshape(-1)
+        shape = tuple(int(n) for n in self.shape)
+        idx = np.asarray(self.indices).reshape(-1, 3)
+        idx = _check_integers(idx, np.asarray(shape), "scribble indices", np.int64)
+        cls = np.reshape(self.classes, -1)
+        cls = _check_integers(cls, self.num_classes, "scribble classes", np.uint16)
         if len(idx) != len(cls):
             raise ValueError("indices and classes length mismatch")
-        shape = tuple(int(n) for n in self.shape)
-        if idx.size:
-            if idx.min() < 0 or (idx >= np.asarray(shape)).any():
-                raise ValueError("scribble index out of bounds")
-            if int(cls.max()) >= self.num_classes:
-                raise ValueError("scribble class out of range")
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
         flat = idx[:, 0] * shape[1] * shape[2] + idx[:, 1] * shape[2] + idx[:, 2]

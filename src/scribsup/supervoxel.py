@@ -14,6 +14,7 @@ distance, S the seed grid step in mm, and m the compactness weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Tuple
 
 import numpy as np
@@ -21,7 +22,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import KTooLargeError
-from .volume_io import Volume, _check_spacing, _freeze
+from .volume_io import Volume, _check_integers, _check_spacing, _freeze
 
 __all__ = ["SupervoxelMap", "SlicParams", "slic3d", "enforce_connectivity"]
 
@@ -38,12 +39,11 @@ class SupervoxelMap:
     count: int
 
     def __post_init__(self):
-        ids = np.asarray(self.ids, dtype=np.int32)
+        ids = np.asarray(self.ids)
         if ids.ndim != 3:
             raise ValueError("supervoxel ids must be 3D")
+        ids = _check_integers(ids, self.count, "supervoxel ids", np.int32)
         if ids.size:
-            if ids.min() < 0 or ids.max() >= self.count:
-                raise ValueError("supervoxel ids out of range")
             present = np.bincount(ids.ravel(), minlength=self.count)
             if (present == 0).any():
                 raise ValueError("every supervoxel id must occur at least once")
@@ -116,24 +116,17 @@ def _seed_grid(shape, spacing, k) -> Tuple[np.ndarray, float]:
     return seeds_mm, step
 
 
-def _perturb_seeds(seeds_mm, intensity, grad, shape, spacing) -> np.ndarray:
+def _perturb_seeds(seeds_mm, grad, spacing) -> np.ndarray:
     """Move each seed to the strictly lowest-gradient voxel in its 3^3 box."""
     idx = np.round(seeds_mm / np.asarray(spacing) - 0.5).astype(np.int64)
-    idx = np.clip(idx, 0, np.asarray(shape) - 1)
-    out = idx.copy()
-    for n in range(idx.shape[0]):
-        cx, cy, cz = idx[n]
-        best = grad[cx, cy, cz]
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    x, y, z = cx + dx, cy + dy, cz + dz
-                    if not (0 <= x < shape[0] and 0 <= y < shape[1] and 0 <= z < shape[2]):
-                        continue
-                    if grad[x, y, z] < best:
-                        best = grad[x, y, z]
-                        out[n] = (x, y, z)
-    return out
+    idx = np.clip(idx, 0, np.asarray(grad.shape) - 1)
+    # Candidate 0 is the seed, then the box in dx, dy, dz order: argmin takes the
+    # first minimum, so a seed moves only to a strictly lower gradient (pad: inf).
+    offsets = np.array([(0, 0, 0), *product((-1, 0, 1), repeat=3)], dtype=np.int64)
+    cand = idx[:, None, :] + offsets
+    padded = np.pad(grad, 1, mode="constant", constant_values=np.inf)
+    pick = np.argmin(padded[cand[..., 0] + 1, cand[..., 1] + 1, cand[..., 2] + 1], axis=1)
+    return cand[np.arange(len(cand)), pick]
 
 
 def _assign(intensity, coords_mm, centers_pos, centers_int, step, compactness):
@@ -199,7 +192,7 @@ def _slic_state(vol: Volume, params: SlicParams):
     intensity = _normalize(vol.data)
     grad = _gradient_magnitude(intensity, vol.spacing)
     seeds_mm, step = _seed_grid(shape, vol.spacing, params.k)
-    seed_idx = _perturb_seeds(seeds_mm, intensity, grad, shape, vol.spacing)
+    seed_idx = _perturb_seeds(seeds_mm, grad, vol.spacing)
 
     spacing = np.asarray(vol.spacing)
     coords_mm = tuple(np.arange(shape[a]) * spacing[a] for a in range(3))
@@ -245,7 +238,6 @@ def slic3d(vol: Volume, params: SlicParams) -> SupervoxelMap:
         KTooLargeError: when ``params.k`` exceeds the voxel count.
     """
     labels, _, _, step = _slic_state(vol, params)
-    nvox = labels.size
     voxel_mm3 = vol.spacing[0] * vol.spacing[1] * vol.spacing[2]
     min_size = (step ** 3) / 4.0 / voxel_mm3
     raw = _compact_ids(labels)
@@ -264,32 +256,29 @@ def _compact_ids(labels: np.ndarray) -> np.ndarray:
     return remap[flat].reshape(labels.shape)
 
 
+def _face_pairs(arr: np.ndarray):
+    """Yield the two sides of every interior voxel face, one axis at a time."""
+    for axis in range(3):
+        lo = tuple(slice(None, -1) if a == axis else slice(None) for a in range(3))
+        hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(3))
+        yield arr[lo], arr[hi]
+
+
+def _graph(edges, n: int):
+    """Sparse n x n adjacency from a list of (rows, cols) index-array pairs."""
+    rows, cols = (np.concatenate(side) for side in zip(*edges))
+    return coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n)).tocsr()
+
+
 def _equal_id_components(ids: np.ndarray) -> Tuple[np.ndarray, int]:
     """Label 6-connected components of constant-ID regions."""
-    shape = ids.shape
-    nvox = ids.size
-    lin = np.arange(nvox, dtype=np.int64).reshape(shape)
-    rows, cols = [], []
-    for axis in range(3):
-        a = [slice(None)] * 3
-        b = [slice(None)] * 3
-        a[axis] = slice(None, -1)
-        b[axis] = slice(1, None)
-        same = ids[tuple(a)] == ids[tuple(b)]
-        rows.append(lin[tuple(a)][same].ravel())
-        cols.append(lin[tuple(b)][same].ravel())
-    rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-    graph = coo_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(nvox, nvox)
-    )
-    ncomp, comp = connected_components(graph, directed=False)
-    return comp.reshape(shape), ncomp
-
-
-_FACE_OFFSETS = np.array(
-    [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=np.int64
-)
+    lin = np.arange(ids.size, dtype=np.int64).reshape(ids.shape)
+    edges = []
+    for (a, b), (lin_a, lin_b) in zip(_face_pairs(ids), _face_pairs(lin)):
+        same = a == b
+        edges.append((lin_a[same], lin_b[same]))
+    ncomp, comp = connected_components(_graph(edges, ids.size), directed=False)
+    return comp.reshape(ids.shape), ncomp
 
 
 def enforce_connectivity(
@@ -297,83 +286,63 @@ def enforce_connectivity(
 ) -> SupervoxelMap:
     """Split disconnected IDs and absorb small orphan fragments.
 
-    For each ID, the largest 6-connected component keeps it. Remaining
-    fragments smaller than ``min_size_voxels`` (default: voxel_count /
-    (4 * count), the physical S^3/4 equivalent) merge into the largest
-    adjacent supervoxel; larger fragments become new supervoxels. IDs are
-    renumbered contiguously by first scan-order occurrence.
+    For each ID, the largest 6-connected component keeps it (ties: earliest
+    first voxel in scan order). Remaining fragments of at least
+    ``min_size_voxels`` (default: voxel_count / (4 * count), the physical
+    S^3/4 equivalent) become new supervoxels; cores and these are numbered
+    by first voxel in scan order. Smaller fragments merge in passes: each
+    pass visits the unresolved fragments in component order (the scan order
+    of their first voxels), and a fragment with a resolved face neighbour
+    joins the largest adjacent supervoxel (ties: the lowest ID), whose size
+    grows at once, within the pass. IDs are finally renumbered contiguously
+    by first scan-order occurrence.
     """
     ids = svmap.ids
-    shape = ids.shape
-    nvox = ids.size
     if min_size_voxels is None:
-        min_size_voxels = nvox / (4.0 * svmap.count)
+        min_size_voxels = ids.size / (4.0 * svmap.count)
     comp, ncomp = _equal_id_components(ids)
     flat_comp = comp.ravel()
     comp_sizes = np.bincount(flat_comp, minlength=ncomp)
-    first_voxel = np.full(ncomp, nvox, dtype=np.int64)
-    np.minimum.at(first_voxel, flat_comp, np.arange(nvox, dtype=np.int64))
-    comp_id_of = ids.ravel()[first_voxel]
+    first_voxel = np.full(ncomp, ids.size, dtype=np.int64)
+    np.minimum.at(first_voxel, flat_comp, np.arange(ids.size, dtype=np.int64))
 
     # Largest component per original ID keeps it (ties: earliest in scan order).
     order = np.lexsort((first_voxel, -comp_sizes))
-    core = np.zeros(ncomp, dtype=bool)
-    seen = set()
-    for c in order:
-        oid = int(comp_id_of[c])
-        if oid not in seen:
-            seen.add(oid)
-            core[c] = True
+    _, first_of_id = np.unique(ids.ravel()[first_voxel[order]], return_index=True)
+    keep = comp_sizes >= min_size_voxels
+    keep[order[first_of_id]] = True
 
-    # Component -> final supervoxel assignment. Cores and large fragments get
-    # their own supervoxels; small fragments are resolved by merging below.
+    # Cores and large fragments get their own supervoxels in scan order;
+    # small fragments (-1) are resolved by merging below.
+    kept = np.flatnonzero(keep)[np.argsort(first_voxel[keep])]
     final_of_comp = np.full(ncomp, -1, dtype=np.int64)
-    next_id = 0
-    for c in np.argsort(first_voxel):
-        if core[c] or comp_sizes[c] >= min_size_voxels:
-            final_of_comp[c] = next_id
-            next_id += 1
-    sv_sizes = np.zeros(next_id, dtype=np.int64)
-    for c in range(ncomp):
-        if final_of_comp[c] >= 0:
-            sv_sizes[final_of_comp[c]] += comp_sizes[c]
+    final_of_comp[kept] = np.arange(len(kept))
+    sv_sizes = comp_sizes[kept]
 
-    pending = [c for c in range(ncomp) if final_of_comp[c] < 0]
+    pending = list(np.flatnonzero(~keep))
     if pending:
-        comp_voxels = {c: np.argwhere(comp == c) for c in pending}
+        edges = []
+        for a, b in _face_pairs(comp):
+            for x, y in ((a, b), (b, a)):
+                touch = (x != y) & ~keep[x]
+                edges.append((x[touch], y[touch]))
+        adj = _graph(edges, ncomp)
+        # Every ID keeps a core and the face graph of the grid is connected,
+        # so each pass resolves at least one fragment and the loop ends.
         while pending:
-            progressed = False
             remaining = []
             for c in pending:
-                vox = comp_voxels[c]
-                neigh = vox[:, None, :] + _FACE_OFFSETS[None, :, :]
-                neigh = neigh.reshape(-1, 3)
-                ok = (
-                    (neigh >= 0).all(axis=1)
-                    & (neigh[:, 0] < shape[0])
-                    & (neigh[:, 1] < shape[1])
-                    & (neigh[:, 2] < shape[2])
-                )
-                neigh = neigh[ok]
-                ncomp_ids = comp[neigh[:, 0], neigh[:, 1], neigh[:, 2]]
-                cand = np.unique(final_of_comp[ncomp_ids])
+                cand = final_of_comp[adj.indices[adj.indptr[c] : adj.indptr[c + 1]]]
                 cand = cand[cand >= 0]
                 if cand.size == 0:
                     remaining.append(c)
                     continue
                 # Largest adjacent supervoxel wins; ties go to the lowest id.
                 sizes = sv_sizes[cand]
-                target = int(cand[np.lexsort((cand, -sizes))[0]])
+                target = cand[sizes == sizes.max()].min()
                 final_of_comp[c] = target
                 sv_sizes[target] += comp_sizes[c]
-                progressed = True
-            if not progressed and remaining:
-                # No resolved neighbor anywhere (single-ID map); keep as own.
-                c = remaining.pop(0)
-                final_of_comp[c] = len(sv_sizes)
-                sv_sizes = np.append(sv_sizes, comp_sizes[c])
             pending = remaining
 
-    out = final_of_comp[flat_comp].reshape(shape)
-    out = _compact_ids(out)
+    out = _compact_ids(final_of_comp[flat_comp].reshape(ids.shape))
     return SupervoxelMap(out, svmap.spacing, int(out.max()) + 1)

@@ -6,8 +6,9 @@ millimeters, one value per axis. The reader/writer supports uncompressed
 single-file ``.nii`` only, with datatypes uint8 (code 2), int16 (code 4) and
 float32 (code 16); qform/sform orientation is ignored and spacing is taken
 from ``pixdim`` alone. Intensity scaling (``scl_slope``/``scl_inter``) is
-rejected rather than ignored. A header with ``dim[0]=4`` and a singleton
-fourth dimension is read as 3D.
+rejected rather than ignored, and so is a ``bitpix`` that does not match
+``datatype``. A header with ``dim[0]=4`` and a singleton fourth dimension
+is read as 3D.
 
 The container constructors are the one place that decides which values and
 which spacing a grid may hold; the reader passes the payload straight to the
@@ -44,8 +45,6 @@ __all__ = [
 DT_UINT8 = 2
 DT_INT16 = 4
 DT_FLOAT32 = 16
-
-_MAX_LABEL = np.iinfo(np.uint16).max  # labels are held as uint16
 
 _DTYPES = {
     DT_UINT8: np.dtype("<u1"),
@@ -116,6 +115,29 @@ def _check_spacing(spacing) -> Tuple[float, float, float]:
     return spacing
 
 
+def _check_integers(data, limit, what: str, dtype) -> np.ndarray:
+    """Cast ``data`` to ``dtype`` once it is known to hold only valid values.
+
+    Valid values are finite, integral, nonnegative, below ``limit`` (which
+    broadcasts against ``data``) and within ``dtype``, so the cast never
+    truncates or wraps.
+    """
+    data = np.asarray(data)
+    if data.dtype.kind == "f" and not (
+        np.isfinite(data).all() and np.array_equal(data, np.trunc(data))
+    ):
+        raise ValueError(f"{what} must be integers")
+    if data.size and data.min() < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    top = np.iinfo(dtype).max
+    over = (data >= limit) | (data > top)
+    if over.any():
+        raise ValueError(
+            f"{what} must be below {limit} and at most {top}, got {int(data[over].max())}"
+        )
+    return data.astype(dtype, copy=False)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, order="C")  # own copy, so callers' buffers stay writable
     arr.setflags(write=False)
@@ -170,20 +192,9 @@ class LabelVolume:
         data = np.asarray(self.data)
         if data.ndim != 3:
             raise ValueError(f"label data must be 3D, got {data.ndim}D")
-        if data.dtype.kind == "f" and not (
-            np.isfinite(data).all() and np.array_equal(data, np.trunc(data))
-        ):
-            raise ValueError("labels must be integers")
-        if data.size and data.min() < 0:
-            raise ValueError("labels must be nonnegative")
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
-        top = int(data.max()) if data.size else 0
-        if top >= min(self.num_classes, _MAX_LABEL + 1):
-            raise ValueError(
-                f"label {top} out of range for {self.num_classes} classes (max {_MAX_LABEL})"
-            )
-        data = data.astype(np.uint16)
+        data = _check_integers(data, self.num_classes, "labels", np.uint16)
         if self.storage_datatype not in (None, DT_UINT8, DT_INT16):
             raise UnsupportedDatatypeError(
                 f"labels cannot be stored as datatype code {self.storage_datatype}"
@@ -240,6 +251,11 @@ def _parse_header(raw: bytes, path: str):
     code = int(hdr["datatype"])
     if code not in _DTYPES:
         raise UnsupportedDatatypeError(f"{path}: datatype code {code} not supported")
+    bits = 8 * _DTYPES[code].itemsize
+    if int(hdr["bitpix"]) != bits:
+        raise MalformedHeaderError(
+            f"{path}: bitpix is {int(hdr['bitpix'])}, datatype code {code} needs {bits}"
+        )
     spacing = tuple(float(p) for p in hdr["pixdim"][1:4])
     if not all(np.isfinite(s) and s > 0 for s in spacing):
         raise MalformedHeaderError(f"{path}: nonpositive pixdim {spacing}")
@@ -268,7 +284,8 @@ def read_nifti(path, kind: str = "auto") -> AnyVolume:
         Volume, LabelVolume, or BinaryVolume depending on ``kind``/datatype.
 
     Raises:
-        MalformedHeaderError: bad magic, size, dims, or pixdim.
+        MalformedHeaderError: bad magic, size, dims, bitpix, pixdim or
+            vox_offset.
         UnsupportedDatatypeError: datatype outside {uint8, int16, float32},
             or a payload the requested container refuses.
         UnsupportedScalingError: scl_slope/scl_inter other than unscaled.

@@ -248,3 +248,68 @@ def brute_upsample(x, target):
             planes.append((1.0 - frac) * a + frac * b)
         out = np.stack(planes, axis=axis)
     return out
+
+
+def brute_enforce_connectivity(ids: np.ndarray, count: int, min_size_voxels=None) -> np.ndarray:
+    """Connectivity enforcement spelled out with flood fills and dicts.
+
+    Components are ordered by their first voxel in C scan order. Per ID, the
+    largest component (ties: first in that order) is the core. Cores and
+    fragments of at least ``min_size_voxels`` are numbered in component
+    order. Smaller fragments merge in passes over the unresolved ones, in
+    component order: a fragment with a numbered face neighbour joins the
+    largest one (ties: lowest number), growing it at once. Output numbers are
+    then renumbered by first scan-order occurrence.
+    """
+    nx, ny, nz = ids.shape
+    if min_size_voxels is None:
+        min_size_voxels = ids.size / (4.0 * count)
+    comp_of = {}  # voxel -> (id, component label within that id)
+    voxels = {}  # (id, label) -> list of voxels
+    for sv in np.unique(ids):
+        labels, n = flood_components_6(ids == sv)
+        for x in range(nx):
+            for y in range(ny):
+                for z in range(nz):
+                    if labels[x, y, z] >= 0:
+                        key = (int(sv), int(labels[x, y, z]))
+                        comp_of[(x, y, z)] = key
+                        voxels.setdefault(key, []).append((x, y, z))
+    comps = sorted(voxels, key=lambda key: min(voxels[key]))
+    core = {}
+    for key in comps:
+        if key[0] not in core or len(voxels[key]) > len(voxels[core[key[0]]]):
+            core[key[0]] = key
+    number, size = {}, {}
+    for key in comps:
+        if core[key[0]] == key or len(voxels[key]) >= min_size_voxels:
+            number[key] = len(size)
+            size[number[key]] = len(voxels[key])
+    pending = [key for key in comps if key not in number]
+    while pending:
+        remaining = []
+        for key in pending:
+            touching = set()
+            for x, y, z in voxels[key]:
+                for dx, dy, dz in (
+                    (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+                ):
+                    nb = comp_of.get((x + dx, y + dy, z + dz))
+                    if nb in number:
+                        touching.add(number[nb])
+            if not touching:
+                remaining.append(key)
+                continue
+            best = min(touching, key=lambda n: (-size[n], n))
+            number[key] = best
+            size[best] += len(voxels[key])
+        assert len(remaining) < len(pending), "a merge pass resolved no fragment"
+        pending = remaining
+    out = np.zeros(ids.shape, dtype=np.int64)
+    renumber = {}
+    for x in range(nx):
+        for y in range(ny):
+            for z in range(nz):
+                n = number[comp_of[(x, y, z)]]
+                out[x, y, z] = renumber.setdefault(n, len(renumber))
+    return out

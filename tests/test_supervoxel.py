@@ -1,13 +1,20 @@
+import hashlib
+import json
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.ndimage import uniform_filter
 
-from oracles import all_ids_connected_6, flood_components_6
+from oracles import all_ids_connected_6, brute_enforce_connectivity, flood_components_6
 from scribsup.errors import KTooLargeError
 from scribsup.supervoxel import (
     SlicParams,
     SupervoxelMap,
     enforce_connectivity,
     slic3d,
+    _compact_ids,
     _slic_state,
 )
 from scribsup.volume_io import Volume
@@ -149,3 +156,95 @@ def test_slic_params_validation():
         SlicParams(k=5, compactness=0)
     with pytest.raises(ValueError):
         SlicParams(k=5, iterations=0)
+
+
+# sha256 of ``slic3d`` ID maps on small seeded volumes, captured with the
+# per-seed ``_perturb_seeds`` loop and the per-fragment ``enforce_connectivity``
+# scans that preceded the whole-array rewrite. IDs must stay byte-identical,
+# so the file is never regenerated.
+SLIC_GOLDEN_PATH = Path(__file__).parent / "data" / "slic_golden.json"
+
+
+def _slic_golden_cases():
+    """Name -> (volume, params): textured, tie-heavy, plateau, fragment-heavy."""
+    rng = np.random.default_rng(5005)
+    noise = rng.random((14, 12, 10)).astype(np.float32)
+    quantised = rng.integers(0, 4, size=(16, 16, 8)).astype(np.float32)
+    x, y, z = np.indices((20, 20, 6))
+    plateau = ((x // 5 + y // 7 + z // 3) % 3).astype(np.float32)
+    fragments = rng.random((24, 24, 8)).astype(np.float32)
+    sphere = ((x - 9.5) ** 2 + (y - 8.0) ** 2 <= 36).astype(np.float32)
+    sphere += 0.1 * rng.random(sphere.shape).astype(np.float32)
+    # smooth noise at low compactness: some fragments reach min_size and stay
+    smooth = uniform_filter(np.random.default_rng(5006).random((24, 24, 8)), 3)
+    return {
+        "noise_14x12x10": (Volume(noise, (1.0, 1.2, 2.5)), SlicParams(k=12)),
+        "quantised_16x16x8": (Volume(quantised, (1.0, 1.0, 2.0)), SlicParams(k=24)),
+        "plateau_20x20x6": (Volume(plateau, (1.0, 1.0, 1.0)), SlicParams(k=18)),
+        "noise_c0.3_24x24x8": (
+            Volume(fragments, (1.0, 1.0, 1.0)), SlicParams(k=36, compactness=0.3)
+        ),
+        "sphere_20x20x6": (Volume(sphere, (1.25, 1.25, 5.0)), SlicParams(k=10, iterations=4)),
+        "smooth_c0.1_24x24x8": (Volume(smooth, (1.0, 1.0, 2.0)), SlicParams(k=36, compactness=0.1)),
+    }
+
+
+def _slic_digest(vol, params):
+    svmap = slic3d(vol, params)
+    ids = np.ascontiguousarray(svmap.ids, dtype="<i4")
+    return {"count": svmap.count, "sha256": hashlib.sha256(ids.tobytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("name", sorted(_slic_golden_cases()))
+def test_slic_matches_pre_change_golden(name):
+    golden = json.loads(SLIC_GOLDEN_PATH.read_text())[name]
+    vol, params = _slic_golden_cases()[name]
+    assert _slic_digest(vol, params) == golden
+
+
+def _fragmented_map(rng, kind):
+    """A small ID map in which at least one ID is split into pieces."""
+    while True:
+        shape = tuple(int(n) for n in rng.integers(3, 9, size=3))
+        if kind == "random":
+            ids = rng.integers(0, rng.integers(2, 6), size=shape)
+        elif kind == "checkerboard":
+            ids = (np.indices(shape).sum(axis=0) + rng.integers(0, 2)) % rng.integers(2, 4)
+        else:  # noisy blocks: a block partition with a few voxels relabelled
+            x, y, z = np.indices(shape)
+            ids = x // 3 + 3 * (y // 3) + 9 * (z // 4)
+            flip = rng.random(shape) < 0.15
+            ids[flip] = rng.integers(0, ids.max() + 1, size=int(flip.sum()))
+        _, ids = np.unique(ids, return_inverse=True)
+        ids = ids.reshape(shape)
+        if any(flood_components_6(ids == v)[1] > 1 for v in np.unique(ids)):
+            return SupervoxelMap(ids, (1.0, 1.0, 1.0), int(ids.max()) + 1)
+
+
+_MAP_KINDS = ["random", "checkerboard", "noisy_blocks"]
+
+
+@pytest.mark.parametrize("min_size", ["default", "explicit"])
+@pytest.mark.parametrize("kind", _MAP_KINDS)
+def test_enforce_connectivity_matches_oracle(kind, min_size):
+    rng = np.random.default_rng([7007, _MAP_KINDS.index(kind), int(min_size == "explicit")])
+    for _ in range(40):
+        svmap = _fragmented_map(rng, kind)
+        bound = None if min_size == "default" else float(rng.uniform(1.0, 6.0))
+        want = brute_enforce_connectivity(np.asarray(svmap.ids), svmap.count, bound)
+        got = enforce_connectivity(svmap, min_size_voxels=bound)
+        assert np.array_equal(got.ids, want)
+        assert got.count == int(want.max()) + 1
+
+
+def test_enforce_connectivity_on_fragment_heavy_noise_is_fast():
+    # compactness 0.3 on uniform noise leaves ~12k equal-ID components
+    vol = Volume(np.random.default_rng(0).random((64, 64, 16)).astype(np.float32), (1, 1, 1))
+    labels, _, _, step = _slic_state(vol, SlicParams(k=65, compactness=0.3))
+    raw = _compact_ids(labels)
+    svmap = SupervoxelMap(raw, vol.spacing, int(raw.max()) + 1)
+    start = time.perf_counter()
+    out = enforce_connectivity(svmap, min_size_voxels=step ** 3 / 4.0)
+    elapsed = time.perf_counter() - start
+    assert out.count >= svmap.count
+    assert elapsed < 1.5, f"enforce_connectivity took {elapsed:.2f}s"

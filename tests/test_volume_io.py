@@ -246,6 +246,30 @@ def test_every_container_checks_its_spacing(make):
             make(bad)
 
 
+_ORIGIN = np.array([[0, 0, 0]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SupervoxelMap(np.full((2, 2, 2), 2**32, dtype=np.int64), (1, 1, 1), 1),
+    lambda: SupervoxelMap(np.full((2, 2, 2), 0.9), (1, 1, 1), 1),
+    lambda: ScribbleSet(_ORIGIN, np.array([65537]), 2, (2, 2, 2), (1, 1, 1)),
+    lambda: ScribbleSet(_ORIGIN, np.array([-65535]), 2, (2, 2, 2), (1, 1, 1)),
+    lambda: ScribbleSet(_ORIGIN, np.array([1.6]), 2, (2, 2, 2), (1, 1, 1)),
+    lambda: ScribbleSet(np.array([[0.7, 0, 0]]), np.array([1]), 2, (2, 2, 2), (1, 1, 1)),
+], ids=["ids-2**32", "ids-0.9", "classes-65537", "classes--65535", "classes-1.6",
+        "indices-0.7"])
+def test_values_are_checked_before_narrowing(make):
+    # each of these used to wrap or truncate to a valid value in the cast
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_bitpix_must_match_datatype(tmp_path):
+    path = _patched_file(tmp_path, {72: (8).to_bytes(2, "little")})  # float32 needs 32
+    with pytest.raises(MalformedHeaderError, match=re.escape(str(path))):
+        read_nifti(path)
+
+
 def test_crop_or_pad_corner_origin():
     vol = Volume(np.ones((2, 2, 2), dtype=np.float32), (1, 1, 1))
     out = crop_or_pad(vol, (4, 4, 4), origin=(1, 1, 1))
