@@ -96,17 +96,16 @@ def _simulate_scribbles(gt: LabelVolume, margin: int, num_classes: int = 0):
     return dataclasses.replace(merged, num_classes=num_classes) if num_classes else merged
 
 
-def _slic_k(image: Volume, k) -> int:
-    """``k`` or its default (one per 1000 voxels), if an int16 ID map can hold it."""
+def _slic_params(image: Volume, k, compactness: float, iterations: int) -> supervoxel.SlicParams:
+    """SLIC settings; ``k`` defaults to one per 1000 voxels and must fit an int16 ID map."""
     k = k or max(1, image.data.size // 1000)
     if k > _MAX_INT16_ID:
         raise ScribsupError(f"k={k} supervoxels exceed the int16 NIfTI limit ({_MAX_INT16_ID})")
-    return k
+    return supervoxel.SlicParams(k, compactness, iterations)
 
 
-def _slic(image: Volume, k, compactness: float, iterations: int):
+def _slic(image: Volume, params: supervoxel.SlicParams):
     """Supervoxels and their int16 ID map; connectivity may still add fragments beyond ``k``."""
-    params = supervoxel.SlicParams(_slic_k(image, k), compactness, iterations)
     sv = supervoxel.slic3d(image, params)
     if sv.count > _MAX_INT16_ID:
         raise ScribsupError(f"{sv.count} supervoxels exceed the int16 NIfTI limit ({_MAX_INT16_ID})")
@@ -168,7 +167,8 @@ def _write_json(obj, path) -> None:
 def slic_cmd(input_path, k, compactness, iters, output):
     """Cluster a volume into supervoxels and write the ID map (int16)."""
     with stage("slic"):
-        sv, ids = _slic(read_nifti(input_path, kind="image"), k, compactness, iters)
+        image = read_nifti(input_path, kind="image")
+        sv, ids = _slic(image, _slic_params(image, k, compactness, iters))
         write_nifti(ids, output)
         click.echo(f"wrote {sv.count} supervoxels to {output}")
 
@@ -315,6 +315,8 @@ def _merge_config(user: dict) -> dict:
         if key not in cfg:
             raise ScribsupError(f"unknown config key {key!r}")
         if isinstance(cfg[key], dict):
+            if not isinstance(value, dict):
+                raise ScribsupError(f"config key {key!r} must be an object, got {value!r}")
             for sub, sval in value.items():
                 if sub not in cfg[key]:
                     raise ScribsupError(f"unknown config key {key}.{sub}")
@@ -345,6 +347,7 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
             # the class count does not bear on base filters or the patch ladder
             net_cfg = refnet.NetConfig(num_classes=2, base_filters=cfg["forward_base_filters"])
             net_cfg.check_patch_shape(tuple(cfg["patch_shape"]))
+            ab, weights = losses.AbParams(**cfg["ab"]), losses.TotalLossWeights(**cfg["weights"])
         out_dir = Path(cfg["output_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
@@ -358,7 +361,7 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
 
     with stage("read"):
         image = read_nifti(cfg["image"], kind="image")
-        _slic_k(image, cfg["slic"]["k"])  # an oversized k fails before scribbles and SLIC run
+        slic_params = _slic_params(image, **cfg["slic"])  # bad settings fail before any compute
         gt, scribble_vol, edges_in = (
             _read_on_grid(cfg[key], kind, image) if cfg[key] else None
             for key, kind in (("gt", "labels"), ("scribbles", "labels"), ("edges_input", "image"))
@@ -372,7 +375,7 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
             write(scribble_sim.scribbles_to_label_volume(scribbles), "scribbles")
 
     with stage("slic"):
-        sv, ids = _slic(image, **cfg["slic"])
+        sv, ids = _slic(image, slic_params)
         write(ids, "supervoxels")
 
     with stage("propagate"):
@@ -400,8 +403,7 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
             pl_patch = label_propagation.PseudoLabels(crop(pl.mask), crop(pl.confident))
             report = losses.total_loss(
                 outputs.boundary, crop(edge_vol), outputs.mask_init, outputs.mask_final,
-                pl_patch, patch, ab=losses.AbParams(**cfg["ab"]),
-                weights=losses.TotalLossWeights(**cfg["weights"]),
+                pl_patch, patch, ab=ab, weights=weights,
             )
             _write_json(report.terms, out_dir / "loss.json")
             emit("loss", out_dir / "loss.json")

@@ -9,10 +9,10 @@ Chebyshev margin around the per-slice foreground.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
-from scipy.ndimage import binary_dilation, binary_erosion
+from scipy.ndimage import binary_dilation, binary_erosion, generate_binary_structure
 
 from .errors import EmptyForegroundError
 from .volume_io import LabelVolume, _check_integers, _check_spacing, _freeze
@@ -78,79 +78,76 @@ def _closing8(mask: np.ndarray) -> np.ndarray:
     return binary_erosion(dilated, structure=_SQUARE3, border_value=1)
 
 
-def _neighbors8(mask: np.ndarray):
-    """Padded clockwise neighborhood P2..P9 (N, NE, E, SE, S, SW, W, NW)."""
-    p = np.pad(mask, 1, mode="constant").astype(np.uint8)
-    n = p[:-2, 1:-1]
-    ne = p[:-2, 2:]
-    e = p[1:-1, 2:]
-    se = p[2:, 2:]
-    s = p[2:, 1:-1]
-    sw = p[2:, :-2]
-    w = p[1:-1, :-2]
-    nw = p[:-2, :-2]
-    return [n, ne, e, se, s, sw, w, nw]
+def _deletion_tables():
+    """B (foreground neighbours) and each subpass's thinning deletion rule per 8-neighbour code.
+
+    Bit i of a code is neighbour P(i+2) of the clockwise sequence N, NE, E, SE,
+    S, SW, W, NW; pixels outside the image count as background.
+    """
+    p = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    b = p.sum(axis=1)
+    a = ((p == 0) & (np.roll(p, -1, axis=1) == 1)).sum(axis=1)
+    p2, p4, p6, p8 = p[:, 0], p[:, 2], p[:, 4], p[:, 6]
+    base = (2 <= b) & (b <= 6) & (a == 1)
+    first = base & (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
+    second = base & (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
+    return b, np.stack([first, second])
 
 
-def _deletable(mask: np.ndarray, x: int, y: int, first_pass: bool) -> bool:
-    """Thinning deletion test for one pixel against the current mask."""
+_B, _DELETABLE = _deletion_tables()
+# weight of the neighbour at offset (dx + 1, dy + 1) in a pixel's code; the
+# flipped table is what a deleted pixel clears in its neighbours' codes
+_CODE_WEIGHTS = np.array([[128, 1, 2], [64, 0, 4], [32, 16, 8]], dtype=np.uint8)
+_CLEARED = _CODE_WEIGHTS[::-1, ::-1]
+
+
+def _codes(mask: np.ndarray) -> np.ndarray:
+    """Neighbour code of every pixel of ``mask`` padded by one; pixel (x, y) sits at (x+1, y+1)."""
     h, w = mask.shape
-
-    def at(i, j):
-        return 1 if 0 <= i < h and 0 <= j < w and mask[i, j] else 0
-
-    seq = [
-        at(x - 1, y), at(x - 1, y + 1), at(x, y + 1), at(x + 1, y + 1),
-        at(x + 1, y), at(x + 1, y - 1), at(x, y - 1), at(x - 1, y - 1),
-    ]
-    b = sum(seq)
-    if not (2 <= b <= 6):
-        return False
-    a = sum(1 for i in range(8) if seq[i] == 0 and seq[(i + 1) % 8] == 1)
-    if a != 1:
-        return False
-    p2, p4, p6, p8 = seq[0], seq[2], seq[4], seq[6]
-    if first_pass:
-        return p2 * p4 * p6 == 0 and p4 * p6 * p8 == 0
-    return p2 * p4 * p8 == 0 and p2 * p6 * p8 == 0
+    p = np.pad(mask, 2).view(np.uint8)
+    codes = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    for (dx, dy), weight in np.ndenumerate(_CODE_WEIGHTS):
+        codes += weight * p[dx:dx + h + 2, dy:dy + w + 2]
+    return codes
 
 
 def _thin_once(mask: np.ndarray) -> np.ndarray:
     """One thinning iteration (two directional subpasses).
 
-    Candidates are found in parallel but removed sequentially in scan order,
-    revalidating against the current image, which preserves connectivity and
-    endpoints even for patterns a purely parallel pass would annihilate.
+    Candidates (2 <= B <= 6) are fixed at the start of each subpass but removed
+    sequentially in scan order, revalidating against the current image, which
+    preserves connectivity and endpoints even for patterns a purely parallel
+    pass would annihilate.
     """
     out = mask.copy()
-    for first_pass in (True, False):
-        nb = _neighbors8(out)
-        b = sum(n.astype(np.int16) for n in nb)
-        cand = out & (b >= 2) & (b <= 6)
-        for x, y in np.argwhere(cand):
-            if out[x, y] and _deletable(out, x, y, first_pass):
+    for deletable in _DELETABLE:
+        codes = _codes(out)
+        b = _B[codes[1:-1, 1:-1]]
+        for x, y in np.argwhere(out & (b >= 2) & (b <= 6)).tolist():
+            if deletable[codes[x + 1, y + 1]]:
                 out[x, y] = False
+                codes[x:x + 3, y:y + 3] -= _CLEARED
     return out
 
 
 def _remove_square_blocks(mask: np.ndarray) -> np.ndarray:
-    """Delete simple pixels until no 2x2 solid block remains (best effort)."""
+    """Delete simple pixels until no 2x2 solid block remains (best effort).
+
+    Each round removes the first deletable corner, in corner order, of the first
+    block in scan order that has one, then looks at the blocks again.
+    """
+    either = _DELETABLE[0] | _DELETABLE[1]
     out = mask.copy()
     for _ in range(out.size):
         blocks = out[:-1, :-1] & out[1:, :-1] & out[:-1, 1:] & out[1:, 1:]
-        if not blocks.any():
+        ok = either[_codes(out)[1:-1, 1:-1]]
+        corners = np.stack([ok[:-1, :-1], ok[:-1, 1:], ok[1:, :-1], ok[1:, 1:]]) & blocks
+        hit = corners.any(axis=0)
+        if not hit.any():
             break
-        removed = False
-        for bx, by in np.argwhere(blocks):
-            for x, y in ((bx, by), (bx, by + 1), (bx + 1, by), (bx + 1, by + 1)):
-                if _deletable(out, x, y, True) or _deletable(out, x, y, False):
-                    out[x, y] = False
-                    removed = True
-                    break
-            if removed:
-                break
-        if not removed:
-            break
+        bx, by = np.unravel_index(np.argmax(hit), hit.shape)
+        k = int(np.argmax(corners[:, bx, by]))
+        out[bx + k // 2, by + k % 2] = False
     return out
 
 
@@ -171,7 +168,7 @@ def simulate_foreground_scribbles(gt: LabelVolume) -> ScribbleSet:
 
     Each (class, slice) mask is reduced to a one-pixel-wide curve via
     iterated closing + thinning; the surviving voxels are emitted with their
-    class ID.
+    class ID, ordered by class, then slice, then in-slice scan order.
 
     Raises:
         EmptyForegroundError: when no class >= 1 is present.
@@ -181,28 +178,15 @@ def simulate_foreground_scribbles(gt: LabelVolume) -> ScribbleSet:
     present = present[present >= 1]
     if present.size == 0:
         raise EmptyForegroundError("ground truth has no foreground class")
-    idx_parts: List[np.ndarray] = []
-    cls_parts: List[np.ndarray] = []
-    for c in present:
-        cls_mask = labels == c
+    skel = np.zeros((present.size,) + gt.shape, dtype=bool)
+    for i, c in enumerate(present):
         for z in range(gt.shape[2]):
-            sl = cls_mask[:, :, z]
-            if not sl.any():
-                continue
-            skel = _slice_skeleton(sl)
-            xs, ys = np.nonzero(skel)
-            if xs.size == 0:
-                continue
-            part = np.stack([xs, ys, np.full_like(xs, z)], axis=1)
-            idx_parts.append(part)
-            cls_parts.append(np.full(xs.size, c, dtype=np.uint16))
-    if idx_parts:
-        indices = np.concatenate(idx_parts)
-        classes = np.concatenate(cls_parts)
-    else:
-        indices = np.empty((0, 3), dtype=np.int64)
-        classes = np.empty(0, dtype=np.uint16)
-    return ScribbleSet(indices, classes, gt.num_classes, gt.shape, gt.spacing)
+            sl = labels[:, :, z] == c
+            if sl.any():
+                skel[i, :, :, z] = _slice_skeleton(sl)
+    ci, zs, xs, ys = np.nonzero(skel.transpose(0, 3, 1, 2))
+    indices = np.stack([xs, ys, zs], axis=1)
+    return ScribbleSet(indices, present[ci], gt.num_classes, gt.shape, gt.spacing)
 
 
 def simulate_background_scribble(gt: LabelVolume, margin_vox: int = 10) -> ScribbleSet:
@@ -219,31 +203,18 @@ def simulate_background_scribble(gt: LabelVolume, margin_vox: int = 10) -> Scrib
     fg = gt.data >= 1
     if not fg.any():
         raise EmptyForegroundError("ground truth has no foreground class")
-    idx_parts: List[np.ndarray] = []
-    for z in range(gt.shape[2]):
-        sl = fg[:, :, z]
-        if not sl.any():
-            continue
-        dilated = binary_dilation(sl, structure=_SQUARE3, iterations=margin_vox, border_value=0)
-        interior = binary_erosion(
-            dilated, structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool),
-            border_value=1,
-        )
-        contour = dilated & ~interior & (gt.data[:, :, z] == 0)
-        xs, ys = np.nonzero(contour)
-        if xs.size:
-            idx_parts.append(np.stack([xs, ys, np.full_like(xs, z)], axis=1))
-    if idx_parts:
-        indices = np.concatenate(idx_parts)
-    else:
-        indices = np.empty((0, 3), dtype=np.int64)
-    classes = np.zeros(len(indices), dtype=np.uint16)
-    return ScribbleSet(indices, classes, gt.num_classes, gt.shape, gt.spacing)
+    # 3x3x1 structures never couple slices, so each slice is processed on its own
+    dilated = binary_dilation(fg, structure=_SQUARE3[..., None], iterations=margin_vox, border_value=0)
+    interior = binary_erosion(dilated, structure=generate_binary_structure(2, 1)[..., None], border_value=1)
+    contour = dilated & ~interior & (gt.data == 0)
+    zs, xs, ys = np.nonzero(contour.transpose(2, 0, 1))
+    classes = np.zeros(len(zs), dtype=np.uint16)
+    return ScribbleSet(np.stack([xs, ys, zs], axis=1), classes, gt.num_classes, gt.shape, gt.spacing)
 
 
 def merge_scribbles(a: ScribbleSet, b: ScribbleSet) -> ScribbleSet:
-    """Union two scribble sets on the same grid."""
-    if a.shape != b.shape:
+    """Union two scribble sets on the same grid (shape and spacing)."""
+    if (a.shape, a.spacing) != (b.shape, b.spacing):
         raise ValueError("scribble sets live on different grids")
     return ScribbleSet(
         np.concatenate([a.indices, b.indices]),

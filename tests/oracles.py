@@ -313,3 +313,26 @@ def brute_enforce_connectivity(ids: np.ndarray, count: int, min_size_voxels=None
                 n = number[comp_of[(x, y, z)]]
                 out[x, y, z] = renumber.setdefault(n, len(renumber))
     return out
+
+
+def brute_deletable(mask: np.ndarray, x: int, y: int, first_pass: bool) -> bool:
+    """Thinning deletion test for one pixel against the current mask."""
+    h, w = mask.shape
+
+    def at(i, j):
+        return 1 if 0 <= i < h and 0 <= j < w and mask[i, j] else 0
+
+    seq = [
+        at(x - 1, y), at(x - 1, y + 1), at(x, y + 1), at(x + 1, y + 1),
+        at(x + 1, y), at(x + 1, y - 1), at(x, y - 1), at(x - 1, y - 1),
+    ]
+    b = sum(seq)
+    if not (2 <= b <= 6):
+        return False
+    a = sum(1 for i in range(8) if seq[i] == 0 and seq[(i + 1) % 8] == 1)
+    if a != 1:
+        return False
+    p2, p4, p6, p8 = seq[0], seq[2], seq[4], seq[6]
+    if first_pass:
+        return p2 * p4 * p6 == 0 and p4 * p6 * p8 == 0
+    return p2 * p4 * p8 == 0 and p2 * p6 * p8 == 0

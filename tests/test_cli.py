@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from conftest import sphere_labels
 from scribsup import cli, scribble_sim, supervoxel
 from scribsup.cli import main, run_pipeline, PipelineStageError
-from scribsup.errors import BadPatchShapeError, InvalidConfigError, ShapeMismatchError
+from scribsup.errors import BadPatchShapeError, InvalidConfigError, ScribsupError, ShapeMismatchError
 from scribsup.volume_io import LabelVolume, Volume, read_nifti, write_nifti
 
 
@@ -259,7 +259,9 @@ def test_precomputed_edges_threshold_must_lie_in_unit_interval(tmp_path, runner)
     ({"patch_shape": [24, 16, 4]}, BadPatchShapeError),
     ({"forward_base_filters": 0}, InvalidConfigError),
     ({"edge_threshold": 0.0}, ValueError),
-], ids=["patch_shape", "base_filters", "edge_threshold"])
+    ({"ab": {"lambda1": -1}}, ValueError),
+    ({"weights": {"beta2": -1}}, ValueError),
+], ids=["patch_shape", "base_filters", "edge_threshold", "ab_lambda1", "weights_beta2"])
 def test_forward_and_edge_settings_fail_in_config_before_any_compute(
         tmp_path, monkeypatch, setting, cause):
     img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
@@ -298,6 +300,32 @@ def test_oversized_k_fails_before_slic(tmp_path, monkeypatch, runner, k, limit):
                       "output_dir": str(tmp_path / "out")}, echo=lambda *_: None)
     assert info.value.stage == "read"
     assert "int16 NIfTI limit" in str(info.value)
+
+
+@pytest.mark.parametrize("slic", [{"compactness": -1}, {"k": -3}, {"iterations": 0}],
+                         ids=["compactness", "k", "iterations"])
+def test_slic_settings_fail_in_read_before_any_compute(tmp_path, monkeypatch, slic):
+    img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute ran before the SLIC settings were checked")
+
+    monkeypatch.setattr(supervoxel, "slic3d", no_compute)
+    monkeypatch.setattr(scribble_sim, "simulate_foreground_scribbles", no_compute)
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline({"image": str(img_path), "gt": str(gt_path), "slic": slic,
+                      "output_dir": str(tmp_path / "out")}, echo=lambda *_: None)
+    assert info.value.stage == "read"
+    assert isinstance(info.value.cause, ValueError)
+
+
+def test_config_section_must_be_an_object(tmp_path):
+    img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
+    with pytest.raises(PipelineStageError, match="'slic' must be an object") as info:
+        run_pipeline({"image": str(img_path), "gt": str(gt_path), "slic": 5,
+                      "output_dir": str(tmp_path / "out")}, echo=lambda *_: None)
+    assert info.value.stage == "config"
+    assert type(info.value.cause) is ScribsupError
 
 
 @pytest.mark.parametrize("key", ["gt", "scribbles"])

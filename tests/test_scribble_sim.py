@@ -1,8 +1,14 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.ndimage import uniform_filter
 
 from conftest import make_labels, sphere_labels
-from oracles import chebyshev_ring
+from oracles import brute_deletable, chebyshev_ring
+from scribsup import scribble_sim
 from scribsup.errors import EmptyForegroundError
 from scribsup.scribble_sim import (
     SCRIBBLE_SENTINEL,
@@ -53,6 +59,22 @@ def test_straight_line_returned_unchanged():
     scr = simulate_foreground_scribbles(make_labels(gt, 2))
     got = sorted((int(x), int(y)) for x, y, _ in scr.indices)
     assert got == [(x, 8) for x in range(3, 12)]
+
+
+# (row, col) in a 3x3 window of neighbour P(i+2), i = 0..7, clockwise from north
+_CLOCKWISE = [(0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0), (0, 0)]
+
+
+def test_deletion_tables_match_brute_rule_on_all_codes():
+    for code in range(256):
+        window = np.zeros((3, 3), dtype=bool)
+        window[1, 1] = True
+        for i, (r, c) in enumerate(_CLOCKWISE):
+            window[r, c] = bool(code >> i & 1)
+        assert scribble_sim._codes(window)[2, 2] == code
+        assert scribble_sim._B[code] == window.sum() - 1
+        for first_pass, table in zip((True, False), scribble_sim._DELETABLE):
+            assert table[code] == brute_deletable(window, 1, 1, first_pass), (code, first_pass)
 
 
 def test_multi_class_multi_slice_fidelity_and_sparsity():
@@ -130,6 +152,15 @@ def test_sphere_scribbles_on_anisotropic_grid():
         assert gt[x, y, z] == c if c else gt[x, y, z] == 0
 
 
+@pytest.mark.parametrize("shape, spacing", [((8, 8, 3), (1, 1, 1)), ((8, 8, 2), (1, 1, 5))],
+                         ids=["shape", "spacing"])
+def test_merge_rejects_sets_on_another_grid(shape, spacing):
+    a = ScribbleSet([[1, 1, 1]], [1], 2, (8, 8, 2), (1, 1, 1))
+    b = ScribbleSet([[2, 2, 1]], [0], 2, shape, spacing)
+    with pytest.raises(ValueError, match="different grids"):
+        merge_scribbles(a, b)
+
+
 def test_label_volume_round_trip():
     gt = np.zeros((10, 10, 2), dtype=np.uint16)
     gt[2:7, 4, 0] = 1
@@ -160,3 +191,63 @@ def test_scribble_set_rejects_conflicts():
         (4, 4, 4),
         (1, 1, 1),
     )
+
+
+# sha256 of the foreground and background scribbles on small label volumes,
+# captured with the per-pixel deletion test and the per-slice emission loops
+# that preceded the lookup tables and whole-volume passes. Scribbles must stay
+# byte-identical, so the file is never regenerated. It was written by running
+# this module's helpers against that commit's tree, from the repository root:
+#   D=$(mktemp -d) && git archive f152863 | tar -x -C "$D"
+#   cp tests/test_scribble_sim.py tests/oracles.py "$D/tests/" && cd "$D"
+#   PYTHONPATH=src:tests python -c "import json, test_scribble_sim as t; print(json.dumps(
+#       {n: t._scribble_digest(*c) for n, c in t._scribble_golden_cases().items()},
+#       indent=2, sort_keys=True))" > tests/data/scribble_golden.json
+SCRIBBLE_GOLDEN_PATH = Path(__file__).parent / "data" / "scribble_golden.json"
+
+
+def _scribble_golden_cases():
+    """Name -> (labels, margin): several classes, an empty slice, border contact,
+    a 1-px line, a 2-px bar, seeded random blobs, an anisotropic sphere and noise."""
+    shapes = np.zeros((40, 36, 5), dtype=np.uint16)
+    x, y = np.indices((40, 36))
+    shapes[..., 0][(x - 3) ** 2 + (y - 12) ** 2 <= 49] = 1  # cut by the x = 0 border
+    shapes[22:34, 4:19, 0] = 2
+    shapes[8:26, 28, 1] = 3  # 1-px line
+    shapes[30:32, 2:30, 1] = 3  # 2-px bar
+    shapes[35:40, 30:36, 1] = 1  # corner block
+    # slice 2 stays empty
+    shapes[5:35, 5:31, 3] = 2
+    shapes[12:28, 12:24, 3] = 1  # hole of class 1 inside class 2
+    shapes[:, :, 4] = ((x // 6 + y // 5) % 3).astype(np.uint16)  # checkerboard to all borders
+    smooth = uniform_filter(np.random.default_rng(6006).random((30, 27, 5)), (5, 5, 1))
+    blobs = np.digitize(smooth, np.quantile(smooth, [0.45, 0.7, 0.88])).astype(np.uint16)
+    blobs[:, :, 3] = 0
+    sphere = sphere_labels((24, 24, 8), (11, 13, 4), 8.0, spacing=(1, 1, 3))
+    # thresholded smooth noise: thinning leaves 2x2 blocks for the block removal
+    noise = (uniform_filter(np.random.default_rng(5).random((24, 24, 16)), (3, 3, 1)) > 0.5)
+    return {
+        "shapes_m1": (make_labels(shapes, 4), 1),
+        "shapes_m4": (make_labels(shapes, 4), 4),
+        "blobs_m2": (make_labels(blobs, 4, spacing=(1.0, 1.2, 3.0)), 2),
+        "blobs_m5": (make_labels(blobs, 4, spacing=(1.0, 1.2, 3.0)), 5),  # no ring survives
+        "sphere_m3": (make_labels(sphere, 2, spacing=(1, 1, 3)), 3),
+        "noise_m2": (make_labels(noise, 2), 2),
+    }
+
+
+def _scribble_digest(labels, margin):
+    out = {}
+    for name, scr in (("fg", simulate_foreground_scribbles(labels)),
+                      ("bg", simulate_background_scribble(labels, margin))):
+        data = np.ascontiguousarray(scr.indices, dtype="<i8").tobytes()
+        data += np.ascontiguousarray(scr.classes, dtype="<u2").tobytes()
+        out[name] = {"count": len(scr), "num_classes": scr.num_classes,
+                     "sha256": hashlib.sha256(data).hexdigest()}
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_scribble_golden_cases()))
+def test_scribbles_match_pre_change_golden(name):
+    golden = json.loads(SCRIBBLE_GOLDEN_PATH.read_text())[name]
+    assert _scribble_digest(*_scribble_golden_cases()[name]) == golden
