@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import label_propagation, losses, metrics, refnet, scribble_sim, supervoxel
-from .errors import ScribsupError, ShapeMismatchError
+from .errors import InvalidConfigError, ScribsupError, ShapeMismatchError
 from .volume_io import (
     DT_INT16, BinaryVolume, LabelVolume, Volume, crop_or_pad, read_nifti, write_nifti,
 )
@@ -310,6 +310,8 @@ def eval_cmd(pred_path, gt_path, report_path):
 
 
 def _merge_config(user: dict) -> dict:
+    if not isinstance(user, dict):
+        raise ScribsupError(f"config document must be a JSON object, got {type(user).__name__}")
     cfg = json.loads(json.dumps(_DEFAULTS))
     for key, value in user.items():
         if key not in cfg:
@@ -343,6 +345,12 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
         if not cfg["scribbles"] and not cfg["gt"]:
             raise ScribsupError("need either 'scribbles' or 'gt' (to simulate them)")
         _check_edge_threshold(cfg["edge_threshold"])
+        for key, least in (("seed", 0), ("margin_vox", 1), ("num_classes", 2)):
+            value = cfg[key]
+            if key == "num_classes" and value == 0:
+                continue  # inferred from the scribbles
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise InvalidConfigError(f"{key} must be an integer of at least {least}, got {value!r}")
         if cfg["forward"]:
             # the class count does not bear on base filters or the patch ladder
             net_cfg = refnet.NetConfig(num_classes=2, base_filters=cfg["forward_base_filters"])

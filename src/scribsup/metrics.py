@@ -128,6 +128,9 @@ def hd95(pred: LabelVolume, gt: LabelVolume, c: int) -> Optional[float]:
         return None
     bp = boundary_voxels(p)
     bg = boundary_voxels(g)
+    # Every feature and query voxel lies in the joint box, so the EDTs are exact on it.
+    box = tuple(slice(idx.min(), idx.max() + 1) for idx in np.nonzero(bp | bg))
+    bp, bg = bp[box], bg[box]
     dist_to_g = distance_transform_edt(~bg, sampling=gt.spacing)
     dist_to_p = distance_transform_edt(~bp, sampling=gt.spacing)
     pooled = np.concatenate([dist_to_g[bp], dist_to_p[bg]])

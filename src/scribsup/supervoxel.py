@@ -9,6 +9,15 @@ distance between a voxel and a cluster center is
 
 with d_int the normalized-intensity difference, d_sp the physical Euclidean
 distance, S the seed grid step in mm, and m the compactness weight.
+
+Each voxel is compared with the centres whose ±2S window (per physical
+axis) covers it, and takes the nearest (lowest ID on ties). A sweep gets
+that result exactly from ±S windows first: a centre outside a voxel's ±S
+window is more than S away on some axis, so its D² is at least m², and a
+voxel whose best D² is already below m² needs no wider window. Only the
+remaining voxels are rechecked against the ±2S windows, which at the
+default compactness is almost none; voxels outside every ±2S window are
+compared with all centres.
 """
 
 from __future__ import annotations
@@ -129,39 +138,61 @@ def _perturb_seeds(seeds_mm, grad, spacing) -> np.ndarray:
     return cand[np.arange(len(cand)), pick]
 
 
+def _sweep(intensity, coords_mm, centers_pos, centers_int, m2_over_s2, half, labels, best_d2,
+           only=None):
+    """Lower ``labels``/``best_d2`` over every centre's ±``half`` mm window, in place.
+
+    Centres go in ID order and a voxel moves only to a strictly smaller D²,
+    so ties keep the lowest ID. With ``only``, a centre whose window holds
+    no ``only`` voxel is skipped.
+    """
+    lo = np.stack([np.searchsorted(coords_mm[a], centers_pos[:, a] - half, side="left")
+                   for a in range(3)], axis=1)
+    hi = np.stack([np.searchsorted(coords_mm[a], centers_pos[:, a] + half, side="right")
+                   for a in range(3)], axis=1)
+    extent = hi - lo
+    live = np.flatnonzero((extent > 0).all(axis=1))
+    size = int(extent[live].prod(axis=1).max(initial=0))
+    d2_buf, int_buf, better_buf = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    for cid in live:
+        sl = tuple(slice(lo[cid, a], hi[cid, a]) for a in range(3))
+        if only is not None and not only[sl].any():
+            continue
+        shape, n = tuple(extent[cid]), int(extent[cid].prod())
+        cpos = centers_pos[cid]
+        dx2, dy2, dz2 = ((coords_mm[a][sl[a]] - cpos[a]) ** 2 for a in range(3))
+        d2 = np.add(np.add.outer(dx2, dy2)[:, :, None], dz2, out=d2_buf[:n].reshape(shape))
+        np.multiply(d2, m2_over_s2, out=d2)
+        d_int = np.subtract(intensity[sl], centers_int[cid], out=int_buf[:n].reshape(shape))
+        np.multiply(d_int, d_int, out=d_int)
+        np.add(d_int, d2, out=d2)
+        best_view = best_d2[sl]
+        better = np.less(d2, best_view, out=better_buf[:n].reshape(shape))
+        np.copyto(labels[sl], cid, where=better)
+        np.copyto(best_view, d2, where=better)
+
+
 def _assign(intensity, coords_mm, centers_pos, centers_int, step, compactness):
-    """One assignment sweep; returns labels and squared distances."""
+    """One assignment sweep; returns labels and squared distances.
+
+    Each voxel takes the nearest centre (by D, lowest ID on ties) among the
+    centres whose ±2S window covers it. A ±S pass runs first: a centre
+    outside v's ±S window lies more than S from v on some axis, so its D² is
+    at least m². Every voxel whose best D² is already below m² (less a
+    margin for rounding) therefore holds its ±2S winner; only the others are
+    reset and rerun through the ±2S windows.
+    """
     shape = intensity.shape
     best_d2 = np.full(shape, np.inf)
     labels = np.full(shape, -1, dtype=np.int32)
     m2_over_s2 = (compactness / step) ** 2
-    half = 2.0 * step
-    for cid in range(centers_pos.shape[0]):
-        cpos = centers_pos[cid]
-        windows = []
-        for axis in range(3):
-            ax = coords_mm[axis]
-            lo = int(np.searchsorted(ax, cpos[axis] - half, side="left"))
-            hi = int(np.searchsorted(ax, cpos[axis] + half, side="right"))
-            if lo >= hi:
-                windows = None
-                break
-            windows.append(slice(lo, hi))
-        if windows is None:
-            continue
-        sl = tuple(windows)
-        d_sp2 = (
-            (coords_mm[0][sl[0], None, None] - cpos[0]) ** 2
-            + (coords_mm[1][None, sl[1], None] - cpos[1]) ** 2
-            + (coords_mm[2][None, None, sl[2]] - cpos[2]) ** 2
-        )
-        d_int = intensity[sl] - centers_int[cid]
-        d2 = d_int * d_int + d_sp2 * m2_over_s2
-        better = d2 < best_d2[sl]
-        labels_view = labels[sl]
-        labels_view[better] = cid
-        best_view = best_d2[sl]
-        best_view[better] = d2[better]
+    args = (intensity, coords_mm, centers_pos, centers_int, m2_over_s2)
+    _sweep(*args, step, labels, best_d2)
+    recheck = best_d2 >= compactness ** 2 * (1.0 - 1e-9)
+    if recheck.any():
+        labels[recheck] = -1
+        best_d2[recheck] = np.inf
+        _sweep(*args, 2.0 * step, labels, best_d2, only=recheck)
     # Voxels outside every search window fall back to a full comparison.
     if (labels < 0).any():
         miss = np.argwhere(labels < 0)
@@ -230,8 +261,10 @@ def slic3d(vol: Volume, params: SlicParams) -> SupervoxelMap:
 
     Seeds start on a regular physical grid with step S, get perturbed to the
     lowest-gradient voxel of their 3x3x3 neighborhood, then run
-    ``params.iterations`` Lloyd rounds of windowed assignment (window 2S per
-    physical axis) and center updates. Connectivity is enforced before
+    ``params.iterations`` Lloyd rounds of windowed assignment and center
+    updates. Each assignment is the nearest center among those within 2S
+    per physical axis, found by a ±S pass (certified wherever a voxel's best
+    D² is below m²) plus a ±2S recheck of the other voxels. Connectivity is enforced before
     returning, so IDs are contiguous and each supervoxel is 6-connected.
 
     Raises:
@@ -272,7 +305,9 @@ def _graph(edges, n: int):
 
 def _equal_id_components(ids: np.ndarray) -> Tuple[np.ndarray, int]:
     """Label 6-connected components of constant-ID regions."""
-    lin = np.arange(ids.size, dtype=np.int64).reshape(ids.shape)
+    # int32 face indices halve the edge lists wherever every index fits
+    dtype = np.int32 if ids.size <= np.iinfo(np.int32).max + 1 else np.int64
+    lin = np.arange(ids.size, dtype=dtype).reshape(ids.shape)
     edges = []
     for (a, b), (lin_a, lin_b) in zip(_face_pairs(ids), _face_pairs(lin)):
         same = a == b

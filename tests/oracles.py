@@ -336,3 +336,56 @@ def brute_deletable(mask: np.ndarray, x: int, y: int, first_pass: bool) -> bool:
     if first_pass:
         return p2 * p4 * p6 == 0 and p4 * p6 * p8 == 0
     return p2 * p4 * p8 == 0 and p2 * p6 * p8 == 0
+
+
+def brute_assign(intensity, coords_mm, centers_pos, centers_int, step, compactness):
+    """One SLIC assignment sweep, each centre scanning its full ±2S window.
+
+    The plain loop the certified two-pass ``_assign`` must reproduce exactly:
+    returns labels (lowest centre ID on ties) and squared distances.
+    """
+    shape = intensity.shape
+    best_d2 = np.full(shape, np.inf)
+    labels = np.full(shape, -1, dtype=np.int32)
+    m2_over_s2 = (compactness / step) ** 2
+    half = 2.0 * step
+    for cid in range(centers_pos.shape[0]):
+        cpos = centers_pos[cid]
+        windows = []
+        for axis in range(3):
+            ax = coords_mm[axis]
+            lo = int(np.searchsorted(ax, cpos[axis] - half, side="left"))
+            hi = int(np.searchsorted(ax, cpos[axis] + half, side="right"))
+            if lo >= hi:
+                windows = None
+                break
+            windows.append(slice(lo, hi))
+        if windows is None:
+            continue
+        sl = tuple(windows)
+        d_sp2 = (
+            (coords_mm[0][sl[0], None, None] - cpos[0]) ** 2
+            + (coords_mm[1][None, sl[1], None] - cpos[1]) ** 2
+            + (coords_mm[2][None, None, sl[2]] - cpos[2]) ** 2
+        )
+        d_int = intensity[sl] - centers_int[cid]
+        d2 = d_int * d_int + d_sp2 * m2_over_s2
+        better = d2 < best_d2[sl]
+        labels_view = labels[sl]
+        labels_view[better] = cid
+        best_view = best_d2[sl]
+        best_view[better] = d2[better]
+    # Voxels outside every search window fall back to a full comparison.
+    if (labels < 0).any():
+        miss = np.argwhere(labels < 0)
+        pos = np.stack(
+            [coords_mm[0][miss[:, 0]], coords_mm[1][miss[:, 1]], coords_mm[2][miss[:, 2]]],
+            axis=1,
+        )
+        d_sp2 = ((pos[:, None, :] - centers_pos[None, :, :]) ** 2).sum(axis=2)
+        d_int = intensity[miss[:, 0], miss[:, 1], miss[:, 2]][:, None] - centers_int[None, :]
+        d2 = d_int * d_int + d_sp2 * m2_over_s2
+        pick = np.argmin(d2, axis=1).astype(np.int32)
+        labels[miss[:, 0], miss[:, 1], miss[:, 2]] = pick
+        best_d2[miss[:, 0], miss[:, 1], miss[:, 2]] = d2[np.arange(len(pick)), pick]
+    return labels, best_d2

@@ -328,6 +328,38 @@ def test_config_section_must_be_an_object(tmp_path):
     assert type(info.value.cause) is ScribsupError
 
 
+
+@pytest.mark.parametrize("setting", [
+    {"seed": -1}, {"seed": 1.5}, {"margin_vox": 0}, {"num_classes": 1}, {"num_classes": -2},
+], ids=["negative_seed", "fractional_seed", "margin_vox", "num_classes_1", "num_classes_-2"])
+def test_run_settings_fail_in_config_before_any_compute(tmp_path, monkeypatch, setting):
+    img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute ran before the settings were checked")
+
+    monkeypatch.setattr(supervoxel, "slic3d", no_compute)
+    monkeypatch.setattr(scribble_sim, "simulate_foreground_scribbles", no_compute)
+    cfg = {"image": str(img_path), "gt": str(gt_path), "output_dir": str(tmp_path / "out"),
+           **setting}
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline(cfg, echo=lambda *_: None)
+    assert info.value.stage == "config"
+    assert isinstance(info.value.cause, InvalidConfigError)
+    assert next(iter(setting)) in str(info.value)
+
+
+def test_config_document_must_be_an_object(tmp_path, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute ran before the config was checked")
+
+    monkeypatch.setattr(supervoxel, "slic3d", no_compute)
+    monkeypatch.setattr(scribble_sim, "simulate_foreground_scribbles", no_compute)
+    with pytest.raises(PipelineStageError, match="must be a JSON object, got list") as info:
+        run_pipeline([1], echo=lambda *_: None)
+    assert info.value.stage == "config"
+    assert type(info.value.cause) is ScribsupError
+
 @pytest.mark.parametrize("key", ["gt", "scribbles"])
 def test_input_on_another_grid_fails_in_read_before_any_compute(tmp_path, monkeypatch, key):
     img_path, _ = _phantom(tmp_path, shape=(16, 16, 4))

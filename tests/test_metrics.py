@@ -89,6 +89,31 @@ def test_hd95_matches_bruteforce_on_random_blobs(rng):
         assert got == pytest.approx(want, abs=1e-9)
 
 
+
+def _hd95_crop_cases():
+    """Name -> (pred, gt): sets whose joint box is small, at the border, or wide."""
+    shape = (24, 20, 10)
+    border_p, border_g = np.zeros(shape, bool), np.zeros(shape, bool)
+    border_p[:4, :3, :2] = True  # touches three faces of the image
+    border_g[1:6, :2, :3] = True
+    single_p, single_g = np.zeros(shape, bool), np.zeros(shape, bool)
+    single_p[9, 7, 4] = True  # a one-voxel class
+    single_g[7:13, 5:9, 3:6] = True
+    far_p, far_g = np.zeros(shape, bool), np.zeros(shape, bool)
+    far_p[1:3, 1:4, 0:2] = True  # opposite corners of the image
+    far_g[20:23, 16:19, 8:10] = True
+    return {"border": (border_p, border_g), "one_voxel": (single_p, single_g),
+            "far_apart": (far_p, far_g)}
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (1.25, 1.25, 5.0), (0.7, 0.9, 3.3)])
+@pytest.mark.parametrize("case", sorted(_hd95_crop_cases()))
+def test_hd95_on_a_joint_box_matches_bruteforce(case, spacing):
+    p, g = _hd95_crop_cases()[case]
+    for a, b in ((p, g), (g, p)):
+        got = hd95(_labels_from(a, spacing), _labels_from(b, spacing), 1)
+        assert got == pytest.approx(brute_hd95(a, b, spacing), abs=1e-9)
+
 def test_hd95_spacing_doubling_doubles_distance(rng):
     shape = (9, 9, 9)
     p = rng.random(shape) > 0.6

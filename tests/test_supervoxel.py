@@ -7,14 +7,18 @@ import numpy as np
 import pytest
 from scipy.ndimage import uniform_filter
 
-from oracles import all_ids_connected_6, brute_enforce_connectivity, flood_components_6
+from oracles import (
+    all_ids_connected_6, brute_assign, brute_enforce_connectivity, flood_components_6,
+)
 from scribsup.errors import KTooLargeError
 from scribsup.supervoxel import (
     SlicParams,
     SupervoxelMap,
     enforce_connectivity,
     slic3d,
+    _assign,
     _compact_ids,
+    _seed_grid,
     _slic_state,
 )
 from scribsup.volume_io import Volume
@@ -248,3 +252,71 @@ def test_enforce_connectivity_on_fragment_heavy_noise_is_fast():
     elapsed = time.perf_counter() - start
     assert out.count >= svmap.count
     assert elapsed < 1.5, f"enforce_connectivity took {elapsed:.2f}s"
+
+
+def _assign_inputs(seed, spacing, quantised, jitter, shape=(20, 18, 8), k=24):
+    """Intensities in [0, 1] and centres as ``_assign`` receives them.
+
+    Without ``jitter`` the centres sit on voxels of the seed lattice with the
+    intensity found there (a first sweep: many equal distances); with it they
+    move up to S/2 off the lattice and take random intensities (a later sweep).
+    """
+    rng = np.random.default_rng([seed, int(quantised), int(jitter)])
+    intensity = rng.random(shape)
+    if quantised:
+        intensity = np.floor(intensity * 3.0) / 2.0  # levels 0, 0.5, 1
+    spacing = np.asarray(spacing)
+    coords_mm = tuple(np.arange(n) * s for n, s in zip(shape, spacing))
+    seeds_mm, step = _seed_grid(shape, spacing, k)
+    idx = np.round(seeds_mm / spacing - 0.5).astype(np.int64)
+    centers_pos = idx * spacing
+    centers_int = intensity[idx[:, 0], idx[:, 1], idx[:, 2]]
+    if jitter:
+        centers_pos = centers_pos + rng.uniform(-step / 2, step / 2, size=centers_pos.shape)
+        centers_int = rng.random(len(centers_int))
+        if quantised:
+            centers_int = np.floor(centers_int * 3.0) / 2.0
+    return intensity, coords_mm, centers_pos, centers_int, step
+
+
+@pytest.mark.parametrize("jitter", [False, True], ids=["lattice", "jittered"])
+@pytest.mark.parametrize("quantised", [False, True], ids=["noise", "quantised"])
+@pytest.mark.parametrize("compactness", [10.0, 1.0, 0.3, 0.1])
+@pytest.mark.parametrize("spacing", [(1.25, 1.25, 5.0), (1.0, 1.0, 1.0)], ids=["aniso", "iso"])
+def test_assign_matches_full_window_loop(spacing, compactness, quantised, jitter):
+    args = _assign_inputs(11, spacing, quantised, jitter)
+    want_labels, want_d2 = brute_assign(*args, compactness)
+    got_labels, got_d2 = _assign(*args, compactness)
+    assert np.array_equal(got_labels, want_labels)
+    assert np.array_equal(got_d2, want_d2)
+
+
+def test_assign_rechecks_voxels_the_short_windows_cannot_settle():
+    compactness = 0.3
+    args = _assign_inputs(3, (1.0, 1.0, 1.0), quantised=False, jitter=True)
+    want_labels, want_d2 = brute_assign(*args, compactness)
+    # A voxel whose full-window best D² is not below m² cannot have been settled
+    # by the ±S pass (its ±S best is no smaller), so these voxels were rechecked.
+    assert int((want_d2 >= compactness ** 2 * (1.0 - 1e-9)).sum()) > 0
+    got_labels, got_d2 = _assign(*args, compactness)
+    assert np.array_equal(got_labels, want_labels)
+    assert np.array_equal(got_d2, want_d2)
+
+
+def test_assign_falls_back_to_all_centres_outside_every_window():
+    rng = np.random.default_rng(17)
+    intensity = rng.random((16, 16, 4))
+    spacing = np.array([1.0, 1.0, 3.0])
+    coords_mm = tuple(np.arange(n) * s for n, s in zip(intensity.shape, spacing))
+    centers_pos = np.array([[0.0, 0.0, 0.0], [2.0, 1.0, 3.0], [1.0, 2.0, 0.0]])
+    centers_int = np.array([0.2, 0.5, 0.5])
+    step = 1.5
+    grid = np.stack(np.meshgrid(*coords_mm, indexing="ij"), axis=-1)
+    cheb = np.abs(grid[..., None, :] - centers_pos).max(axis=-1).min(axis=-1)
+    assert (cheb > 2.0 * step + 1.0).any()  # some voxels lie clearly outside every ±2S window
+    for compactness in (10.0, 0.3):
+        args = (intensity, coords_mm, centers_pos, centers_int, step, compactness)
+        want_labels, want_d2 = brute_assign(*args)
+        got_labels, got_d2 = _assign(*args)
+        assert np.array_equal(got_labels, want_labels)
+        assert np.array_equal(got_d2, want_d2)

@@ -1,0 +1,103 @@
+"""Record the benchmark's end-to-end metrics, parent against change, in a BENCH JSON file.
+
+Run from the repository root, with a second checkout of the commit to compare
+against:
+
+    python3 tools/bench_record.py --parent ../parent --pairs 10 --output BENCH_7.json
+
+Each pair runs ``perfbench/run.py`` (seed 0, ``--trace 0``, the run length of
+``BENCHMARK.json``) on every workload of ``BENCHMARK.json``, once in the parent
+checkout and once in this one. The side that goes first flips from pair to
+pair, so host drift falls on both. The file keeps every run's
+``correct``/``failed`` flags and end-to-end metrics, the per-side medians, the
+change/parent ratio of those medians, each side's commit and ``src/`` digest,
+and the host note that ``perfbench`` writes to ``.perfbench_out/``. Needs only
+the standard library; ``perfbench`` itself needs numpy, scipy and click.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SEED = 0
+
+
+def describe(checkout: Path) -> dict:
+    """The checkout's commit (``-dirty`` for uncommitted edits) and a digest of ``src/``."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=checkout, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = "unknown"
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src").rglob("*.py")):
+        digest.update(str(path.relative_to(checkout)).encode() + b"\0" + path.read_bytes())
+    return {"commit": commit, "src_sha256": digest.hexdigest()}
+
+
+def run_once(checkout: Path, workload: str, seconds: float):
+    """One ``perfbench`` run: its summary line and the environment it recorded."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"bench_record: {' '.join(cmd)} in {checkout} failed:\n{proc.stderr}")
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    results = checkout / ".perfbench_out" / f"{workload}-seed{SEED}-trace0.json"
+    env = json.loads(results.read_text())["environment"]
+    run = {"correct": line["correct"], "attempted": line["attempted"], "failed": line["failed"],
+           "metrics": {name: m["value"] for name, m in line["metrics"].items()}}
+    return run, env
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--parent", required=True, type=Path, help="checkout of the commit to compare with")
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--output", required=True, type=Path)
+    args = p.parse_args(argv)
+    spec = json.loads(Path("BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    sides = [("parent", args.parent.resolve()), ("change", Path.cwd())]
+
+    runs = {w["name"]: {side: [] for side, _ in sides} for w in spec["workloads"]}
+    env = None
+    for pair in range(args.pairs):
+        for workload, by_side in runs.items():
+            for side, checkout in sides if pair % 2 == 0 else sides[::-1]:
+                run, env = run_once(checkout, workload, seconds)
+                by_side[side].append(run)
+                print(f"pair {pair} {workload} {side}: correct {run['correct']}, "
+                      f"latency_s_p50 {run['metrics']['latency_s_p50']:.3f}", flush=True)
+
+    record = {
+        "command": f"perfbench/run.py --workload <w> --seed {SEED} --seconds {seconds:g} --trace 0",
+        "pairs": args.pairs,
+        "order": "parent first in even pairs, change first in odd pairs",
+        "sides": {side: describe(checkout) for side, checkout in sides},
+        "host": {k: env[k] for k in ("note", "nproc", "machine", "python", "numpy", "scipy")},
+        "workloads": {},
+    }
+    for workload, by_side in runs.items():
+        median = {side: {name: statistics.median(r["metrics"][name] for r in side_runs)
+                         for name in side_runs[0]["metrics"]}
+                  for side, side_runs in by_side.items()}
+        record["workloads"][workload] = {
+            **{side: {"runs": by_side[side], "median": median[side]} for side in by_side},
+            "change_over_parent": {name: v / median["parent"][name] if median["parent"][name] else None
+                                   for name, v in median["change"].items()},
+        }
+    args.output.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {args.output}")
+
+
+if __name__ == "__main__":
+    main()
