@@ -79,11 +79,12 @@ def main():
 # --- stages: one implementation each, shared by the subcommands and run_pipeline
 
 
-def _read_on_grid(path, kind: str, image: Volume):
-    """Read ``path`` and check that it lies on ``image``'s voxel grid."""
+def _read_on_grid(path, kind: str, ref, ref_path):
+    """Read ``path`` and check that it has the shape and spacing of ``ref``, read from ``ref_path``."""
     vol = read_nifti(path, kind=kind)
-    if vol.shape != image.shape:
-        raise ShapeMismatchError(f"{path}: grid {vol.shape} differs from the image's {image.shape}")
+    if (vol.shape, vol.spacing) != (ref.shape, ref.spacing):
+        raise ShapeMismatchError(f"{path}: grid {vol.shape} at {vol.spacing} mm differs from "
+                                 f"{ref_path}'s {ref.shape} at {ref.spacing} mm")
     return vol
 
 
@@ -197,7 +198,7 @@ def propagate_cmd(scribbles_path, sv_path, classes, output_mask, output_conf):
     with stage("propagate"):
         scribble_vol = read_nifti(scribbles_path, kind="labels")
         scribbles = scribble_sim.scribbles_from_label_volume(scribble_vol, classes)
-        ids = read_nifti(sv_path, kind="labels")
+        ids = _read_on_grid(sv_path, "labels", scribble_vol, scribbles_path)
         sv = supervoxel.SupervoxelMap(ids.data, ids.spacing, int(ids.data.max()) + 1)
         pl = label_propagation.propagate(scribbles, sv)
         write_nifti(pl.mask, output_mask)
@@ -215,7 +216,7 @@ def edges_cmd(input_path, threshold, output, precomputed):
     """Compute the static boundary volume (stacked per-slice 2D edges)."""
     with stage("edges"):
         image = read_nifti(input_path, kind="image")
-        pre = _read_on_grid(precomputed, "image", image) if precomputed else None
+        pre = _read_on_grid(precomputed, "image", image, input_path) if precomputed else None
         edge_vol = _edges(image, threshold, pre)
         write_nifti(edge_vol, output)
         click.echo(f"edge voxels: {int(edge_vol.data.sum())}")
@@ -241,13 +242,6 @@ def forward_cmd(input_path, classes, seed, base_filters, patch, out_prefix):
         click.echo(f"wrote forward outputs with prefix {out_prefix}")
 
 
-def _read_prob_volume(paths) -> losses.ProbVolume:
-    channels = [read_nifti(p, kind="image") for p in paths]
-    if any(ch.shape != channels[0].shape for ch in channels):
-        raise ScribsupError("prediction channel files disagree on shape")
-    return losses.ProbVolume(np.stack([ch.data for ch in channels], axis=-1), channels[0].spacing)
-
-
 @main.command("loss")
 @click.option("--pred-init", "pred_init", multiple=True, required=True, type=click.Path(exists=True))
 @click.option("--pred-final", "pred_final", multiple=True, required=True, type=click.Path(exists=True))
@@ -267,16 +261,21 @@ def loss_cmd(pred_init, pred_final, boundary_pred, pseudo, conf, edges_path, ima
              beta1, beta2, lambda1, lambda2, literal_bry, grad_prefix, report_path):
     """Evaluate all loss terms on saved predictions; emit a JSON breakdown."""
     with stage("loss"):
-        probs_init = _read_prob_volume(pred_init)
-        probs_final = _read_prob_volume(pred_final)
-        bvol = read_nifti(boundary_pred, kind="image")
-        boundary = losses.ProbVolume(bvol.data[..., None], bvol.spacing)
-        mask = read_nifti(pseudo, kind="labels")
+        image = read_nifti(image_path, kind="image")
+
+        def on_grid(path, kind="image"):
+            return _read_on_grid(path, kind, image, image_path)
+
+        probs_init, probs_final = (  # one file per class channel
+            losses.ProbVolume(np.stack([on_grid(p).data for p in paths], axis=-1), image.spacing)
+            for paths in (pred_init, pred_final)
+        )
+        boundary = losses.ProbVolume(on_grid(boundary_pred).data[..., None], image.spacing)
+        mask = on_grid(pseudo, "labels")
         if mask.num_classes != probs_init.channels:
             mask = LabelVolume(mask.data, mask.spacing, probs_init.channels)
-        pl = label_propagation.PseudoLabels(mask, read_nifti(conf, kind="binary"))
-        static_edges = read_nifti(edges_path, kind="binary")
-        image = read_nifti(image_path, kind="image")
+        pl = label_propagation.PseudoLabels(mask, on_grid(conf, "binary"))
+        static_edges = on_grid(edges_path, "binary")
         report = losses.total_loss(
             boundary, static_edges, probs_init, probs_final, pl, image,
             ab=losses.AbParams(lambda1, lambda2, _DEFAULTS["ab"]["epsilon"]),
@@ -299,9 +298,8 @@ def loss_cmd(pred_init, pred_final, boundary_pred, pseudo, conf, edges_path, ima
 def eval_cmd(pred_path, gt_path, report_path):
     """Dice / HD95 / precision per class, plus foreground means."""
     with stage("eval"):
-        report = metrics.evaluate(
-            read_nifti(pred_path, kind="labels"), read_nifti(gt_path, kind="labels")
-        )
+        gt = read_nifti(gt_path, kind="labels")
+        report = metrics.evaluate(_read_on_grid(pred_path, "labels", gt, gt_path), gt)
         Path(report_path).write_text(report.to_json())
         click.echo(f"mean dice: {report.mean_dice}")
 
@@ -371,7 +369,7 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
         image = read_nifti(cfg["image"], kind="image")
         slic_params = _slic_params(image, **cfg["slic"])  # bad settings fail before any compute
         gt, scribble_vol, edges_in = (
-            _read_on_grid(cfg[key], kind, image) if cfg[key] else None
+            _read_on_grid(cfg[key], kind, image, cfg["image"]) if cfg[key] else None
             for key, kind in (("gt", "labels"), ("scribbles", "labels"), ("edges_input", "image"))
         )
 

@@ -23,7 +23,7 @@ class TruncatedDataError(ScribsupError):
 
 
 class ShapeMismatchError(ScribsupError):
-    """Two grids that must share a shape do not."""
+    """Two grids that must match do not: shapes, and for files read from disk also spacings."""
 
 
 class KTooLargeError(ScribsupError):

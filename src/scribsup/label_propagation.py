@@ -53,13 +53,11 @@ def propagate(scribbles: ScribbleSet, sv: SupervoxelMap) -> PseudoLabels:
             f"scribbles {scribbles.shape} vs supervoxels {sv.shape}"
         )
     idx = scribbles.indices
-    sv_at = sv.ids[idx[:, 0], idx[:, 1], idx[:, 2]] if len(idx) else np.empty(0, np.int32)
-    pairs = np.unique(np.stack([sv_at, scribbles.classes.astype(np.int64)], axis=1), axis=0) if len(idx) else np.empty((0, 2), np.int64)
-    hits = np.zeros(sv.count, dtype=np.int64)
+    sv_at = sv.ids[idx[:, 0], idx[:, 1], idx[:, 2]]
+    pairs = np.unique(np.stack([sv_at, scribbles.classes.astype(np.int64)], axis=1), axis=0)
+    hits = np.bincount(pairs[:, 0], minlength=sv.count)
     label_of = np.zeros(sv.count, dtype=np.uint16)
-    if len(pairs):
-        np.add.at(hits, pairs[:, 0], 1)
-        label_of[pairs[:, 0]] = pairs[:, 1]
+    label_of[pairs[:, 0]] = pairs[:, 1]
     unique = hits == 1
     mask_lut = np.where(unique, label_of, 0).astype(np.uint16)
     conf_lut = unique.astype(np.uint8)
@@ -88,15 +86,13 @@ def _slice_edges(img: np.ndarray, threshold: float) -> np.ndarray:
         return np.zeros(img.shape, dtype=bool)
     mag = (mag - lo) / (hi - lo)
 
-    flip = (gx < 0) | ((gx == 0) & (gy < 0))
-    fx = np.where(flip, -gx, gx)
-    fy = np.where(flip, -gy, gy)
-    ax_abs = np.abs(fx)
-    ay_abs = np.abs(fy)
+    # folded to gx >= 0, a diagonal (gx, gy both nonzero) points up iff the signs agree
+    ax_abs = np.abs(gx)
+    ay_abs = np.abs(gy)
     horiz = ay_abs <= _TAN_LO * ax_abs
     vert = ay_abs >= _TAN_HI * ax_abs
-    diag_up = ~horiz & ~vert & (fy > 0)  # direction (+1, +1)
-    diag_dn = ~horiz & ~vert & (fy <= 0)  # direction (+1, -1)
+    diag_up = ~horiz & ~vert & ((gx > 0) == (gy > 0))  # direction (+1, +1)
+    diag_dn = ~horiz & ~vert & ((gx > 0) != (gy > 0))  # direction (+1, -1)
 
     mpad = np.pad(mag, 1, mode="constant")
 

@@ -198,28 +198,6 @@ def partial_ce(probs: ProbVolume, pl: PseudoLabels) -> LossReport:
     return LossReport(value, grad)
 
 
-def _forward_diff(u: np.ndarray, axis: int, step: float) -> np.ndarray:
-    """Forward difference / step with a zero-flux far border."""
-    d = np.zeros_like(u)
-    src = [slice(None)] * 3
-    dst = [slice(None)] * 3
-    src[axis] = slice(1, None)
-    dst[axis] = slice(None, -1)
-    d[tuple(dst)] = (u[tuple(src)] - u[tuple(dst)]) / step
-    return d
-
-
-def _shift_down(w: np.ndarray, axis: int) -> np.ndarray:
-    """Shift one voxel toward larger index, inserting zeros at index 0."""
-    out = np.zeros_like(w)
-    src = [slice(None)] * 3
-    dst = [slice(None)] * 3
-    src[axis] = slice(None, -1)
-    dst[axis] = slice(1, None)
-    out[tuple(dst)] = w[tuple(src)]
-    return out
-
-
 def active_boundary_loss(
     probs: ProbVolume, image: Volume, params: AbParams = AbParams()
 ) -> LossReport:
@@ -250,7 +228,8 @@ def active_boundary_loss(
     grad = np.zeros_like(probs.data)
     for c in range(1, probs.channels):
         u = probs.data[..., c]
-        diffs = [_forward_diff(u, a, spacing[a]) for a in range(3)]
+        # forward differences with a zero-flux far border
+        diffs = [np.diff(u, axis=a, append=u.take([-1], axis=a)) / spacing[a] for a in range(3)]
         phi = np.sqrt(diffs[0] ** 2 + diffs[1] ** 2 + diffs[2] ** 2 + eps)
         surface = float(phi.sum()) * omega
 
@@ -269,7 +248,7 @@ def active_boundary_loss(
         for a in range(3):
             # zero subgradient where the field vanishes (possible at eps = 0)
             w = np.divide(diffs[a], phi, out=np.zeros_like(u), where=phi > 0)
-            g += (_shift_down(w, a) - w) / spacing[a]
+            g -= np.diff(w, axis=a, prepend=0.0) / spacing[a]
         g *= omega
         g += omega * (params.lambda1 * r_in - params.lambda2 * r_out)
         grad[..., c] = g

@@ -9,7 +9,7 @@ Empty regions yield ``None`` (undefined), never a silent 0 or infinity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -49,15 +49,7 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {
-            "classes": [
-                {
-                    "class_id": m.class_id,
-                    "dice": m.dice,
-                    "hd95_mm": m.hd95_mm,
-                    "precision": m.precision,
-                }
-                for m in self.per_class
-            ],
+            "classes": [asdict(m) for m in self.per_class],
             "mean": {
                 "dice": self.mean_dice,
                 "hd95_mm": self.mean_hd95_mm,

@@ -354,7 +354,7 @@ def _upsample_to(x, target):
     return x
 
 
-def _conv_block(net, prefix, x, level):
+def _conv_block(net, prefix, x):
     for tag in ("conv1", "conv2"):
         x = _conv3d(x, net.params[f"{prefix}.{tag}.w"], net.params[f"{prefix}.{tag}.b"])
         x = _relu(_instance_norm(x))
@@ -387,6 +387,18 @@ def _rcab(net, prefix, x):
     return x + x * gates[:, None, None, None]
 
 
+def _decoder_level(net, i, d, skip):
+    """Upsample ``d`` to ``skip``'s grid, gate the skip and run level ``i``'s conv block;
+    returns (features, gate), so the full-resolution temporaries die on return."""
+    params = net.params
+    d_up = _upsample_to(d, skip.shape[1:])
+    t = np.concatenate([d_up, skip])
+    t = _relu(_conv1x1(t, params[f"dec{i}.gate1.w"], params[f"dec{i}.gate1.b"]))
+    gate = _sigmoid64(_conv1x1(t, params[f"dec{i}.gate2.w"], params[f"dec{i}.gate2.b"])[0])
+    gated = skip * gate.astype(np.float32)[None]
+    return _conv_block(net, f"dec{i}", np.concatenate([d_up, gated])), gate
+
+
 def forward(net: Network, patch: Volume) -> NetworkOutputs:
     """Run the network on a patch; pure function of (net, patch).
 
@@ -400,48 +412,32 @@ def forward(net: Network, patch: Volume) -> NetworkOutputs:
     full_shape = patch.shape
     x = patch.data.astype(np.float32)[None]
 
-    skips = []
-    for i in range(cfg.depth):
-        x = _conv_block(net, f"enc{i}", x, i)
+    skips = []  # the decoder reads every level but the bottom one
+    for i in range(cfg.depth - 1):
+        x = _conv_block(net, f"enc{i}", x)
         skips.append(x)
-        if i < cfg.depth - 1:
-            x = _maxpool(x, cfg.factor(i))
+        x = _maxpool(x, cfg.factor(i))
+    bottleneck = _aspp(net, _conv_block(net, f"enc{cfg.depth - 1}", x))
 
-    bottleneck = _aspp(net, x)
-
+    params = net.params
     d = bottleneck
     attention: List[np.ndarray] = []
-    dec_feats = []
+    projs = []  # SBPM projections, each at its decoder level's resolution
     for i in range(cfg.depth - 2, -1, -1):
-        target = skips[i].shape[1:]
-        d_up = _upsample_to(d, target)
-        cat = np.concatenate([d_up, skips[i]], axis=0)
-        t = _relu(_conv1x1(cat, net.params[f"dec{i}.gate1.w"], net.params[f"dec{i}.gate1.b"]))
-        pre = _conv1x1(t, net.params[f"dec{i}.gate2.w"], net.params[f"dec{i}.gate2.b"])
-        gate = _sigmoid64(pre[0])
-        gated = skips[i] * gate.astype(np.float32)[None]
-        d = _conv_block(net, f"dec{i}", np.concatenate([d_up, gated], axis=0), i)
+        d, gate = _decoder_level(net, i, d, skips.pop())
         attention.append(gate)
-        dec_feats.append((i, d))
+        projs.append(_conv1x1(d, params[f"sbpm.proj{i}.w"], params[f"sbpm.proj{i}.b"]))
 
-    projs = []
-    for i, f in dec_feats:
-        p = _conv1x1(f, net.params[f"sbpm.proj{i}.w"], net.params[f"sbpm.proj{i}.b"])
-        projs.append(_upsample_to(p, full_shape))
-    fused = _rcab(net, "sbpm.rcab", np.concatenate(projs, axis=0))
-    b_prob = _sigmoid64(_conv1x1(fused, net.params["sbpm.out.w"], net.params["sbpm.out.b"])[0])
+    fused = _rcab(net, "sbpm.rcab", np.concatenate([_upsample_to(p, full_shape) for p in projs]))
+    b_prob = _sigmoid64(_conv1x1(fused, params["sbpm.out.w"], params["sbpm.out.b"])[0])
 
-    h = bottleneck
-    for tag in ("conv1", "conv2"):
-        h = _conv3d(h, net.params[f"init.{tag}.w"], net.params[f"init.{tag}.b"])
-        h = _relu(_instance_norm(h))
-    logits_low = _conv1x1(h, net.params["init.head.w"], net.params["init.head.b"])
-    init_logits = _upsample_to(logits_low, full_shape)
+    h = _conv_block(net, "init", bottleneck)
+    init_logits = _upsample_to(_conv1x1(h, params["init.head.w"], params["init.head.b"]), full_shape)
     m_init = _softmax64(init_logits)
 
-    ff = _rcab(net, "final.rcab", np.concatenate([fused, init_logits], axis=0))
-    final_logits = _conv1x1(ff, net.params["final.head.w"], net.params["final.head.b"])
-    m_final = _softmax64(final_logits)
+    fused = np.concatenate([fused, init_logits])  # rebinding frees the SBPM-only tensor early
+    fused = _rcab(net, "final.rcab", fused)
+    m_final = _softmax64(_conv1x1(fused, params["final.head.w"], params["final.head.b"]))
 
     spacing = patch.spacing
     return NetworkOutputs(

@@ -374,29 +374,15 @@ def crop_or_pad(vol: AnyVolume, target_shape, origin="center") -> AnyVolume:
         raise ValueError(f"target shape must be three positive ints, got {target_shape}")
     src = vol.data
     if origin == "center":
-        offsets = []
-        for t, s in zip(target_shape, src.shape):
-            d = t - s
-            offsets.append(d // 2 if d >= 0 else -((-d) // 2))
-        origin = tuple(offsets)
+        origin = tuple(int((t - s) / 2) for t, s in zip(target_shape, src.shape))  # toward zero
     else:
         origin = tuple(int(o) for o in origin)
         if len(origin) != 3:
             raise ValueError("origin must have three components")
 
     out = np.zeros(target_shape, dtype=src.dtype)
-    src_lo, src_hi, dst_lo, dst_hi = [], [], [], []
-    for axis in range(3):
-        o = origin[axis]
-        lo = max(0, -o)
-        hi = min(src.shape[axis], target_shape[axis] - o)
-        if lo >= hi:
-            return replace(vol, data=out)
-        src_lo.append(lo)
-        src_hi.append(hi)
-        dst_lo.append(lo + o)
-        dst_hi.append(hi + o)
-    out[dst_lo[0] : dst_hi[0], dst_lo[1] : dst_hi[1], dst_lo[2] : dst_hi[2]] = src[
-        src_lo[0] : src_hi[0], src_lo[1] : src_hi[1], src_lo[2] : src_hi[2]
-    ]
+    # the overlap in source indices; an axis without overlap gives an empty slice
+    src_box = tuple(slice(max(0, -o), max(0, -o, min(s, t - o)))
+                    for s, t, o in zip(src.shape, target_shape, origin))
+    out[tuple(slice(b.start + o, b.stop + o) for b, o in zip(src_box, origin))] = src[src_box]
     return replace(vol, data=out)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -9,7 +10,7 @@ from conftest import sphere_labels
 from scribsup import cli, scribble_sim, supervoxel
 from scribsup.cli import main, run_pipeline, PipelineStageError
 from scribsup.errors import BadPatchShapeError, InvalidConfigError, ScribsupError, ShapeMismatchError
-from scribsup.volume_io import LabelVolume, Volume, read_nifti, write_nifti
+from scribsup.volume_io import BinaryVolume, LabelVolume, Volume, read_nifti, write_nifti
 
 
 @pytest.fixture
@@ -114,7 +115,7 @@ def test_edges_precomputed_volume(tmp_path, runner):
     pre = tmp_path / "pre.nii"
     probs = np.zeros((8, 8, 2), dtype=np.float32)
     probs[4, :, :] = 0.9
-    write_nifti(Volume(probs, (1, 1, 1)), pre)
+    write_nifti(Volume(probs, (1.0, 1.0, 4.0)), pre)
     out = tmp_path / "edges.nii"
     result = runner.invoke(
         main, ["edges", "--input", str(img_path), "--edges", str(pre),
@@ -401,3 +402,99 @@ def test_pipeline_file_io_goes_through_cli_module_attributes(tmp_path, monkeypat
     assert len(nii) == 10  # scribbles .. edges, boundary_pred, 2 x 2 mask channels
     assert written == nii
     assert read == [str(img_path), str(gt_path)]
+
+
+# An input whose shape matches but whose pixdim does not lies on another grid:
+# HD95 and the active-boundary terms would be measured in the wrong millimetres.
+_OFF_SPACING = (2.0, 2.0, 8.0)
+
+
+@pytest.mark.parametrize("key, kind", [("gt", "labels"), ("scribbles", "labels"),
+                                       ("edges_input", "image")])
+def test_input_at_another_spacing_fails_in_read_before_any_compute(tmp_path, monkeypatch, key, kind):
+    img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
+    other = tmp_path / "other.nii"
+    data = np.ones((16, 16, 4), dtype=np.float32)
+    write_nifti(Volume(data, _OFF_SPACING) if kind == "image"
+                else LabelVolume(data.astype(np.uint16), _OFF_SPACING, 2), other)
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute ran before the input grids were checked")
+
+    monkeypatch.setattr(supervoxel, "slic3d", no_compute)
+    monkeypatch.setattr(scribble_sim, "simulate_foreground_scribbles", no_compute)
+    cfg = {"image": str(img_path), "gt": str(gt_path), "output_dir": str(tmp_path / "out"),
+           key: str(other)}
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline(cfg, echo=lambda *_: None)
+    assert info.value.stage == "read"
+    assert isinstance(info.value.cause, ShapeMismatchError)
+    assert str(other) in str(info.value) and "(2.0, 2.0, 8.0)" in str(info.value)
+
+
+def test_precomputed_edges_at_another_spacing_are_rejected(tmp_path, runner):
+    img_path, _ = _phantom(tmp_path, shape=(16, 16, 4))
+    pre = tmp_path / "pre.nii"
+    write_nifti(Volume(np.full((16, 16, 4), 0.5, dtype=np.float32), _OFF_SPACING), pre)
+    result = runner.invoke(main, ["edges", "--input", str(img_path), "--edges", str(pre),
+                                  "--output", str(tmp_path / "e.nii")])
+    assert result.exit_code == 1
+    assert "error in stage 'edges'" in result.output and str(pre) in result.output
+
+
+def test_eval_prediction_at_another_spacing_is_rejected(tmp_path, runner):
+    _, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
+    pred = tmp_path / "pred.nii"
+    gt = read_nifti(gt_path, kind="labels")
+    write_nifti(LabelVolume(gt.data, _OFF_SPACING, 2), pred)
+    report = tmp_path / "eval.json"
+    result = runner.invoke(main, ["eval", "--pred", str(pred), "--gt", str(gt_path),
+                                  "--report", str(report)])
+    assert result.exit_code == 1
+    assert "error in stage 'eval'" in result.output and str(pred) in result.output
+    assert not report.exists()
+
+
+def test_propagate_supervoxels_at_another_spacing_are_rejected(tmp_path, runner):
+    scrib, sv = tmp_path / "scrib.nii", tmp_path / "sv.nii"
+    labels = np.full((8, 8, 2), 255, dtype=np.uint16)
+    labels[2, 2, 0], labels[6, 6, 1] = 0, 1
+    write_nifti(LabelVolume(labels, (1.0, 1.0, 4.0), 256), scrib)
+    write_nifti(LabelVolume(np.zeros((8, 8, 2), dtype=np.uint16), _OFF_SPACING, 2), sv)
+    result = runner.invoke(main, ["propagate", "--scribbles", str(scrib), "--supervoxels", str(sv),
+                                  "--output-mask", str(tmp_path / "m.nii"),
+                                  "--output-conf", str(tmp_path / "c.nii")])
+    assert result.exit_code == 1
+    assert "error in stage 'propagate'" in result.output and str(sv) in result.output
+
+
+@pytest.mark.parametrize("off", [None, "pred_final", "boundary", "pseudo", "conf", "edges"])
+def test_loss_inputs_must_lie_on_the_image_grid(tmp_path, runner, off):
+    shape, spacing = (8, 8, 2), (1.0, 1.0, 4.0)
+    img_path, _ = _phantom(tmp_path, shape=shape)
+    pseudo = np.zeros(shape, dtype=np.uint16)
+    pseudo[:4] = 1
+    vols = {
+        "pred_init": Volume(np.full(shape, 0.5, dtype=np.float32), spacing),
+        "pred_final": Volume(np.full(shape, 0.5, dtype=np.float32), spacing),
+        "boundary": Volume(np.full(shape, 0.25, dtype=np.float32), spacing),
+        "pseudo": LabelVolume(pseudo, spacing, 2),
+        "conf": BinaryVolume(np.ones(shape, dtype=np.uint8), spacing),
+        "edges": BinaryVolume(np.zeros(shape, dtype=np.uint8), spacing),
+    }
+    if off:
+        vols[off] = dataclasses.replace(vols[off], spacing=_OFF_SPACING)
+    paths = {name: tmp_path / f"{name}.nii" for name in vols}
+    for name, vol in vols.items():
+        write_nifti(vol, paths[name])
+    args = ["loss", "--boundary-pred", paths["boundary"], "--pseudo", paths["pseudo"],
+            "--conf", paths["conf"], "--edges", paths["edges"], "--image", img_path,
+            "--report", tmp_path / "loss.json"]
+    for _ in range(2):  # two class channels of 0.5 each, from the same file
+        args += ["--pred-init", paths["pred_init"], "--pred-final", paths["pred_final"]]
+    result = runner.invoke(main, [str(a) for a in args])
+    if off is None:
+        assert result.exit_code == 0, result.output
+    else:
+        assert result.exit_code == 1
+        assert "error in stage 'loss'" in result.output and str(paths[off]) in result.output
