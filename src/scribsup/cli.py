@@ -80,7 +80,7 @@ def main():
 
 
 def _read_on_grid(path, kind: str, ref, ref_path):
-    """Read ``path`` and check that it has the shape and spacing of ``ref``, read from ``ref_path``."""
+    """Read ``path`` and check its shape and spacing against ``ref``, read from ``ref_path``."""
     vol = read_nifti(path, kind=kind)
     if (vol.shape, vol.spacing) != (ref.shape, ref.spacing):
         raise ShapeMismatchError(f"{path}: grid {vol.shape} at {vol.spacing} mm differs from "
