@@ -63,7 +63,8 @@ class ProbVolume:
         if data.ndim != 4:
             raise ValueError("probability data must be (nx, ny, nz, channels)")
         if data.size:
-            if data.min() < -_SUM_ATOL or data.max() > 1.0 + _SUM_ATOL:
+            lo, hi = data.min(), data.max()  # NaN if any entry is NaN, which fails both tests
+            if not (lo >= -_SUM_ATOL and hi <= 1.0 + _SUM_ATOL):
                 raise ValueError("probabilities must lie in [0, 1]")
             if data.shape[3] >= 2:
                 sums = data.sum(axis=3)
@@ -198,6 +199,34 @@ def partial_ce(probs: ProbVolume, pl: PseudoLabels) -> LossReport:
     return LossReport(value, grad)
 
 
+def _active_boundary_term(u, v, spacing, omega, params: AbParams):
+    """One foreground channel's value and gradient; its temporaries die on return."""
+    # forward differences with a zero-flux far border
+    diffs = [np.diff(u, axis=a, append=u.take([-1], axis=a)) / spacing[a] for a in range(3)]
+    phi = np.sqrt(diffs[0] ** 2 + diffs[1] ** 2 + diffs[2] ** 2 + params.epsilon)
+    surface = float(phi.sum()) * omega
+
+    g = np.zeros_like(u)
+    w = np.zeros_like(u)  # reused by every axis: only entries where phi > 0 are written
+    for a in range(3):
+        # zero subgradient where the field vanishes (possible at eps = 0)
+        np.divide(diffs[a], phi, out=w, where=phi > 0)
+        g -= np.diff(w, axis=a, prepend=0.0) / spacing[a]
+    del diffs, phi, w  # before the volume terms' temporaries
+    g *= omega
+
+    su = float(u.sum())
+    s1mu = float((1.0 - u).sum())
+    c1 = float((u * v).sum()) / max(su, 1e-8)
+    c2 = float(((1.0 - u) * v).sum()) / max(s1mu, 1e-8)
+    r_in = (c1 - v) ** 2
+    r_out = (c2 - v) ** 2
+    vol_in = float((r_in * u).sum()) * omega
+    vol_out = float((r_out * (1.0 - u)).sum()) * omega
+    g += omega * (params.lambda1 * r_in - params.lambda2 * r_out)
+    return surface + params.lambda1 * vol_in + params.lambda2 * vol_out, g
+
+
 def active_boundary_loss(
     probs: ProbVolume, image: Volume, params: AbParams = AbParams()
 ) -> LossReport:
@@ -220,38 +249,12 @@ def active_boundary_loss(
     v = image.data.astype(np.float64)
     lo, hi = v.min(), v.max()
     v = (v - lo) / (hi - lo) if hi > lo else np.zeros_like(v)
-    omega = image.voxel_volume_mm3
-    spacing = image.spacing
-    eps = params.epsilon
-
     total = 0.0
     grad = np.zeros_like(probs.data)
     for c in range(1, probs.channels):
-        u = probs.data[..., c]
-        # forward differences with a zero-flux far border
-        diffs = [np.diff(u, axis=a, append=u.take([-1], axis=a)) / spacing[a] for a in range(3)]
-        phi = np.sqrt(diffs[0] ** 2 + diffs[1] ** 2 + diffs[2] ** 2 + eps)
-        surface = float(phi.sum()) * omega
-
-        su = float(u.sum())
-        s1mu = float((1.0 - u).sum())
-        c1 = float((u * v).sum()) / max(su, 1e-8)
-        c2 = float(((1.0 - u) * v).sum()) / max(s1mu, 1e-8)
-        r_in = (c1 - v) ** 2
-        r_out = (c2 - v) ** 2
-        vol_in = float((r_in * u).sum()) * omega
-        vol_out = float((r_out * (1.0 - u)).sum()) * omega
-
-        total += surface + params.lambda1 * vol_in + params.lambda2 * vol_out
-
-        g = np.zeros_like(u)
-        for a in range(3):
-            # zero subgradient where the field vanishes (possible at eps = 0)
-            w = np.divide(diffs[a], phi, out=np.zeros_like(u), where=phi > 0)
-            g -= np.diff(w, axis=a, prepend=0.0) / spacing[a]
-        g *= omega
-        g += omega * (params.lambda1 * r_in - params.lambda2 * r_out)
-        grad[..., c] = g
+        value, grad[..., c] = _active_boundary_term(
+            probs.data[..., c], v, image.spacing, image.voxel_volume_mm3, params)
+        total += value
     return LossReport(total, grad)
 
 
@@ -275,16 +278,19 @@ def total_loss(
     times the active-boundary gradient. The per-term breakdown echoes the
     weights in effect.
     """
+    # the largest transient first, while no other term's gradient is held
+    abl = active_boundary_loss(probs_final, image, ab)
     bry = boundary_loss(boundary, static_edges, literal=literal_boundary)
     seg_init = partial_ce(probs_init, pl)
     seg_final = partial_ce(probs_final, pl)
-    abl = active_boundary_loss(probs_final, image, ab)
     value = (
         weights.beta1 * bry.value
         + seg_init.value
         + seg_final.value
         + weights.beta2 * abl.value
     )
+    grad_final = weights.beta2 * abl.grad
+    grad_final += seg_final.grad
     terms = {
         "l_bry": bry.value,
         "l_seg_init": seg_init.value,
@@ -301,5 +307,5 @@ def total_loss(
         terms=terms,
         grad_boundary=weights.beta1 * bry.grad,
         grad_init=seg_init.grad,
-        grad_final=seg_final.grad + weights.beta2 * abl.grad,
+        grad_final=grad_final,
     )

@@ -254,16 +254,17 @@ def import_weights(config: NetConfig, blob_path, manifest_path) -> Network:
 def _conv3d(x, w, b, dilation=(1, 1, 1)):
     """Zero-padded 'same' convolution as im2col plus one GEMM per x-slab.
 
-    The im2col buffer holds whole x-rows of (c_in * taps) columns and is
-    sized by ``_IM2COL_BUDGET`` bytes (at least one row), so memory stays
-    bounded whatever the grid.
+    ``x`` is one (c, sx, sy, sz) array or a tuple of them on one grid, read as
+    their channel concatenation. Each tap copies its in-range box straight from
+    the inputs and zeroes the strips outside the grid, so no padded or
+    concatenated copy is made. The im2col buffer holds whole x-rows of
+    (c_in * taps) columns and is sized by ``_IM2COL_BUDGET`` bytes (at least
+    one row), so memory stays bounded whatever the grid.
     """
+    parts = x if isinstance(x, tuple) else (x,)
     c_out, c_in = w.shape[:2]
     kx, ky, kz = w.shape[2:]
-    dx, dy, dz = dilation
-    px, py, pz = dx * (kx // 2), dy * (ky // 2), dz * (kz // 2)
-    xp = np.pad(x, ((0, 0), (px, px), (py, py), (pz, pz)))
-    sx, sy, sz = x.shape[1:]
+    sx, sy, sz = parts[0].shape[1:]
     rows = c_in * kx * ky * kz
     w2d = w.reshape(c_out, rows)
     plane = sy * sz
@@ -274,12 +275,21 @@ def _conv3d(x, w, b, dilation=(1, 1, 1)):
     for x0 in range(0, sx, step):
         n = min(step, sx - x0)
         col = buf[: rows * n * plane].reshape(c_in, kx, ky, kz, n, sy, sz)
-        for i in range(kx):
-            for j in range(ky):
-                for l in range(kz):
-                    col[:, i, j, l] = xp[
-                        :, x0 + i * dx : x0 + i * dx + n, j * dy : j * dy + sy, l * dz : l * dz + sz
-                    ]
+        for i, j, l in np.ndindex(kx, ky, kz):
+            dst = col[:, i, j, l]
+            offsets = (x0 + (i - kx // 2) * dilation[0], (j - ky // 2) * dilation[1],
+                       (l - kz // 2) * dilation[2])
+            box, src = (slice(None),), (slice(None),)
+            for o, m, size in zip(offsets, (n, sy, sz), (sx, sy, sz)):
+                lo = min(max(0, -o), m)  # outputs [lo, hi) read sources inside [0, size)
+                hi = max(lo, min(m, size - o))
+                dst[box + (slice(0, lo),)] = 0.0
+                dst[box + (slice(hi, m),)] = 0.0
+                box, src = box + (slice(lo, hi),), src + (slice(lo + o, hi + o),)
+            c0 = 0
+            for part in parts:
+                dst[(slice(c0, c0 + part.shape[0]),) + box[1:]] = part[src]
+                c0 += part.shape[0]
         dst = out2d[:, x0 * plane : (x0 + n) * plane]
         np.matmul(w2d, col.reshape(rows, n * plane), out=dst)
         dst += b[:, None]
@@ -287,17 +297,22 @@ def _conv3d(x, w, b, dilation=(1, 1, 1)):
 
 
 def _conv1x1(x, w, b):
-    return np.tensordot(w, x, axes=([1], [0])) + b[:, None, None, None].astype(np.float32)
+    out = np.tensordot(w, x, axes=([1], [0]))
+    out += b[:, None, None, None]
+    return out
 
 
 def _instance_norm(x):
+    """Standardize each channel of ``x`` in place."""
     mu = x.mean(axis=(1, 2, 3), keepdims=True)
     var = x.var(axis=(1, 2, 3), keepdims=True)
-    return (x - mu) / np.sqrt(var + _NORM_EPS)
+    x -= mu
+    x /= np.sqrt(var + _NORM_EPS)
+    return x
 
 
 def _relu(x):
-    return np.maximum(x, 0.0)
+    return np.maximum(x, 0.0, out=x)
 
 
 def _sigmoid64(x):
@@ -307,9 +322,10 @@ def _sigmoid64(x):
 
 def _softmax64(logits):
     z = logits.astype(np.float64)
-    z = z - z.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+    z -= z.max(axis=0, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=0, keepdims=True)
+    return z
 
 
 def _maxpool(x, factor):
@@ -377,14 +393,24 @@ def _aspp(net, x):
     return _relu(_instance_norm(out))
 
 
-def _rcab(net, prefix, x):
-    """Residual channel attention: pooled stats -> two projections -> gates."""
-    s = x.mean(axis=(1, 2, 3)).astype(np.float64)
+def _grid_mean(x, target):
+    """Per-channel mean of ``_upsample_to(x, target)``, taken on ``x``'s own grid.
+
+    Upsampling is linear, so each source voxel weighs the column sums of the
+    per-axis interpolation matrices, over the target's size.
+    """
+    m = x
+    for n_src, n_dst in reversed(list(zip(x.shape[1:], target))):  # contract z, then y, then x
+        m = m.reshape(-1, n_src) @ (_interp_matrix(n_src, n_dst).sum(axis=0) / n_dst)
+    return m.astype(np.float64)
+
+
+def _channel_gates(net, prefix, s):
+    """Residual channel attention gates g from pooled channel means ``s``; the block is x * (1 + g)."""
     w1, b1 = net.params[f"{prefix}.fc1.w"], net.params[f"{prefix}.fc1.b"]
     w2, b2 = net.params[f"{prefix}.fc2.w"], net.params[f"{prefix}.fc2.b"]
     h = np.maximum(w1.astype(np.float64) @ s + b1, 0.0)
-    gates = _sigmoid64(w2.astype(np.float64) @ h + b2).astype(np.float32)
-    return x + x * gates[:, None, None, None]
+    return _sigmoid64(w2.astype(np.float64) @ h + b2)
 
 
 def _decoder_level(net, i, d, skip):
@@ -392,11 +418,12 @@ def _decoder_level(net, i, d, skip):
     returns (features, gate), so the full-resolution temporaries die on return."""
     params = net.params
     d_up = _upsample_to(d, skip.shape[1:])
-    t = np.concatenate([d_up, skip])
-    t = _relu(_conv1x1(t, params[f"dec{i}.gate1.w"], params[f"dec{i}.gate1.b"]))
+    gate1 = params[f"dec{i}.gate1.w"][..., None, None, None]
+    t = _relu(_conv3d((d_up, skip), gate1, params[f"dec{i}.gate1.b"]))
     gate = _sigmoid64(_conv1x1(t, params[f"dec{i}.gate2.w"], params[f"dec{i}.gate2.b"])[0])
-    gated = skip * gate.astype(np.float32)[None]
-    return _conv_block(net, f"dec{i}", np.concatenate([d_up, gated])), gate
+    del t
+    skip *= gate.astype(np.float32)[None]  # the caller popped the skip, so gate it in place
+    return _conv_block(net, f"dec{i}", (d_up, skip)), gate
 
 
 def forward(net: Network, patch: Volume) -> NetworkOutputs:
@@ -427,22 +454,35 @@ def forward(net: Network, patch: Volume) -> NetworkOutputs:
         d, gate = _decoder_level(net, i, d, skips.pop())
         attention.append(gate)
         projs.append(_conv1x1(d, params[f"sbpm.proj{i}.w"], params[f"sbpm.proj{i}.b"]))
-
-    fused = _rcab(net, "sbpm.rcab", np.concatenate([_upsample_to(p, full_shape) for p in projs]))
-    b_prob = _sigmoid64(_conv1x1(fused, params["sbpm.out.w"], params["sbpm.out.b"])[0])
-
-    h = _conv_block(net, "init", bottleneck)
-    init_logits = _upsample_to(_conv1x1(h, params["init.head.w"], params["init.head.b"]), full_shape)
-    m_init = _softmax64(init_logits)
-
-    fused = np.concatenate([fused, init_logits])  # rebinding frees the SBPM-only tensor early
-    fused = _rcab(net, "final.rcab", fused)
-    m_final = _softmax64(_conv1x1(fused, params["final.head.w"], params["final.head.b"]))
+    del d
 
     spacing = patch.spacing
+    h = _conv_block(net, "init", bottleneck)
+    init_logits = _upsample_to(_conv1x1(h, params["init.head.w"], params["init.head.b"]), full_shape)
+    mask_init = ProbVolume(np.moveaxis(_softmax64(init_logits), 0, -1), spacing)
+
+    # Each RCAB scales the channels of its input by (1 + g), with g a function of
+    # the full-resolution channel means only; so both scales fold into the head
+    # weights, which then run on every level's grid before one upsampling.
+    means = np.concatenate([_grid_mean(p, full_shape) for p in projs])
+    scale_sb = 1.0 + _channel_gates(net, "sbpm.rcab", means)
+    final_means = np.concatenate([means * scale_sb, init_logits.mean(axis=(1, 2, 3))])
+    w_final = params["final.head.w"] * (1.0 + _channel_gates(net, "final.rcab", final_means))
+    c_sb = means.size
+    heads = (np.concatenate([params["sbpm.out.w"], w_final[:, :c_sb]]) * scale_sb).astype(np.float32)
+    logits = None  # boundary logit, then the final logits, at full resolution
+    for p, w in zip(projs, np.split(heads, len(projs), axis=1)):
+        q = _upsample_to(np.tensordot(w, p, axes=1), full_shape)
+        logits = q if logits is None else np.add(logits, q, out=logits)
+    del projs, p, q
+    boundary = ProbVolume(_sigmoid64(logits[0] + params["sbpm.out.b"][0])[..., None], spacing)
+    final = logits[1:]
+    final += np.tensordot(w_final[:, c_sb:].astype(np.float32), init_logits, axes=1)
+    final += params["final.head.b"][:, None, None, None]
+    del init_logits
     return NetworkOutputs(
-        boundary=ProbVolume(b_prob[..., None], spacing),
-        mask_init=ProbVolume(np.moveaxis(m_init, 0, -1), spacing),
-        mask_final=ProbVolume(np.moveaxis(m_final, 0, -1), spacing),
+        boundary=boundary,
+        mask_init=mask_init,
+        mask_final=ProbVolume(np.moveaxis(_softmax64(final), 0, -1), spacing),
         attention_maps=attention,
     )

@@ -163,6 +163,23 @@ def _slice_skeleton(mask: np.ndarray) -> np.ndarray:
     return cur & mask  # clip closing overshoot so scribbles stay in-class
 
 
+def _box_skeleton(mask: np.ndarray):
+    """``_slice_skeleton`` run on the mask's bounding box grown by 2 pixels and
+    clipped to the image; returns (box, skeleton of ``mask[box]``).
+
+    Equal to the full-slice skeleton inside the box and empty outside it: the
+    dilation of the closing reaches 1 pixel past the box, the 2nd pixel keeps
+    the erosion's border rule from reaching it, and thinning only removes
+    pixels. Where the box is clipped, the image border applies as before.
+    """
+    box = []
+    for axis, n in enumerate(mask.shape):
+        idx = np.flatnonzero(mask.any(axis=1 - axis))
+        box.append(slice(max(idx[0] - 2, 0), min(idx[-1] + 3, n)))
+    box = tuple(box)
+    return box, _slice_skeleton(mask[box])
+
+
 def simulate_foreground_scribbles(gt: LabelVolume) -> ScribbleSet:
     """Skeletonize every foreground class on every axial slice.
 
@@ -183,7 +200,8 @@ def simulate_foreground_scribbles(gt: LabelVolume) -> ScribbleSet:
         for z in range(gt.shape[2]):
             sl = labels[:, :, z] == c
             if sl.any():
-                skel[i, :, :, z] = _slice_skeleton(sl)
+                box, sk = _box_skeleton(sl)
+                skel[(i,) + box + (z,)] = sk
     ci, zs, xs, ys = np.nonzero(skel.transpose(0, 3, 1, 2))
     indices = np.stack([xs, ys, zs], axis=1)
     return ScribbleSet(indices, present[ci], gt.num_classes, gt.shape, gt.spacing)

@@ -389,3 +389,53 @@ def brute_assign(intensity, coords_mm, centers_pos, centers_int, step, compactne
         labels[miss[:, 0], miss[:, 1], miss[:, 2]] = pick
         best_d2[miss[:, 0], miss[:, 1], miss[:, 2]] = d2[np.arange(len(pick)), pick]
     return labels, best_d2
+
+
+def reference_active_boundary_loss(probs, image, params):
+    """``losses.active_boundary_loss`` before its buffers were reused in place,
+    copied verbatim but for the shape check; returns (value, grad).
+
+    Every arithmetic step is the same IEEE operation in the same order in the
+    in-place edition, so both must agree byte for byte.
+    """
+    v = image.data.astype(np.float64)
+    lo, hi = v.min(), v.max()
+    v = (v - lo) / (hi - lo) if hi > lo else np.zeros_like(v)
+    omega = image.voxel_volume_mm3
+    spacing = image.spacing
+    eps = params.epsilon
+
+    total = 0.0
+    grad = np.zeros_like(probs.data)
+    for c in range(1, probs.channels):
+        u = probs.data[..., c]
+        # forward differences with a zero-flux far border
+        diffs = [np.diff(u, axis=a, append=u.take([-1], axis=a)) / spacing[a] for a in range(3)]
+        phi = np.sqrt(diffs[0] ** 2 + diffs[1] ** 2 + diffs[2] ** 2 + eps)
+        surface = float(phi.sum()) * omega
+
+        su = float(u.sum())
+        s1mu = float((1.0 - u).sum())
+        c1 = float((u * v).sum()) / max(su, 1e-8)
+        c2 = float(((1.0 - u) * v).sum()) / max(s1mu, 1e-8)
+        r_in = (c1 - v) ** 2
+        r_out = (c2 - v) ** 2
+        vol_in = float((r_in * u).sum()) * omega
+        vol_out = float((r_out * (1.0 - u)).sum()) * omega
+
+        total += surface + params.lambda1 * vol_in + params.lambda2 * vol_out
+
+        g = np.zeros_like(u)
+        for a in range(3):
+            # zero subgradient where the field vanishes (possible at eps = 0)
+            w = np.divide(diffs[a], phi, out=np.zeros_like(u), where=phi > 0)
+            g -= np.diff(w, axis=a, prepend=0.0) / spacing[a]
+        g *= omega
+        g += omega * (params.lambda1 * r_in - params.lambda2 * r_out)
+        grad[..., c] = g
+    return total, grad
+
+
+def reference_grad_final(seg_final_grad, ab_grad, beta2):
+    """``total_loss``'s final-mask gradient as one out-of-place sum (copied verbatim)."""
+    return seg_final_grad + beta2 * ab_grad

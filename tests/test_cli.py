@@ -498,3 +498,34 @@ def test_loss_inputs_must_lie_on_the_image_grid(tmp_path, runner, off):
     else:
         assert result.exit_code == 1
         assert "error in stage 'loss'" in result.output and str(paths[off]) in result.output
+
+
+def test_loss_refuses_nan_prediction_at_an_unsupervised_voxel(tmp_path, runner):
+    shape, spacing = (8, 8, 2), (1.0, 1.0, 4.0)
+    img_path, _ = _phantom(tmp_path, shape=shape)
+    conf = np.ones(shape, dtype=np.uint8)
+    conf[7, 7, 1] = 0  # the NaN sits where partial CE never looks
+    vols = {
+        "half": Volume(np.full(shape, 0.5, dtype=np.float32), spacing),
+        "boundary": Volume(np.full(shape, 0.25, dtype=np.float32), spacing),
+        "pseudo": LabelVolume(np.zeros(shape, dtype=np.uint16), spacing, 2),
+        "conf": BinaryVolume(conf, spacing),
+        "edges": BinaryVolume(np.zeros(shape, dtype=np.uint8), spacing),
+    }
+    paths = {name: tmp_path / f"{name}.nii" for name in vols}
+    for name, vol in vols.items():
+        write_nifti(vol, paths[name])
+    nan_path = tmp_path / "nan.nii"
+    raw = bytearray(paths["half"].read_bytes())
+    last = 352 + 4 * (int(np.prod(shape)) - 1)  # voxel (7, 7, 1): x runs fastest on disk
+    raw[last:last + 4] = np.float32(np.nan).tobytes()
+    nan_path.write_bytes(bytes(raw))
+    args = ["loss", "--boundary-pred", paths["boundary"], "--pseudo", paths["pseudo"],
+            "--conf", paths["conf"], "--edges", paths["edges"], "--image", img_path,
+            "--report", tmp_path / "loss.json",
+            "--pred-init", nan_path, "--pred-init", paths["half"],
+            "--pred-final", paths["half"], "--pred-final", paths["half"]]
+    result = runner.invoke(main, [str(a) for a in args])
+    assert result.exit_code == 1
+    assert "error in stage 'loss'" in result.output and str(nan_path) in result.output
+    assert not (tmp_path / "loss.json").exists()

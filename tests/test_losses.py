@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_volume, random_softmax
-from oracles import central_fd, rel_err
+from oracles import central_fd, reference_active_boundary_loss, reference_grad_final, rel_err
 from scribsup.errors import NoConfidentVoxelsError, ShapeMismatchError
 from scribsup.label_propagation import PseudoLabels
 from scribsup.losses import (
@@ -240,6 +240,35 @@ def test_ab_surface_symmetric_under_complement(rng):
     assert a == pytest.approx(b, rel=1e-12)
 
 
+def _ab_cases():
+    """Seeded (probs, image, params): random shapes and spacings, every third
+    spacing quantised to quarters, eps in {0, 1e-6, 1e-3}, some constant images
+    and some channels flat enough that the field vanishes at eps = 0."""
+    for case in range(24):
+        rng = np.random.default_rng(700 + case)
+        shape = tuple(int(n) for n in rng.integers(2, 9, size=3))
+        spacing = tuple(float(s) for s in rng.uniform(0.3, 5.0, size=3))
+        if case % 3 == 0:
+            spacing = tuple(max(0.25, round(s * 4) / 4) for s in spacing)
+        logits = rng.normal(size=shape + (int(rng.integers(2, 5)),))
+        if case % 4 == 0:
+            logits[:] = 0.0  # uniform channels: every difference is 0
+        e = np.exp(logits)
+        image = rng.random(shape)
+        if case % 5 == 0:
+            image[:] = 0.7
+        params = AbParams(float(rng.uniform(0, 2)), float(rng.uniform(0, 1)), [0.0, 1e-6, 1e-3][case % 3])
+        yield ProbVolume(e / e.sum(-1, keepdims=True), spacing), make_volume(image, spacing), params
+
+
+def test_ab_bytes_match_out_of_place_reference():
+    for probs, image, params in _ab_cases():
+        rep = active_boundary_loss(probs, image, params)
+        value, grad = reference_active_boundary_loss(probs, image, params)
+        assert rep.value == value
+        assert rep.grad.dtype == grad.dtype and rep.grad.tobytes() == grad.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # total loss
 
@@ -314,3 +343,31 @@ def test_gradients_compose_by_linearity(rng):
     assert np.allclose(rep.grad_boundary, 0.3 * bry.grad, atol=1e-12)
     assert np.allclose(rep.grad_final, seg_f.grad + 0.3 * abl.grad, atol=1e-12)
     assert np.allclose(rep.grad_init, partial_ce(pi, pl).grad, atol=1e-12)
+
+
+def test_total_grad_final_bytes_match_out_of_place_sum():
+    for case, (probs, image, params) in enumerate(_ab_cases()):
+        rng = np.random.default_rng(800 + case)
+        shape, n = probs.shape, probs.channels
+        conf = rng.random(shape) > 0.4
+        conf.flat[0] = True
+        mask = np.where(conf, rng.integers(0, n, size=shape), 0).astype(np.uint16)
+        pl = PseudoLabels(LabelVolume(mask, probs.spacing, n),
+                          BinaryVolume(conf.astype(np.uint8), probs.spacing))
+        boundary = ProbVolume(rng.uniform(0.1, 0.9, shape)[..., None], probs.spacing)
+        edges = BinaryVolume((rng.random(shape) > 0.5).astype(np.uint8), probs.spacing)
+        beta2 = float(rng.uniform(0, 1))
+        rep = total_loss(boundary, edges, probs, probs, pl, image, ab=params,
+                         weights=TotalLossWeights(0.3, beta2))
+        want = reference_grad_final(partial_ce(probs, pl).grad,
+                                    reference_active_boundary_loss(probs, image, params)[1], beta2)
+        assert rep.grad_final.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_prob_volume_rejects_nan(channels):
+    data = np.full((4, 4, 2, channels), 1.0 / channels)
+    ProbVolume(data, SPACING)
+    data[1, 2, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="probabilities must lie in"):
+        ProbVolume(data, SPACING)

@@ -251,3 +251,29 @@ def _scribble_digest(labels, margin):
 def test_scribbles_match_pre_change_golden(name):
     golden = json.loads(SCRIBBLE_GOLDEN_PATH.read_text())[name]
     assert _scribble_digest(*_scribble_golden_cases()[name]) == golden
+
+
+def _random_slice_masks(n):
+    """Seeded masks of thresholded smooth noise in a random sub-rectangle of a
+    random-sized slice; about 40 % touch the slice border."""
+    rng = np.random.default_rng(2024)
+    for _ in range(n):
+        h, w = (int(v) for v in rng.integers(6, 26, size=2))
+        mask = np.zeros((h, w), dtype=bool)
+        x0, y0 = int(rng.integers(0, h - 2)), int(rng.integers(0, w - 2))
+        x1, y1 = int(rng.integers(x0 + 2, h + 1)), int(rng.integers(y0 + 2, w + 1))
+        mask[x0:x1, y0:y1] = uniform_filter(rng.random((x1 - x0, y1 - y0)), 3) > rng.uniform(0.35, 0.6)
+        mask[x0, y0] |= not mask.any()
+        yield mask
+
+
+def test_box_skeleton_equals_full_slice_skeleton():
+    # A 2-pixel margin is the least that is exact: with margin 0 or 1 most of
+    # these masks give a different skeleton.
+    masks = list(_random_slice_masks(400))
+    assert sum(m[[0, -1]].any() or m[:, [0, -1]].any() for m in masks) >= 100
+    for mask in masks:
+        box, skeleton = scribble_sim._box_skeleton(mask)
+        got = np.zeros_like(mask)
+        got[box] = skeleton
+        assert np.array_equal(got, scribble_sim._slice_skeleton(mask))
