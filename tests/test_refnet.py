@@ -317,7 +317,7 @@ def test_forward_traced_peak_without_padded_or_concatenated_copies(shape):
     Padded convolution inputs (the ASPP's rate-18 pads set the peak at
     64x64x16), full-resolution concatenations in the decoder and heads run at
     full resolution all raise this ratio: it was 23.9 and 13.6 with them, and
-    is 8.2 without.
+    is 7.2 and 6.6 without.
     """
     net = build(NetConfig(num_classes=4, base_filters=8, seed=0))
     patch = _patch(np.random.default_rng(0), shape)
