@@ -22,9 +22,10 @@ import click
 import numpy as np
 
 from . import label_propagation, losses, metrics, refnet, scribble_sim, supervoxel
-from .errors import InvalidConfigError, ScribsupError, ShapeMismatchError
+from .errors import InvalidConfigError, ScribsupError
 from .volume_io import (
-    DT_INT16, BinaryVolume, LabelVolume, Volume, crop_or_pad, read_nifti, write_nifti,
+    DT_INT16, BinaryVolume, LabelVolume, Volume, _check_same_grid, crop_or_pad, read_nifti,
+    write_nifti,
 )
 
 _MAX_INT16_ID = 32767
@@ -82,9 +83,7 @@ def main():
 def _read_on_grid(path, kind: str, ref, ref_path):
     """Read ``path`` and check its shape and spacing against ``ref``, read from ``ref_path``."""
     vol = read_nifti(path, kind=kind)
-    if (vol.shape, vol.spacing) != (ref.shape, ref.spacing):
-        raise ShapeMismatchError(f"{path}: grid {vol.shape} at {vol.spacing} mm differs from "
-                                 f"{ref_path}'s {ref.shape} at {ref.spacing} mm")
+    _check_same_grid(vol, ref, f"{path} and {ref_path}")
     return vol
 
 
@@ -113,16 +112,11 @@ def _slic(image: Volume, params: supervoxel.SlicParams):
     return sv, LabelVolume(sv.ids, sv.spacing, max(2, sv.count), DT_INT16)
 
 
-def _check_edge_threshold(threshold: float) -> None:
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"edge threshold {threshold} must lie in (0, 1)")
-
-
 def _edges(image: Volume, threshold: float, precomputed: Volume | None = None) -> BinaryVolume:
     """Static boundary: the built-in detector, or ``precomputed`` probabilities thresholded."""
-    _check_edge_threshold(threshold)
     if precomputed is None:
         return label_propagation.static_boundary(image, threshold)
+    label_propagation._check_edge_threshold(threshold)
     return BinaryVolume((precomputed.data >= threshold).astype(np.uint8), precomputed.spacing)
 
 
@@ -342,7 +336,7 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
                 raise ScribsupError(f"input path for {key!r} does not exist: {cfg[key]}")
         if not cfg["scribbles"] and not cfg["gt"]:
             raise ScribsupError("need either 'scribbles' or 'gt' (to simulate them)")
-        _check_edge_threshold(cfg["edge_threshold"])
+        label_propagation._check_edge_threshold(cfg["edge_threshold"])
         for key, least in (("seed", 0), ("margin_vox", 1), ("num_classes", 2)):
             value = cfg[key]
             if key == "num_classes" and value == 0:

@@ -22,8 +22,8 @@ class TruncatedDataError(ScribsupError):
     """File ends before the declared voxel payload."""
 
 
-class ShapeMismatchError(ScribsupError):
-    """Two grids that must match do not: shapes, and for files read from disk also spacings."""
+class ShapeMismatchError(ScribsupError, ValueError):
+    """Two grids that must match differ in shape or spacing."""
 
 
 class KTooLargeError(ScribsupError):

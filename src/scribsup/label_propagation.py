@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
 from .scribble_sim import ScribbleSet
 from .supervoxel import SupervoxelMap
-from .volume_io import BinaryVolume, LabelVolume, Volume
+from .volume_io import BinaryVolume, LabelVolume, Volume, _check_same_grid
 
 __all__ = ["PseudoLabels", "propagate", "static_boundary"]
 
@@ -34,8 +33,7 @@ class PseudoLabels:
     confident: BinaryVolume
 
     def __post_init__(self):
-        if self.mask.shape != self.confident.shape:
-            raise ShapeMismatchError("mask and confidence shapes differ")
+        _check_same_grid(self.mask, self.confident, "pseudo mask and confidence")
 
 
 def propagate(scribbles: ScribbleSet, sv: SupervoxelMap) -> PseudoLabels:
@@ -46,12 +44,9 @@ def propagate(scribbles: ScribbleSet, sv: SupervoxelMap) -> PseudoLabels:
     and confidence 0.
 
     Raises:
-        ShapeMismatchError: scribbles and supervoxel map shapes differ.
+        ShapeMismatchError: scribbles and supervoxel map lie on different grids.
     """
-    if tuple(scribbles.shape) != tuple(sv.shape):
-        raise ShapeMismatchError(
-            f"scribbles {scribbles.shape} vs supervoxels {sv.shape}"
-        )
+    _check_same_grid(scribbles, sv, "scribbles and supervoxels")
     idx = scribbles.indices
     sv_at = sv.ids[idx[:, 0], idx[:, 1], idx[:, 2]]
     pairs = np.unique(np.stack([sv_at, scribbles.classes.astype(np.int64)], axis=1), axis=0)
@@ -113,6 +108,11 @@ def _slice_edges(img: np.ndarray, threshold: float) -> np.ndarray:
     return keep & (mag >= threshold)
 
 
+def _check_edge_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"edge threshold {threshold} must lie in (0, 1)")
+
+
 def static_boundary(vol: Volume, edge_threshold: float = 0.2) -> BinaryVolume:
     """Stack per-slice 2D edge maps into a static boundary volume.
 
@@ -121,8 +121,7 @@ def static_boundary(vol: Volume, edge_threshold: float = 0.2) -> BinaryVolume:
         edge_threshold: Fraction of the per-slice maximum gradient magnitude
             below which responses are discarded; must lie in (0, 1).
     """
-    if not (0.0 < edge_threshold < 1.0):
-        raise ValueError("edge_threshold must lie in (0, 1)")
+    _check_edge_threshold(edge_threshold)
     out = np.zeros(vol.shape, dtype=np.uint8)
     for z in range(vol.shape[2]):
         out[:, :, z] = _slice_edges(vol.data[:, :, z], edge_threshold)

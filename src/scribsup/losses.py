@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NoConfidentVoxelsError, ShapeMismatchError
 from .label_propagation import PseudoLabels
-from .volume_io import BinaryVolume, Volume, _check_spacing, _freeze
+from .volume_io import BinaryVolume, Volume, _check_same_grid, _check_spacing, _freeze, _normalize
 
 __all__ = [
     "ProbVolume",
@@ -134,11 +134,6 @@ class TotalLossReport:
     grad_final: np.ndarray
 
 
-def _require_same_shape(a, b, what: str):
-    if tuple(a) != tuple(b):
-        raise ShapeMismatchError(f"{what}: {tuple(a)} vs {tuple(b)}")
-
-
 def boundary_loss(b: ProbVolume, target: BinaryVolume, literal: bool = False) -> LossReport:
     """Cross-entropy between the boundary probability map and static edges.
 
@@ -154,7 +149,7 @@ def boundary_loss(b: ProbVolume, target: BinaryVolume, literal: bool = False) ->
     """
     if b.channels != 1:
         raise ShapeMismatchError("boundary prediction must have one channel")
-    _require_same_shape(b.shape, target.shape, "boundary loss shapes")
+    _check_same_grid(b, target, "boundary prediction and target")
     raw = b.data[..., 0]
     x = np.clip(raw, _CLAMP_LO, _CLAMP_HI)
     t = target.data.astype(np.float64)
@@ -178,9 +173,9 @@ def partial_ce(probs: ProbVolume, pl: PseudoLabels) -> LossReport:
 
     Raises:
         NoConfidentVoxelsError: when the confidence mask is empty.
-        ShapeMismatchError: shape or class-count disagreement.
+        ShapeMismatchError: grid or class-count disagreement.
     """
-    _require_same_shape(probs.shape, pl.mask.shape, "partial CE shapes")
+    _check_same_grid(probs, pl.mask, "probabilities and pseudo labels")
     if probs.channels != pl.mask.num_classes:
         raise ShapeMismatchError(
             f"{probs.channels} channels vs {pl.mask.num_classes} classes"
@@ -245,10 +240,8 @@ def active_boundary_loss(
     gradient is the exact adjoint of the forward-difference operator. The
     background channel's gradient is zero.
     """
-    _require_same_shape(probs.shape, image.shape, "active boundary shapes")
-    v = image.data.astype(np.float64)
-    lo, hi = v.min(), v.max()
-    v = (v - lo) / (hi - lo) if hi > lo else np.zeros_like(v)
+    _check_same_grid(probs, image, "probabilities and image")
+    v = _normalize(image.data)
     total = 0.0
     grad = np.zeros_like(probs.data)
     for c in range(1, probs.channels):
@@ -276,8 +269,11 @@ def total_loss(
     Gradients compose by linearity: the boundary gradient is scaled by
     beta1; the final-mask gradient is the partial CE gradient plus beta2
     times the active-boundary gradient. The per-term breakdown echoes the
-    weights in effect.
+    weights in effect. Every input must lie on ``image``'s grid.
     """
+    for name, vol in zip(("boundary", "static_edges", "probs_init", "probs_final", "pl.mask"),
+                         (boundary, static_edges, probs_init, probs_final, pl.mask)):
+        _check_same_grid(vol, image, f"{name} and image")
     # the largest transient first, while no other term's gradient is held
     abl = active_boundary_loss(probs_final, image, ab)
     bry = boundary_loss(boundary, static_edges, literal=literal_boundary)

@@ -15,8 +15,7 @@ from typing import Dict, List, Optional
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
-from .errors import ShapeMismatchError
-from .volume_io import LabelVolume
+from .volume_io import LabelVolume, _check_same_grid
 
 __all__ = [
     "ClassMetrics",
@@ -62,20 +61,11 @@ class MetricsReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-def _class_mask(vol: LabelVolume, c: int) -> np.ndarray:
-    return vol.data == c
-
-
-def _check_shapes(pred: LabelVolume, gt: LabelVolume):
-    if pred.shape != gt.shape:
-        raise ShapeMismatchError(f"pred {pred.shape} vs gt {gt.shape}")
-
-
 def dice(pred: LabelVolume, gt: LabelVolume, c: int) -> float:
     """Dice overlap 2|P n G| / (|P| + |G|); 1.0 when both sets are empty."""
-    _check_shapes(pred, gt)
-    p = _class_mask(pred, c)
-    g = _class_mask(gt, c)
+    _check_same_grid(pred, gt, "prediction and ground truth")
+    p = pred.data == c
+    g = gt.data == c
     denom = int(p.sum()) + int(g.sum())
     if denom == 0:
         return 1.0
@@ -84,12 +74,12 @@ def dice(pred: LabelVolume, gt: LabelVolume, c: int) -> float:
 
 def precision(pred: LabelVolume, gt: LabelVolume, c: int) -> Optional[float]:
     """TP / (TP + FP); ``None`` when the prediction for class c is empty."""
-    _check_shapes(pred, gt)
-    p = _class_mask(pred, c)
+    _check_same_grid(pred, gt, "prediction and ground truth")
+    p = pred.data == c
     n_pred = int(p.sum())
     if n_pred == 0:
         return None
-    tp = int(np.logical_and(p, _class_mask(gt, c)).sum())
+    tp = int(np.logical_and(p, gt.data == c).sum())
     return tp / n_pred
 
 
@@ -113,9 +103,9 @@ def hd95(pred: LabelVolume, gt: LabelVolume, c: int) -> Optional[float]:
     Returns ``None`` when either class-c region is empty. Distances come
     from an exact Euclidean distance transform with anisotropic sampling.
     """
-    _check_shapes(pred, gt)
-    p = _class_mask(pred, c)
-    g = _class_mask(gt, c)
+    _check_same_grid(pred, gt, "prediction and ground truth")
+    p = pred.data == c
+    g = gt.data == c
     if not p.any() or not g.any():
         return None
     bp = boundary_voxels(p)
@@ -135,7 +125,7 @@ def evaluate(pred: LabelVolume, gt: LabelVolume) -> MetricsReport:
     Undefined entries (empty regions) are excluded from the means and
     listed under ``undefined``.
     """
-    _check_shapes(pred, gt)
+    _check_same_grid(pred, gt, "prediction and ground truth")
     num_classes = max(pred.num_classes, gt.num_classes)
     per_class: List[ClassMetrics] = []
     undefined: List[Dict[str, object]] = []

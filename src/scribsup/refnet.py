@@ -334,23 +334,15 @@ def _maxpool(x, factor):
     return x.reshape(c, sx // fx, fx, sy // fy, fy, sz // fz, fz).max(axis=(2, 4, 6))
 
 
-def _lin_weights(n_src: int, n_dst: int):
-    scale = n_src / n_dst
-    src = (np.arange(n_dst) + 0.5) * scale - 0.5
+def _interp_matrix(n_src: int, n_dst: int) -> np.ndarray:
+    """(n_dst, n_src) linear-interpolation matrix: half-pixel centres, clamped borders."""
+    src = (np.arange(n_dst) + 0.5) * (n_src / n_dst) - 0.5
     i0 = np.floor(src).astype(np.int64)
     w1 = (src - i0).astype(np.float32)
-    i0c = np.clip(i0, 0, n_src - 1)
-    i1c = np.clip(i0 + 1, 0, n_src - 1)
-    return i0c, i1c, w1
-
-
-def _interp_matrix(n_src: int, n_dst: int) -> np.ndarray:
-    """(n_dst, n_src) linear-interpolation matrix built from _lin_weights."""
-    i0, i1, w1 = _lin_weights(n_src, n_dst)
     m = np.zeros((n_dst, n_src), dtype=np.float32)
     rows = np.arange(n_dst)
-    np.add.at(m, (rows, i0), 1.0 - w1)
-    np.add.at(m, (rows, i1), w1)
+    np.add.at(m, (rows, np.clip(i0, 0, n_src - 1)), 1.0 - w1)
+    np.add.at(m, (rows, np.clip(i0 + 1, 0, n_src - 1)), w1)
     return m
 
 

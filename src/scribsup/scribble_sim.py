@@ -15,7 +15,7 @@ import numpy as np
 from scipy.ndimage import binary_dilation, binary_erosion, generate_binary_structure
 
 from .errors import EmptyForegroundError
-from .volume_io import LabelVolume, _check_integers, _check_spacing, _freeze
+from .volume_io import LabelVolume, _check_integers, _check_same_grid, _check_spacing, _freeze
 
 __all__ = [
     "ScribbleSet",
@@ -232,8 +232,7 @@ def simulate_background_scribble(gt: LabelVolume, margin_vox: int = 10) -> Scrib
 
 def merge_scribbles(a: ScribbleSet, b: ScribbleSet) -> ScribbleSet:
     """Union two scribble sets on the same grid (shape and spacing)."""
-    if (a.shape, a.spacing) != (b.shape, b.spacing):
-        raise ValueError("scribble sets live on different grids")
+    _check_same_grid(a, b, "scribble sets")
     return ScribbleSet(
         np.concatenate([a.indices, b.indices]),
         np.concatenate([a.classes, b.classes]),

@@ -31,7 +31,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import KTooLargeError
-from .volume_io import Volume, _check_integers, _check_spacing, _freeze
+from .volume_io import Volume, _check_integers, _check_spacing, _freeze, _normalize
 
 __all__ = ["SupervoxelMap", "SlicParams", "slic3d", "enforce_connectivity"]
 
@@ -79,14 +79,6 @@ class SlicParams:
             raise ValueError("compactness must be positive")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-
-
-def _normalize(data: np.ndarray) -> np.ndarray:
-    data = data.astype(np.float64)
-    lo, hi = float(data.min()), float(data.max())
-    if hi <= lo:
-        return np.zeros_like(data)
-    return (data - lo) / (hi - lo)
 
 
 def _gradient_magnitude(intensity: np.ndarray, spacing) -> np.ndarray:

@@ -11,7 +11,8 @@ rejected rather than ignored, and so is a ``bitpix`` that does not match
 is read as 3D.
 
 The container constructors are the one place that decides which values and
-which spacing a grid may hold; the reader passes the payload straight to the
+which spacing a grid may hold, and ``_check_same_grid`` the one place that
+decides whether two grids match. The reader passes the payload straight to the
 requested container and raises ``UnsupportedDatatypeError``, naming the file,
 when the container refuses it.
 """
@@ -26,6 +27,7 @@ import numpy as np
 
 from .errors import (
     MalformedHeaderError,
+    ShapeMismatchError,
     TruncatedDataError,
     UnsupportedDatatypeError,
     UnsupportedScalingError,
@@ -136,6 +138,22 @@ def _check_integers(data, limit, what: str, dtype) -> np.ndarray:
             f"{what} must be below {limit} and at most {top}, got {int(data[over].max())}"
         )
     return data.astype(dtype, copy=False)
+
+
+def _check_same_grid(a, b, what: str) -> None:
+    """The one grid rule: ``a`` and ``b`` (named by ``what``) share shape and spacing exactly."""
+    if (a.shape, a.spacing) != (b.shape, b.spacing):
+        raise ShapeMismatchError(f"{what} lie on different grids: {a.shape} at {a.spacing} mm "
+                                 f"vs {b.shape} at {b.spacing} mm")
+
+
+def _normalize(data: np.ndarray) -> np.ndarray:
+    """Min-max scale ``data`` to [0, 1] in float64; a constant volume maps to zeros."""
+    data = data.astype(np.float64)
+    lo, hi = float(data.min()), float(data.max())
+    if hi <= lo:
+        return np.zeros_like(data)
+    return (data - lo) / (hi - lo)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

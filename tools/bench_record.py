@@ -10,9 +10,10 @@ Each pair runs ``perfbench/run.py`` (seed 0, ``--trace 0``, the run length of
 checkout and once in this one. The side that goes first flips from pair to
 pair, so host drift falls on both. The file keeps every run's
 ``correct``/``failed`` flags and end-to-end metrics, the per-side medians, the
-change/parent ratio of those medians, each side's commit and ``src/`` digest,
-and the host note that ``perfbench`` writes to ``.perfbench_out/``. Needs only
-the standard library; ``perfbench`` itself needs numpy, scipy and click.
+change/parent ratio of those medians, each side's commit, ``src/`` digest and
+``src/`` line count, and the host note that ``perfbench`` writes to
+``.perfbench_out/``. Needs only the standard library; ``perfbench`` itself
+needs numpy, scipy and click.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ SEED = 0
 
 
 def describe(checkout: Path) -> dict:
-    """The checkout's commit (``-dirty`` for uncommitted edits) and a digest of ``src/``."""
+    """The checkout's commit (``-dirty`` for uncommitted edits), a digest of ``src/`` and its
+    line count (newlines over ``src/**/*.py``, as ``wc -l`` counts them)."""
     try:
         commit = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--abbrev=40"],
@@ -37,10 +39,12 @@ def describe(checkout: Path) -> dict:
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         commit = "unknown"
-    digest = hashlib.sha256()
+    digest, lines = hashlib.sha256(), 0
     for path in sorted((checkout / "src").rglob("*.py")):
-        digest.update(str(path.relative_to(checkout)).encode() + b"\0" + path.read_bytes())
-    return {"commit": commit, "src_sha256": digest.hexdigest()}
+        data = path.read_bytes()
+        digest.update(str(path.relative_to(checkout)).encode() + b"\0" + data)
+        lines += data.count(b"\n")
+    return {"commit": commit, "src_sha256": digest.hexdigest(), "src_lines": lines}
 
 
 def run_once(checkout: Path, workload: str, seconds: float):
