@@ -22,10 +22,10 @@ import click
 import numpy as np
 
 from . import label_propagation, losses, metrics, refnet, scribble_sim, supervoxel
-from .errors import InvalidConfigError, ScribsupError
+from .errors import InvalidConfigError, ScribsupError, UnsupportedDatatypeError
 from .volume_io import (
-    DT_INT16, BinaryVolume, LabelVolume, Volume, _check_same_grid, crop_or_pad, read_nifti,
-    write_nifti,
+    BinaryVolume, LabelVolume, ProbVolume, PseudoLabels, Volume, _check_same_grid, crop_or_pad,
+    read_nifti, write_nifti,
 )
 
 _MAX_INT16_ID = 32767
@@ -104,12 +104,14 @@ def _slic_params(image: Volume, k, compactness: float, iterations: int) -> super
     return supervoxel.SlicParams(k, compactness, iterations)
 
 
-def _slic(image: Volume, params: supervoxel.SlicParams):
-    """Supervoxels and their int16 ID map; connectivity may still add fragments beyond ``k``."""
-    sv = supervoxel.slic3d(image, params)
-    if sv.count > _MAX_INT16_ID:
-        raise ScribsupError(f"{sv.count} supervoxels exceed the int16 NIfTI limit ({_MAX_INT16_ID})")
-    return sv, LabelVolume(sv.ids, sv.spacing, max(2, sv.count), DT_INT16)
+def _read_edge_probs(path, image: Volume, image_path) -> Volume:
+    """A precomputed edge volume on the image grid, held to ProbVolume's value rule."""
+    edges = _read_on_grid(path, "image", image, image_path)
+    try:
+        ProbVolume(edges.data[..., None], edges.spacing)
+    except ValueError as exc:
+        raise UnsupportedDatatypeError(f"{path}: edge {exc}") from exc
+    return edges
 
 
 def _edges(image: Volume, threshold: float, precomputed: Volume | None = None) -> BinaryVolume:
@@ -163,8 +165,8 @@ def slic_cmd(input_path, k, compactness, iters, output):
     """Cluster a volume into supervoxels and write the ID map (int16)."""
     with stage("slic"):
         image = read_nifti(input_path, kind="image")
-        sv, ids = _slic(image, _slic_params(image, k, compactness, iters))
-        write_nifti(ids, output)
+        sv = supervoxel.slic3d(image, _slic_params(image, k, compactness, iters))
+        write_nifti(sv, output)
         click.echo(f"wrote {sv.count} supervoxels to {output}")
 
 
@@ -210,7 +212,7 @@ def edges_cmd(input_path, threshold, output, precomputed):
     """Compute the static boundary volume (stacked per-slice 2D edges)."""
     with stage("edges"):
         image = read_nifti(input_path, kind="image")
-        pre = _read_on_grid(precomputed, "image", image, input_path) if precomputed else None
+        pre = _read_edge_probs(precomputed, image, input_path) if precomputed else None
         edge_vol = _edges(image, threshold, pre)
         write_nifti(edge_vol, output)
         click.echo(f"edge voxels: {int(edge_vol.data.sum())}")
@@ -261,14 +263,14 @@ def loss_cmd(pred_init, pred_final, boundary_pred, pseudo, conf, edges_path, ima
             return _read_on_grid(path, kind, image, image_path)
 
         probs_init, probs_final = (  # one file per class channel
-            losses.ProbVolume(np.stack([on_grid(p).data for p in paths], axis=-1), image.spacing)
+            ProbVolume(np.stack([on_grid(p).data for p in paths], axis=-1), image.spacing)
             for paths in (pred_init, pred_final)
         )
-        boundary = losses.ProbVolume(on_grid(boundary_pred).data[..., None], image.spacing)
+        boundary = ProbVolume(on_grid(boundary_pred).data[..., None], image.spacing)
         mask = on_grid(pseudo, "labels")
         if mask.num_classes != probs_init.channels:
             mask = LabelVolume(mask.data, mask.spacing, probs_init.channels)
-        pl = label_propagation.PseudoLabels(mask, on_grid(conf, "binary"))
+        pl = PseudoLabels(mask, on_grid(conf, "binary"))
         static_edges = on_grid(edges_path, "binary")
         report = losses.total_loss(
             boundary, static_edges, probs_init, probs_final, pl, image,
@@ -362,10 +364,12 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
     with stage("read"):
         image = read_nifti(cfg["image"], kind="image")
         slic_params = _slic_params(image, **cfg["slic"])  # bad settings fail before any compute
-        gt, scribble_vol, edges_in = (
-            _read_on_grid(cfg[key], kind, image, cfg["image"]) if cfg[key] else None
-            for key, kind in (("gt", "labels"), ("scribbles", "labels"), ("edges_input", "image"))
+        gt, scribble_vol = (
+            _read_on_grid(cfg[key], "labels", image, cfg["image"]) if cfg[key] else None
+            for key in ("gt", "scribbles")
         )
+        edges_in = (_read_edge_probs(cfg["edges_input"], image, cfg["image"])
+                    if cfg["edges_input"] else None)
 
     with stage("scribbles"):
         if scribble_vol is not None:
@@ -375,8 +379,8 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
             write(scribble_sim.scribbles_to_label_volume(scribbles), "scribbles")
 
     with stage("slic"):
-        sv, ids = _slic(image, slic_params)
-        write(ids, "supervoxels")
+        sv = supervoxel.slic3d(image, slic_params)
+        write(sv, "supervoxels")
 
     with stage("propagate"):
         pl = label_propagation.propagate(scribbles, sv)
@@ -400,7 +404,7 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
             def crop(vol):
                 return crop_or_pad(vol, patch_shape, origin="center")
 
-            pl_patch = label_propagation.PseudoLabels(crop(pl.mask), crop(pl.confident))
+            pl_patch = PseudoLabels(crop(pl.mask), crop(pl.confident))
             report = losses.total_loss(
                 outputs.boundary, crop(edge_vol), outputs.mask_init, outputs.mask_final,
                 pl_patch, patch, ab=ab, weights=weights,

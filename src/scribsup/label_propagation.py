@@ -10,30 +10,16 @@ binary volume that never changes during training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .scribble_sim import ScribbleSet
-from .supervoxel import SupervoxelMap
-from .volume_io import BinaryVolume, LabelVolume, Volume, _check_same_grid
+from .volume_io import BinaryVolume, LabelVolume, PseudoLabels, ScribbleSet, SupervoxelMap, Volume
+from .volume_io import _check_same_grid, _normalize
 
 __all__ = ["PseudoLabels", "propagate", "static_boundary"]
 
 # tan(22.5 deg) and tan(67.5 deg): direction quantization bounds for NMS.
 _TAN_LO = 0.4142135623730951
 _TAN_HI = 2.414213562373095
-
-
-@dataclass(frozen=True)
-class PseudoLabels:
-    """Dense pseudo mask plus the unique-label confidence mask."""
-
-    mask: LabelVolume
-    confident: BinaryVolume
-
-    def __post_init__(self):
-        _check_same_grid(self.mask, self.confident, "pseudo mask and confidence")
 
 
 def propagate(scribbles: ScribbleSet, sv: SupervoxelMap) -> PseudoLabels:
@@ -75,11 +61,7 @@ def _slice_edges(img: np.ndarray, threshold: float) -> np.ndarray:
     pad = np.pad(img.astype(np.float64), 1, mode="edge")
     gx = (pad[2:, 1:-1] - pad[:-2, 1:-1]) / 2.0
     gy = (pad[1:-1, 2:] - pad[1:-1, :-2]) / 2.0
-    mag = np.sqrt(gx * gx + gy * gy)
-    lo, hi = mag.min(), mag.max()
-    if hi <= lo:
-        return np.zeros(img.shape, dtype=bool)
-    mag = (mag - lo) / (hi - lo)
+    mag = _normalize(np.sqrt(gx * gx + gy * gy))  # a flat slice gives zeros, hence no edges
 
     # folded to gx >= 0, a diagonal (gx, gy both nonzero) points up iff the signs agree
     ax_abs = np.abs(gx)

@@ -19,13 +19,12 @@ physical integrals weighted by the voxel volume in mm^3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
 from .errors import NoConfidentVoxelsError, ShapeMismatchError
-from .label_propagation import PseudoLabels
-from .volume_io import BinaryVolume, Volume, _check_same_grid, _check_spacing, _freeze, _normalize
+from .volume_io import BinaryVolume, ProbVolume, PseudoLabels, Volume, _check_same_grid, _normalize
 
 __all__ = [
     "ProbVolume",
@@ -41,47 +40,6 @@ __all__ = [
 
 _CLAMP_LO = 1e-7
 _CLAMP_HI = 1.0 - 1e-7
-# Slack on the per-voxel channel-sum check; loose enough that finite
-# difference probes (step 1e-5) still construct valid instances.
-_SUM_ATOL = 5e-5
-
-
-@dataclass(frozen=True)
-class ProbVolume:
-    """Per-voxel per-class probabilities, shape (nx, ny, nz, channels).
-
-    Multi-channel volumes must sum to 1 per voxel (softmax outputs);
-    single-channel volumes are independent probability maps (sigmoid
-    outputs) and skip the sum constraint.
-    """
-
-    data: np.ndarray
-    spacing: Tuple[float, float, float]
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 4:
-            raise ValueError("probability data must be (nx, ny, nz, channels)")
-        if data.size:
-            lo, hi = data.min(), data.max()  # NaN if any entry is NaN, which fails both tests
-            if not (lo >= -_SUM_ATOL and hi <= 1.0 + _SUM_ATOL):
-                raise ValueError("probabilities must lie in [0, 1]")
-            if data.shape[3] >= 2:
-                sums = data.sum(axis=3)
-                if np.abs(sums - 1.0).max() > _SUM_ATOL:
-                    raise ValueError("per-voxel channel sums must equal 1")
-        object.__setattr__(self, "data", _freeze(data))
-        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        return self.data.shape[:3]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[3]
-
-
 @dataclass(frozen=True)
 class AbParams:
     """Active-boundary weights: lambda1 (inside), lambda2 (outside), epsilon."""

@@ -26,8 +26,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import BadPatchShapeError, InvalidConfigError
-from .losses import ProbVolume
-from .volume_io import Volume
+from .volume_io import ProbVolume, Volume
 
 __all__ = [
     "NetConfig",

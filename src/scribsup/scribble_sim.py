@@ -8,14 +8,11 @@ Chebyshev margin around the per-slice foreground.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 from scipy.ndimage import binary_dilation, binary_erosion, generate_binary_structure
 
 from .errors import EmptyForegroundError
-from .volume_io import LabelVolume, _check_integers, _check_same_grid, _check_spacing, _freeze
+from .volume_io import LabelVolume, ScribbleSet, _check_same_grid
 
 __all__ = [
     "ScribbleSet",
@@ -31,45 +28,6 @@ __all__ = [
 SCRIBBLE_SENTINEL = 255
 
 _SQUARE3 = np.ones((3, 3), dtype=bool)
-
-
-@dataclass(frozen=True)
-class ScribbleSet:
-    """Sparse (voxel index, class ID) annotations on a host grid.
-
-    ``indices`` is (K, 3) int; ``classes`` is (K,). A voxel index may not
-    appear twice with conflicting classes.
-    """
-
-    indices: np.ndarray
-    classes: np.ndarray
-    num_classes: int
-    shape: Tuple[int, int, int]
-    spacing: Tuple[float, float, float]
-
-    def __post_init__(self):
-        shape = tuple(int(n) for n in self.shape)
-        idx = np.asarray(self.indices).reshape(-1, 3)
-        idx = _check_integers(idx, np.asarray(shape), "scribble indices", np.int64)
-        cls = np.reshape(self.classes, -1)
-        cls = _check_integers(cls, self.num_classes, "scribble classes", np.uint16)
-        if len(idx) != len(cls):
-            raise ValueError("indices and classes length mismatch")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be at least 2")
-        flat = idx[:, 0] * shape[1] * shape[2] + idx[:, 1] * shape[2] + idx[:, 2]
-        order = np.argsort(flat, kind="stable")
-        f, c = flat[order], cls[order]
-        dup = f[1:] == f[:-1]
-        if dup.any() and (c[1:][dup] != c[:-1][dup]).any():
-            raise ValueError("conflicting classes at a shared voxel")
-        object.__setattr__(self, "indices", _freeze(idx))
-        object.__setattr__(self, "classes", _freeze(cls))
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
-
-    def __len__(self) -> int:
-        return len(self.classes)
 
 
 def _closing8(mask: np.ndarray) -> np.ndarray:

@@ -31,37 +31,9 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import KTooLargeError
-from .volume_io import Volume, _check_integers, _check_spacing, _freeze, _normalize
+from .volume_io import SupervoxelMap, Volume, _normalize
 
 __all__ = ["SupervoxelMap", "SlicParams", "slic3d", "enforce_connectivity"]
-
-
-@dataclass(frozen=True)
-class SupervoxelMap:
-    """Per-voxel supervoxel IDs forming a partition of the volume.
-
-    IDs are contiguous in ``0..count-1`` and each occurs at least once.
-    """
-
-    ids: np.ndarray
-    spacing: Tuple[float, float, float]
-    count: int
-
-    def __post_init__(self):
-        ids = np.asarray(self.ids)
-        if ids.ndim != 3:
-            raise ValueError("supervoxel ids must be 3D")
-        ids = _check_integers(ids, self.count, "supervoxel ids", np.int32)
-        if ids.size:
-            present = np.bincount(ids.ravel(), minlength=self.count)
-            if (present == 0).any():
-                raise ValueError("every supervoxel id must occur at least once")
-        object.__setattr__(self, "ids", _freeze(ids))
-        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        return self.ids.shape
 
 
 @dataclass(frozen=True)
@@ -222,18 +194,13 @@ def _slic_state(vol: Volume, params: SlicParams):
     centers_pos = seed_idx.astype(np.float64) * spacing[None, :]
     centers_int = intensity[seed_idx[:, 0], seed_idx[:, 1], seed_idx[:, 2]].copy()
 
-    flat_coords = [coords_mm[a] for a in range(3)]
+    axis_mm = [g.ravel() for g in np.meshgrid(*coords_mm, indexing="ij")]  # centre-sum weights
     for _ in range(params.iterations):
         labels, _ = _assign(intensity, coords_mm, centers_pos, centers_int, step, params.compactness)
         flat = labels.ravel()
         counts = np.bincount(flat, minlength=len(centers_pos)).astype(np.float64)
-        sums = np.zeros_like(centers_pos)
-        for axis in range(3):
-            axis_mm = np.broadcast_to(
-                flat_coords[axis].reshape([-1 if a == axis else 1 for a in range(3)]),
-                shape,
-            ).ravel()
-            sums[:, axis] = np.bincount(flat, weights=axis_mm, minlength=len(centers_pos))
+        sums = np.stack([np.bincount(flat, weights=w, minlength=len(centers_pos)) for w in axis_mm],
+                        axis=1)
         int_sums = np.bincount(flat, weights=intensity.ravel(), minlength=len(centers_pos))
         nonempty = counts > 0
         new_pos = centers_pos.copy()
@@ -263,8 +230,7 @@ def slic3d(vol: Volume, params: SlicParams) -> SupervoxelMap:
         KTooLargeError: when ``params.k`` exceeds the voxel count.
     """
     labels, _, _, step = _slic_state(vol, params)
-    voxel_mm3 = vol.spacing[0] * vol.spacing[1] * vol.spacing[2]
-    min_size = (step ** 3) / 4.0 / voxel_mm3
+    min_size = (step ** 3) / 4.0 / vol.voxel_volume_mm3
     raw = _compact_ids(labels)
     return enforce_connectivity(
         SupervoxelMap(raw, vol.spacing, int(raw.max()) + 1), min_size_voxels=min_size

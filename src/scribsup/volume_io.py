@@ -1,4 +1,4 @@
-"""Volume containers and a minimal NIfTI-1 reader/writer.
+"""Every grid container of the toolkit and a minimal NIfTI-1 reader/writer.
 
 All grids are indexed ``[x, y, z]`` with x varying fastest in the serialized
 byte stream, matching the NIfTI voxel order. Spacing is physical, in
@@ -10,11 +10,11 @@ rejected rather than ignored, and so is a ``bitpix`` that does not match
 ``datatype``. A header with ``dim[0]=4`` and a singleton fourth dimension
 is read as 3D.
 
-The container constructors are the one place that decides which values and
-which spacing a grid may hold, and ``_check_same_grid`` the one place that
-decides whether two grids match. The reader passes the payload straight to the
-requested container and raises ``UnsupportedDatatypeError``, naming the file,
-when the container refuses it.
+Every grid container lives here, and its constructor is the one place that
+decides which values and which spacing a grid may hold; ``_check_same_grid``
+is the one place that decides whether two grids match. The reader passes the
+payload straight to the requested container and raises
+``UnsupportedDatatypeError``, naming the file, when the container refuses it.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "LabelVolume",
     "BinaryVolume",
     "AnyVolume",
+    "ProbVolume", "SupervoxelMap", "ScribbleSet", "PseudoLabels",
     "read_nifti",
     "write_nifti",
     "crop_or_pad",
@@ -249,6 +250,125 @@ class BinaryVolume:
 AnyVolume = Union[Volume, LabelVolume, BinaryVolume]
 
 
+# Slack on the per-voxel channel-sum check; loose enough that finite
+# difference probes (step 1e-5) still construct valid instances.
+_SUM_ATOL = 5e-5
+
+
+@dataclass(frozen=True)
+class ProbVolume:
+    """Per-voxel per-class probabilities, shape (nx, ny, nz, channels).
+
+    Multi-channel volumes must sum to 1 per voxel (softmax outputs);
+    single-channel volumes are independent probability maps (sigmoid
+    outputs) and skip the sum constraint.
+    """
+
+    data: np.ndarray
+    spacing: Tuple[float, float, float]
+
+    def __post_init__(self):
+        data = np.asarray(self.data, dtype=np.float64)
+        if data.ndim != 4:
+            raise ValueError("probability data must be (nx, ny, nz, channels)")
+        if data.size:
+            lo, hi = data.min(), data.max()  # NaN if any entry is NaN, which fails both tests
+            if not (lo >= -_SUM_ATOL and hi <= 1.0 + _SUM_ATOL):
+                raise ValueError("probabilities must lie in [0, 1]")
+            if data.shape[3] >= 2:
+                sums = data.sum(axis=3)
+                if np.abs(sums - 1.0).max() > _SUM_ATOL:
+                    raise ValueError("per-voxel channel sums must equal 1")
+        object.__setattr__(self, "data", _freeze(data))
+        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
+
+    @property
+    def shape(self) -> Tuple[int, int, int]:
+        return self.data.shape[:3]
+
+    @property
+    def channels(self) -> int:
+        return self.data.shape[3]
+
+
+@dataclass(frozen=True)
+class SupervoxelMap:
+    """Per-voxel supervoxel IDs forming a partition of the volume.
+
+    IDs are contiguous in ``0..count-1`` and each occurs at least once.
+    """
+
+    ids: np.ndarray
+    spacing: Tuple[float, float, float]
+    count: int
+
+    def __post_init__(self):
+        ids = np.asarray(self.ids)
+        if ids.ndim != 3:
+            raise ValueError("supervoxel ids must be 3D")
+        ids = _check_integers(ids, self.count, "supervoxel ids", np.int32)
+        if ids.size:
+            present = np.bincount(ids.ravel(), minlength=self.count)
+            if (present == 0).any():
+                raise ValueError("every supervoxel id must occur at least once")
+        object.__setattr__(self, "ids", _freeze(ids))
+        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
+
+    @property
+    def shape(self) -> Tuple[int, int, int]:
+        return self.ids.shape
+
+
+@dataclass(frozen=True)
+class ScribbleSet:
+    """Sparse (voxel index, class ID) annotations on a host grid.
+
+    ``indices`` is (K, 3) int; ``classes`` is (K,). A voxel index may not
+    appear twice with conflicting classes.
+    """
+
+    indices: np.ndarray
+    classes: np.ndarray
+    num_classes: int
+    shape: Tuple[int, int, int]
+    spacing: Tuple[float, float, float]
+
+    def __post_init__(self):
+        shape = tuple(int(n) for n in self.shape)
+        idx = np.asarray(self.indices).reshape(-1, 3)
+        idx = _check_integers(idx, np.asarray(shape), "scribble indices", np.int64)
+        cls = np.reshape(self.classes, -1)
+        cls = _check_integers(cls, self.num_classes, "scribble classes", np.uint16)
+        if len(idx) != len(cls):
+            raise ValueError("indices and classes length mismatch")
+        if self.num_classes < 2:
+            raise ValueError("num_classes must be at least 2")
+        flat = idx[:, 0] * shape[1] * shape[2] + idx[:, 1] * shape[2] + idx[:, 2]
+        order = np.argsort(flat, kind="stable")
+        f, c = flat[order], cls[order]
+        dup = f[1:] == f[:-1]
+        if dup.any() and (c[1:][dup] != c[:-1][dup]).any():
+            raise ValueError("conflicting classes at a shared voxel")
+        object.__setattr__(self, "indices", _freeze(idx))
+        object.__setattr__(self, "classes", _freeze(cls))
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
+
+    def __len__(self) -> int:
+        return len(self.classes)
+
+
+@dataclass(frozen=True)
+class PseudoLabels:
+    """Dense pseudo mask plus the unique-label confidence mask."""
+
+    mask: LabelVolume
+    confident: BinaryVolume
+
+    def __post_init__(self):
+        _check_same_grid(self.mask, self.confident, "pseudo mask and confidence")
+
+
 def _parse_header(raw: bytes, path: str):
     if len(raw) < _HEADER_SIZE:
         raise MalformedHeaderError(f"{path}: file shorter than a NIfTI-1 header")
@@ -334,31 +454,33 @@ def read_nifti(path, kind: str = "auto") -> AnyVolume:
         raise UnsupportedDatatypeError(f"{path}: {exc}") from exc
 
 
-def _storage_code(vol: AnyVolume) -> int:
+def _storage_code(vol) -> int:
     if isinstance(vol, Volume):
         return DT_FLOAT32
     if isinstance(vol, BinaryVolume):
         return DT_UINT8
-    if isinstance(vol, LabelVolume):
+    if isinstance(vol, SupervoxelMap):  # IDs run 0..count-1
+        peak, code = vol.count - 1, DT_INT16
+    elif isinstance(vol, LabelVolume):
         peak = int(vol.data.max()) if vol.data.size else 0
         code = vol.storage_datatype or (DT_UINT8 if peak <= 255 else DT_INT16)
-        limit = 255 if code == DT_UINT8 else 32767
-        if peak > limit:
-            raise UnsupportedDatatypeError(
-                f"label value {peak} does not fit datatype code {code}"
-            )
-        return code
-    raise TypeError(f"cannot write object of type {type(vol).__name__}")
+    else:
+        raise TypeError(f"cannot write object of type {type(vol).__name__}")
+    if peak > np.iinfo(_DTYPES[code]).max:
+        raise UnsupportedDatatypeError(f"label value {peak} does not fit datatype code {code}")
+    return code
 
 
-def write_nifti(vol: AnyVolume, path) -> None:
+def write_nifti(vol: Union[AnyVolume, SupervoxelMap], path) -> None:
     """Write a volume as uncompressed NIfTI-1 (352-byte header + raw voxels).
 
-    Volume data is stored as float32, BinaryVolume as uint8, and LabelVolume
-    as uint8 or int16 (honoring ``storage_datatype`` when set). Output is
-    little-endian with x varying fastest.
+    Volume data is stored as float32, BinaryVolume as uint8, LabelVolume as
+    uint8 or int16 (honoring ``storage_datatype`` when set) and a
+    SupervoxelMap's IDs as int16; a value that does not fit fails before any
+    byte is written. Output is little-endian with x varying fastest.
     """
     code = _storage_code(vol)
+    data = vol.ids if isinstance(vol, SupervoxelMap) else vol.data
     dtype = _DTYPES[code]
     hdr = np.zeros((), dtype=_HEADER_DTYPE)
     hdr["sizeof_hdr"] = _HEADER_SIZE
@@ -370,7 +492,7 @@ def write_nifti(vol: AnyVolume, path) -> None:
     hdr["scl_slope"] = 1.0
     hdr["xyzt_units"] = 2  # millimeters
     hdr["magic"] = _MAGIC
-    payload = np.asarray(vol.data, dtype=dtype).tobytes(order="F")
+    payload = np.asarray(data, dtype=dtype).tobytes(order="F")
     tmp = f"{path}.tmp{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write(hdr.tobytes())

@@ -256,6 +256,56 @@ def test_precomputed_edges_threshold_must_lie_in_unit_interval(tmp_path, runner)
     assert info.value.stage == "config"
 
 
+def _write_intensities(tmp_path, shape):
+    """A float32 volume of raw intensities in [0, 1000], not edge probabilities."""
+    path = tmp_path / "intensities.nii"
+    data = np.random.default_rng(3).uniform(0.0, 1000.0, shape).astype(np.float32)
+    write_nifti(Volume(data, (1.0, 1.0, 4.0)), path)
+    return path
+
+
+def test_edges_command_refuses_precomputed_values_outside_unit_interval(tmp_path, runner):
+    img_path, _ = _phantom(tmp_path, shape=(16, 16, 4))
+    pre, out = _write_intensities(tmp_path, (16, 16, 4)), tmp_path / "e.nii"
+    result = runner.invoke(main, ["edges", "--input", str(img_path), "--edges", str(pre),
+                                  "--output", str(out)])
+    assert result.exit_code == 1
+    assert "error in stage 'edges'" in result.output and str(pre) in result.output
+    assert "probabilities must lie in [0, 1]" in result.output
+    assert not out.exists()
+
+
+def test_pipeline_refuses_precomputed_edge_values_in_read_before_any_compute(tmp_path, monkeypatch):
+    img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
+    pre = _write_intensities(tmp_path, (16, 16, 4))
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute ran before the edge volume was checked")
+
+    monkeypatch.setattr(supervoxel, "slic3d", no_compute)
+    monkeypatch.setattr(scribble_sim, "simulate_foreground_scribbles", no_compute)
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline({"image": str(img_path), "gt": str(gt_path), "edges_input": str(pre),
+                      "output_dir": str(tmp_path / "out")}, echo=lambda *_: None)
+    assert info.value.stage == "read"
+    assert isinstance(info.value.cause, ScribsupError)
+    assert str(pre) in str(info.value) and "probabilities must lie in [0, 1]" in str(info.value)
+
+
+def test_precomputed_edges_are_thresholded_as_float32(tmp_path, runner):
+    """float32(0.7) lies below the float64 0.7; the threshold compares in float32 and keeps it."""
+    img_path, _ = _phantom(tmp_path, shape=(8, 8, 2))
+    pre, out = tmp_path / "pre.nii", tmp_path / "edges.nii"
+    probs = np.zeros((8, 8, 2), dtype=np.float32)
+    probs[3, :, :] = 0.7
+    probs[5, :, :] = np.nextafter(np.float32(0.7), np.float32(0))
+    write_nifti(Volume(probs, (1.0, 1.0, 4.0)), pre)
+    result = runner.invoke(main, ["edges", "--input", str(img_path), "--edges", str(pre),
+                                  "--threshold", "0.7", "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    assert np.array_equal(read_nifti(out, kind="binary").data, (probs == probs[3, 0, 0]))
+
+
 @pytest.mark.parametrize("setting, cause", [
     ({"patch_shape": [24, 16, 4]}, BadPatchShapeError),
     ({"forward_base_filters": 0}, InvalidConfigError),
