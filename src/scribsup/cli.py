@@ -87,6 +87,15 @@ def _read_on_grid(path, kind: str, ref, ref_path):
     return vol
 
 
+@contextmanager
+def _refusal_names(path):
+    """Re-raise a container's refusal of the values read from ``path`` as an error naming it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UnsupportedDatatypeError(f"{path}: {exc}") from exc
+
+
 def _simulate_scribbles(gt: LabelVolume, margin: int, num_classes: int = 0):
     """Foreground skeletons plus the background ring; ``num_classes`` widens the set."""
     merged = scribble_sim.merge_scribbles(
@@ -107,10 +116,8 @@ def _slic_params(image: Volume, k, compactness: float, iterations: int) -> super
 def _read_edge_probs(path, image: Volume, image_path) -> Volume:
     """A precomputed edge volume on the image grid, held to ProbVolume's value rule."""
     edges = _read_on_grid(path, "image", image, image_path)
-    try:
+    with _refusal_names(path):
         ProbVolume(edges.data[..., None], edges.spacing)
-    except ValueError as exc:
-        raise UnsupportedDatatypeError(f"{path}: edge {exc}") from exc
     return edges
 
 
@@ -195,7 +202,8 @@ def propagate_cmd(scribbles_path, sv_path, classes, output_mask, output_conf):
         scribble_vol = read_nifti(scribbles_path, kind="labels")
         scribbles = scribble_sim.scribbles_from_label_volume(scribble_vol, classes)
         ids = _read_on_grid(sv_path, "labels", scribble_vol, scribbles_path)
-        sv = supervoxel.SupervoxelMap(ids.data, ids.spacing, int(ids.data.max()) + 1)
+        with _refusal_names(sv_path):
+            sv = supervoxel.SupervoxelMap(ids.data, ids.spacing, int(ids.data.max()) + 1)
         pl = label_propagation.propagate(scribbles, sv)
         write_nifti(pl.mask, output_mask)
         write_nifti(pl.confident, output_conf)
@@ -262,14 +270,16 @@ def loss_cmd(pred_init, pred_final, boundary_pred, pseudo, conf, edges_path, ima
         def on_grid(path, kind="image"):
             return _read_on_grid(path, kind, image, image_path)
 
-        probs_init, probs_final = (  # one file per class channel
-            ProbVolume(np.stack([on_grid(p).data for p in paths], axis=-1), image.spacing)
-            for paths in (pred_init, pred_final)
-        )
-        boundary = ProbVolume(on_grid(boundary_pred).data[..., None], image.spacing)
+        def probs(paths):  # one file per class channel
+            data = np.stack([on_grid(p).data for p in paths], axis=-1)
+            with _refusal_names(", ".join(map(str, paths))):
+                return ProbVolume(data, image.spacing)
+
+        probs_init, probs_final, boundary = map(probs, (pred_init, pred_final, (boundary_pred,)))
         mask = on_grid(pseudo, "labels")
         if mask.num_classes != probs_init.channels:
-            mask = LabelVolume(mask.data, mask.spacing, probs_init.channels)
+            with _refusal_names(pseudo):
+                mask = LabelVolume(mask.data, mask.spacing, probs_init.channels)
         pl = PseudoLabels(mask, on_grid(conf, "binary"))
         static_edges = on_grid(edges_path, "binary")
         report = losses.total_loss(

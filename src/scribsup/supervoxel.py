@@ -18,6 +18,10 @@ voxel whose best D² is already below m² needs no wider window. Only the
 remaining voxels are rechecked against the ±2S windows, which at the
 default compactness is almost none; voxels outside every ±2S window are
 compared with all centres.
+
+Sweeps run on z-major ``(z, x, y)`` arrays, so window rows run along y, not
+along the few z voxels of an anisotropic volume; the Lloyd update sums the
+voxels in ``[x, y, z]`` flat order, so no float result depends on the layout.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from itertools import product
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy import ndimage
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import KTooLargeError
 from .volume_io import SupervoxelMap, Volume, _normalize
@@ -106,9 +110,12 @@ def _sweep(intensity, coords_mm, centers_pos, centers_int, m2_over_s2, half, lab
            only=None):
     """Lower ``labels``/``best_d2`` over every centre's ±``half`` mm window, in place.
 
-    Centres go in ID order and a voxel moves only to a strictly smaller D²,
-    so ties keep the lowest ID. With ``only``, a centre whose window holds
-    no ``only`` voxel is skipped.
+    ``intensity``, ``labels``, ``best_d2`` and ``only`` are C-contiguous
+    ``(z, x, y)`` arrays; ``coords_mm`` and the centres are ``[x, y, z]``. The
+    spatial term is summed as ``(dx² + dy²) + dz²`` in any layout, since float
+    addition does not associate. Centres go in ID order and a voxel moves only
+    to a strictly smaller D², so ties keep the lowest ID. With ``only``, a
+    centre whose window holds no ``only`` voxel is skipped.
     """
     lo = np.stack([np.searchsorted(coords_mm[a], centers_pos[:, a] - half, side="left")
                    for a in range(3)], axis=1)
@@ -119,13 +126,16 @@ def _sweep(intensity, coords_mm, centers_pos, centers_int, m2_over_s2, half, lab
     size = int(extent[live].prod(axis=1).max(initial=0))
     d2_buf, int_buf, better_buf = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
     for cid in live:
-        sl = tuple(slice(lo[cid, a], hi[cid, a]) for a in range(3))
+        sx, sy, sz = (slice(lo[cid, a], hi[cid, a]) for a in range(3))
+        sl = (sz, sx, sy)
         if only is not None and not only[sl].any():
             continue
-        shape, n = tuple(extent[cid]), int(extent[cid].prod())
+        nx, ny, nz = extent[cid]
+        shape, n = (nz, nx, ny), int(nx * ny * nz)
         cpos = centers_pos[cid]
-        dx2, dy2, dz2 = ((coords_mm[a][sl[a]] - cpos[a]) ** 2 for a in range(3))
-        d2 = np.add(np.add.outer(dx2, dy2)[:, :, None], dz2, out=d2_buf[:n].reshape(shape))
+        dx2, dy2, dz2 = ((coords_mm[a][s] - cpos[a]) ** 2 for a, s in enumerate((sx, sy, sz)))
+        d2 = np.add(np.add.outer(dx2, dy2)[None], dz2[:, None, None],
+                    out=d2_buf[:n].reshape(shape))
         np.multiply(d2, m2_over_s2, out=d2)
         d_int = np.subtract(intensity[sl], centers_int[cid], out=int_buf[:n].reshape(shape))
         np.multiply(d_int, d_int, out=d_int)
@@ -145,18 +155,23 @@ def _assign(intensity, coords_mm, centers_pos, centers_int, step, compactness):
     at least m². Every voxel whose best D² is already below m² (less a
     margin for rounding) therefore holds its ±2S winner; only the others are
     reset and rerun through the ±2S windows.
+
+    ``intensity`` and the results are indexed ``[x, y, z]``; the transpose to
+    the sweeps' ``(z, x, y)`` layout copies nothing when ``intensity`` is a view
+    of a z-major array.
     """
-    shape = intensity.shape
-    best_d2 = np.full(shape, np.inf)
-    labels = np.full(shape, -1, dtype=np.int32)
+    zxy = np.ascontiguousarray(intensity.transpose(2, 0, 1))
+    best_d2 = np.full(zxy.shape, np.inf)
+    labels = np.full(zxy.shape, -1, dtype=np.int32)
     m2_over_s2 = (compactness / step) ** 2
-    args = (intensity, coords_mm, centers_pos, centers_int, m2_over_s2)
+    args = (zxy, coords_mm, centers_pos, centers_int, m2_over_s2)
     _sweep(*args, step, labels, best_d2)
     recheck = best_d2 >= compactness ** 2 * (1.0 - 1e-9)
     if recheck.any():
         labels[recheck] = -1
         best_d2[recheck] = np.inf
         _sweep(*args, 2.0 * step, labels, best_d2, only=recheck)
+    labels, best_d2 = labels.transpose(1, 2, 0), best_d2.transpose(1, 2, 0)
     # Voxels outside every search window fall back to a full comparison.
     if (labels < 0).any():
         miss = np.argwhere(labels < 0)
@@ -185,23 +200,28 @@ def _slic_state(vol: Volume, params: SlicParams):
     if params.k > nvox:
         raise KTooLargeError(f"k={params.k} exceeds voxel count {nvox}")
     intensity = _normalize(vol.data)
-    grad = _gradient_magnitude(intensity, vol.spacing)
     seeds_mm, step = _seed_grid(shape, vol.spacing, params.k)
-    seed_idx = _perturb_seeds(seeds_mm, grad, vol.spacing)
+    seed_idx = _perturb_seeds(seeds_mm, _gradient_magnitude(intensity, vol.spacing), vol.spacing)
 
     spacing = np.asarray(vol.spacing)
     coords_mm = tuple(np.arange(shape[a]) * spacing[a] for a in range(3))
     centers_pos = seed_idx.astype(np.float64) * spacing[None, :]
     centers_int = intensity[seed_idx[:, 0], seed_idx[:, 1], seed_idx[:, 2]].copy()
+    # [x, y, z] view of a z-major copy: every sweep runs on it without a transpose
+    intensity = np.ascontiguousarray(intensity.transpose(2, 0, 1)).transpose(1, 2, 0)
 
-    axis_mm = [g.ravel() for g in np.meshgrid(*coords_mm, indexing="ij")]  # centre-sum weights
+    axis_mm = np.meshgrid(*coords_mm, indexing="ij", sparse=True)  # centre-sum weights
+    n = len(centers_pos)
     for _ in range(params.iterations):
-        labels, _ = _assign(intensity, coords_mm, centers_pos, centers_int, step, params.compactness)
-        flat = labels.ravel()
-        counts = np.bincount(flat, minlength=len(centers_pos)).astype(np.float64)
-        sums = np.stack([np.bincount(flat, weights=w, minlength=len(centers_pos)) for w in axis_mm],
-                        axis=1)
-        int_sums = np.bincount(flat, weights=intensity.ravel(), minlength=len(centers_pos))
+        # bincount sums in flat order, so every centre sum walks the voxels in
+        # [x, y, z] order; each ravel copies its operand into that order.
+        flat = _assign(intensity, coords_mm, centers_pos, centers_int, step,
+                       params.compactness)[0].ravel()
+        counts = np.bincount(flat, minlength=n).astype(np.float64)
+        sums = np.stack([np.bincount(flat, weights=np.broadcast_to(w, shape).ravel(), minlength=n)
+                         for w in axis_mm], axis=1)
+        int_sums = np.bincount(flat, weights=intensity.ravel(), minlength=n)
+        del flat
         nonempty = counts > 0
         new_pos = centers_pos.copy()
         new_int = centers_int.copy()
@@ -211,7 +231,7 @@ def _slic_state(vol: Volume, params: SlicParams):
         centers_pos, centers_int = new_pos, new_int
         if moved == 0.0:
             break
-    labels, _ = _assign(intensity, coords_mm, centers_pos, centers_int, step, params.compactness)
+    labels = _assign(intensity, coords_mm, centers_pos, centers_int, step, params.compactness)[0]
     return labels, centers_pos, centers_int, step
 
 
@@ -261,17 +281,34 @@ def _graph(edges, n: int):
     return coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _equal_id_components(ids: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Label 6-connected components of constant-ID regions."""
-    # int32 face indices halve the edge lists wherever every index fits
-    dtype = np.int32 if ids.size <= np.iinfo(np.int32).max + 1 else np.int64
-    lin = np.arange(ids.size, dtype=dtype).reshape(ids.shape)
-    edges = []
-    for (a, b), (lin_a, lin_b) in zip(_face_pairs(ids), _face_pairs(lin)):
-        same = a == b
-        edges.append((lin_a[same], lin_b[same]))
-    ncomp, comp = connected_components(_graph(edges, ids.size), directed=False)
-    return comp.reshape(ids.shape), ncomp
+_FACES = ndimage.generate_binary_structure(3, 1)  # 6-connectivity
+
+
+def _equal_id_components(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """6-connected components of constant-ID regions, numbered by first voxel in scan order.
+
+    Each ID is labelled on its own bounding box, where ``ndimage.label``
+    numbers the components in the box's scan order, which is their order in
+    the volume's ``[x, y, z]`` scan. Returns the int32 component map and each
+    component's first flat index (ascending).
+    """
+    comp = np.empty(ids.shape, dtype=np.int32)
+    firsts, ncomp = [], 0
+    for i, box in enumerate(ndimage.find_objects(ids + 1)):
+        lab, n = ndimage.label(ids[box] == i, _FACES)
+        np.copyto(comp[box], lab + (ncomp - 1), where=lab > 0)
+        # labels first appear in increasing order, so the running maximum
+        # reaches each label at its component's first voxel
+        first = np.searchsorted(np.maximum.accumulate(lab.ravel()), np.arange(1, n + 1))
+        corner = [s.start for s in box]
+        firsts.append(np.ravel_multi_index(
+            tuple(c + o for c, o in zip(np.unravel_index(first, lab.shape), corner)), ids.shape))
+        ncomp += n
+    firsts = np.concatenate(firsts)
+    order = np.argsort(firsts)
+    rank = np.empty(ncomp, dtype=np.int32)
+    rank[order] = np.arange(ncomp, dtype=np.int32)
+    return rank[comp], firsts[order]
 
 
 def enforce_connectivity(
@@ -293,11 +330,10 @@ def enforce_connectivity(
     ids = svmap.ids
     if min_size_voxels is None:
         min_size_voxels = ids.size / (4.0 * svmap.count)
-    comp, ncomp = _equal_id_components(ids)
+    comp, first_voxel = _equal_id_components(ids)
+    ncomp = len(first_voxel)
     flat_comp = comp.ravel()
     comp_sizes = np.bincount(flat_comp, minlength=ncomp)
-    first_voxel = np.full(ncomp, ids.size, dtype=np.int64)
-    np.minimum.at(first_voxel, flat_comp, np.arange(ids.size, dtype=np.int64))
 
     # Largest component per original ID keeps it (ties: earliest in scan order).
     order = np.lexsort((first_voxel, -comp_sizes))

@@ -518,6 +518,57 @@ def test_propagate_supervoxels_at_another_spacing_are_rejected(tmp_path, runner)
     assert "error in stage 'propagate'" in result.output and str(sv) in result.output
 
 
+def test_propagate_names_a_supervoxel_file_with_a_missing_id(tmp_path, runner):
+    scrib, sv = tmp_path / "scrib.nii", tmp_path / "sv.nii"
+    labels = np.full((8, 8, 2), 255, dtype=np.uint16)
+    labels[2, 2, 0], labels[6, 6, 1] = 0, 1
+    write_nifti(LabelVolume(labels, (1.0, 1.0, 4.0), 256), scrib)
+    ids = np.zeros((8, 8, 2), dtype=np.uint16)
+    ids[4:] = 2  # id 1 never occurs
+    write_nifti(LabelVolume(ids, (1.0, 1.0, 4.0), 3), sv)
+    result = runner.invoke(main, ["propagate", "--scribbles", str(scrib), "--supervoxels", str(sv),
+                                  "--output-mask", str(tmp_path / "m.nii"),
+                                  "--output-conf", str(tmp_path / "c.nii")])
+    assert result.exit_code == 1
+    assert "error in stage 'propagate'" in result.output and str(sv) in result.output
+    assert "every supervoxel id must occur at least once" in result.output
+    assert not (tmp_path / "m.nii").exists()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("pred_init", "probabilities must lie in [0, 1]"),
+    ("boundary", "probabilities must lie in [0, 1]"),
+    ("pseudo", "labels must be below 2"),
+], ids=["pred_init", "boundary", "pseudo"])
+def test_loss_names_a_file_whose_values_are_refused(tmp_path, runner, bad, message):
+    shape, spacing = (8, 8, 2), (1.0, 1.0, 4.0)
+    img_path, _ = _phantom(tmp_path, shape=shape)
+    pseudo = np.zeros(shape, dtype=np.uint16)
+    pseudo[:4] = 2 if bad == "pseudo" else 1  # class 2 with two class channels
+    raw = np.random.default_rng(3).uniform(0.0, 1000.0, shape).astype(np.float32)
+    vols = {
+        "pred_init": Volume(raw if bad == "pred_init" else np.full(shape, 0.5, np.float32), spacing),
+        "pred_final": Volume(np.full(shape, 0.5, dtype=np.float32), spacing),
+        "boundary": Volume(raw if bad == "boundary" else np.full(shape, 0.25, np.float32), spacing),
+        "pseudo": LabelVolume(pseudo, spacing, 3),
+        "conf": BinaryVolume(np.ones(shape, dtype=np.uint8), spacing),
+        "edges": BinaryVolume(np.zeros(shape, dtype=np.uint8), spacing),
+    }
+    paths = {name: tmp_path / f"{name}.nii" for name in vols}
+    for name, vol in vols.items():
+        write_nifti(vol, paths[name])
+    args = ["loss", "--boundary-pred", paths["boundary"], "--pseudo", paths["pseudo"],
+            "--conf", paths["conf"], "--edges", paths["edges"], "--image", img_path,
+            "--report", tmp_path / "loss.json"]
+    for _ in range(2):  # two class channels from the same file
+        args += ["--pred-init", paths["pred_init"], "--pred-final", paths["pred_final"]]
+    result = runner.invoke(main, [str(a) for a in args])
+    assert result.exit_code == 1
+    assert "error in stage 'loss'" in result.output and str(paths[bad]) in result.output
+    assert message in result.output
+    assert not (tmp_path / "loss.json").exists()
+
+
 @pytest.mark.parametrize("off", [None, "pred_final", "boundary", "pseudo", "conf", "edges"])
 def test_loss_inputs_must_lie_on_the_image_grid(tmp_path, runner, off):
     shape, spacing = (8, 8, 2), (1.0, 1.0, 4.0)
