@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import uniform_filter
 
+from conftest import sphere_labels
 from oracles import (
     all_ids_connected_6, brute_assign, brute_enforce_connectivity, flood_components_6,
 )
@@ -23,7 +24,6 @@ from scribsup.supervoxel import (
     _seed_grid,
     _slic_state,
 )
-from conftest import sphere_labels
 from scribsup.volume_io import Volume
 
 
@@ -272,16 +272,11 @@ def test_equal_id_components_are_numbered_by_first_voxel(kind):
         _assert_components_match_oracle(np.asarray(_fragmented_map(rng, kind).ids))
 
 
-def _fragment_heavy_noise_state():
-    """Uniform noise at compactness 0.3: SLIC leaves ~12k equal-ID components."""
-    vol = Volume(np.random.default_rng(0).random((64, 64, 16)).astype(np.float32), (1, 1, 1))
-    labels, _, _, step = _slic_state(vol, SlicParams(k=65, compactness=0.3))
-    raw = _compact_ids(labels)
-    return SupervoxelMap(raw, vol.spacing, int(raw.max()) + 1), step
-
-
 def test_equal_id_components_on_fragment_heavy_noise_match_oracle():
-    _assert_components_match_oracle(np.asarray(_fragment_heavy_noise_state()[0].ids))
+    # compactness 0.3 on uniform noise leaves ~12k equal-ID components
+    vol = Volume(np.random.default_rng(0).random((64, 64, 16)).astype(np.float32), (1, 1, 1))
+    labels = _slic_state(vol, SlicParams(k=65, compactness=0.3))[0]
+    _assert_components_match_oracle(_compact_ids(labels))
 
 
 def test_enforce_connectivity_on_fragment_heavy_noise_is_fast():
