@@ -107,10 +107,11 @@ def _simulate_scribbles(gt: LabelVolume, margin: int, num_classes: int = 0):
 
 def _slic_params(image: Volume, k, compactness: float, iterations: int) -> supervoxel.SlicParams:
     """SLIC settings; ``k`` defaults to one per 1000 voxels and must fit an int16 ID map."""
-    k = k or max(1, image.data.size // 1000)
+    k = max(1, image.data.size // 1000) if k is None else k
+    params = supervoxel.SlicParams(k, compactness, iterations)  # a non-integer k fails here
     if k > _MAX_INT16_ID:
         raise ScribsupError(f"k={k} supervoxels exceed the int16 NIfTI limit ({_MAX_INT16_ID})")
-    return supervoxel.SlicParams(k, compactness, iterations)
+    return params
 
 
 def _read_edge_probs(path, image: Volume, image_path) -> Volume:

@@ -22,12 +22,18 @@ compared with all centres.
 Sweeps run on z-major ``(z, x, y)`` arrays, so window rows run along y, not
 along the few z voxels of an anisotropic volume; the Lloyd update sums the
 voxels in ``[x, y, z]`` flat order, so no float result depends on the layout.
+
+No side pass sorts or pads the whole volume: the seed gradient is taken only
+at the seeds' candidates, and final IDs are ranked by first voxel on
+component-sized arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
+from numbers import Integral, Real
 from typing import Optional, Tuple
 
 import numpy as np
@@ -49,25 +55,13 @@ class SlicParams:
     iterations: int = 10
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("k must be positive")
-        if self.compactness <= 0:
-            raise ValueError("compactness must be positive")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-
-
-def _gradient_magnitude(intensity: np.ndarray, spacing) -> np.ndarray:
-    padded = np.pad(intensity, 1, mode="edge")
-    grad2 = np.zeros_like(intensity)
-    for axis, s in enumerate(spacing):
-        fwd = [slice(1, -1)] * 3
-        bwd = [slice(1, -1)] * 3
-        fwd[axis] = slice(2, None)
-        bwd[axis] = slice(None, -2)
-        d = (padded[tuple(fwd)] - padded[tuple(bwd)]) / (2.0 * s)
-        grad2 += d * d
-    return np.sqrt(grad2)
+        for name in ("k", "iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        c = self.compactness
+        if isinstance(c, bool) or not isinstance(c, Real) or not 0 < c < math.inf:
+            raise ValueError(f"compactness must be a positive finite number, got {c!r}")
 
 
 def _seed_grid(shape, spacing, k) -> Tuple[np.ndarray, float]:
@@ -93,17 +87,26 @@ def _seed_grid(shape, spacing, k) -> Tuple[np.ndarray, float]:
     return seeds_mm, step
 
 
-def _perturb_seeds(seeds_mm, grad, spacing) -> np.ndarray:
-    """Move each seed to the strictly lowest-gradient voxel in its 3^3 box."""
-    idx = np.round(seeds_mm / np.asarray(spacing) - 0.5).astype(np.int64)
-    idx = np.clip(idx, 0, np.asarray(grad.shape) - 1)
+def _perturb_seeds(seeds_mm, intensity, spacing) -> np.ndarray:
+    """Move each seed to the strictly lowest-gradient voxel in its 3^3 box.
+
+    The gradient is the edge-padded central difference, taken at the
+    candidates only: a ±1 neighbour clipped to the grid reads the edge pad.
+    """
+    top = np.asarray(intensity.shape) - 1
+    idx = np.clip(np.round(seeds_mm / np.asarray(spacing) - 0.5).astype(np.int64), 0, top)
     # Candidate 0 is the seed, then the box in dx, dy, dz order: argmin takes the
-    # first minimum, so a seed moves only to a strictly lower gradient (pad: inf).
+    # first minimum, so a seed moves only to a strictly lower gradient (off-grid: inf).
     offsets = np.array([(0, 0, 0), *product((-1, 0, 1), repeat=3)], dtype=np.int64)
     cand = idx[:, None, :] + offsets
-    padded = np.pad(grad, 1, mode="constant", constant_values=np.inf)
-    pick = np.argmin(padded[cand[..., 0] + 1, cand[..., 1] + 1, cand[..., 2] + 1], axis=1)
-    return cand[np.arange(len(cand)), pick]
+    at = np.clip(cand, 0, top)
+    grad2 = np.zeros(cand.shape[:2])
+    for axis, unit in enumerate(np.eye(3, dtype=np.int64)):
+        fwd, bwd = (intensity[tuple(np.clip(at + o * unit, 0, top).T)] for o in (1, -1))
+        d = (fwd - bwd).T / (2.0 * spacing[axis])
+        grad2 += d * d
+    grad = np.where((cand == at).all(axis=2), np.sqrt(grad2), np.inf)
+    return cand[np.arange(len(cand)), np.argmin(grad, axis=1)]
 
 
 def _sweep(intensity, coords_mm, centers_pos, centers_int, m2_over_s2, half, labels, best_d2,
@@ -201,7 +204,7 @@ def _slic_state(vol: Volume, params: SlicParams):
         raise KTooLargeError(f"k={params.k} exceeds voxel count {nvox}")
     intensity = _normalize(vol.data)
     seeds_mm, step = _seed_grid(shape, vol.spacing, params.k)
-    seed_idx = _perturb_seeds(seeds_mm, _gradient_magnitude(intensity, vol.spacing), vol.spacing)
+    seed_idx = _perturb_seeds(seeds_mm, intensity, vol.spacing)
 
     spacing = np.asarray(vol.spacing)
     coords_mm = tuple(np.arange(shape[a]) * spacing[a] for a in range(3))
@@ -239,32 +242,25 @@ def slic3d(vol: Volume, params: SlicParams) -> SupervoxelMap:
     """Cluster a volume into supervoxels.
 
     Seeds start on a regular physical grid with step S, get perturbed to the
-    lowest-gradient voxel of their 3x3x3 neighborhood, then run
-    ``params.iterations`` Lloyd rounds of windowed assignment and center
-    updates. Each assignment is the nearest center among those within 2S
-    per physical axis, found by a ±S pass (certified wherever a voxel's best
-    D² is below m²) plus a ±2S recheck of the other voxels. Connectivity is enforced before
-    returning, so IDs are contiguous and each supervoxel is 6-connected.
+    lowest-gradient voxel of their 3x3x3 neighborhood (gradients taken there
+    only), then run ``params.iterations`` Lloyd rounds of windowed assignment
+    and center updates. Each assignment is the nearest center among those
+    within 2S per physical axis, found by a ±S pass (certified wherever a
+    voxel's best D² is below m²) plus a ±2S recheck of the other voxels. Empty
+    clusters' IDs are dropped unsorted, as connectivity, enforced before
+    returning, renumbers by first voxel: IDs are contiguous and each
+    supervoxel is 6-connected.
 
     Raises:
         KTooLargeError: when ``params.k`` exceeds the voxel count.
     """
     labels, _, _, step = _slic_state(vol, params)
     min_size = (step ** 3) / 4.0 / vol.voxel_volume_mm3
-    raw = _compact_ids(labels)
+    present = np.bincount(labels.ravel()) > 0
+    raw = (np.cumsum(present, dtype=np.int32) - 1)[labels]
     return enforce_connectivity(
-        SupervoxelMap(raw, vol.spacing, int(raw.max()) + 1), min_size_voxels=min_size
+        SupervoxelMap(raw, vol.spacing, int(present.sum())), min_size_voxels=min_size
     )
-
-
-def _compact_ids(labels: np.ndarray) -> np.ndarray:
-    """Renumber IDs to drop empty ones, ordered by first occurrence."""
-    flat = labels.ravel()
-    uniq, first = np.unique(flat, return_index=True)
-    order = np.argsort(first)
-    remap = np.empty(int(uniq.max()) + 1, dtype=np.int32)
-    remap[uniq[order]] = np.arange(len(uniq), dtype=np.int32)
-    return remap[flat].reshape(labels.shape)
 
 
 def _face_pairs(arr: np.ndarray):
@@ -325,7 +321,7 @@ def enforce_connectivity(
     of their first voxels), and a fragment with a resolved face neighbour
     joins the largest adjacent supervoxel (ties: the lowest ID), whose size
     grows at once, within the pass. IDs are finally renumbered contiguously
-    by first scan-order occurrence.
+    by first scan-order occurrence: at its lowest-numbered component.
     """
     ids = svmap.ids
     if min_size_voxels is None:
@@ -373,5 +369,7 @@ def enforce_connectivity(
                 sv_sizes[target] += comp_sizes[c]
             pending = remaining
 
-    out = _compact_ids(final_of_comp[flat_comp].reshape(ids.shape))
-    return SupervoxelMap(out, svmap.spacing, int(out.max()) + 1)
+    _, lowest_comp = np.unique(final_of_comp, return_index=True)
+    rank = np.empty(len(lowest_comp), dtype=np.int32)
+    rank[np.argsort(lowest_comp)] = np.arange(len(lowest_comp), dtype=np.int32)
+    return SupervoxelMap(rank[final_of_comp][comp], svmap.spacing, len(lowest_comp))

@@ -391,6 +391,44 @@ def brute_assign(intensity, coords_mm, centers_pos, centers_int, step, compactne
     return labels, best_d2
 
 
+def reference_perturb_seeds(seeds_mm, intensity, spacing) -> np.ndarray:
+    """``supervoxel._perturb_seeds`` as it was on a full-volume gradient.
+
+    The central-difference gradient magnitude of the edge-padded volume,
+    summed as ``((0 + d0²) + d1²) + d2²``; each seed moves to the first
+    minimum of its 28 candidates (the seed, then its 3³ box in dx, dy, dz
+    order) read from the gradient padded with inf.
+    """
+    padded = np.pad(intensity, 1, mode="edge")
+    grad2 = np.zeros_like(intensity)
+    for axis, s in enumerate(spacing):
+        fwd = [slice(1, -1)] * 3
+        bwd = [slice(1, -1)] * 3
+        fwd[axis] = slice(2, None)
+        bwd[axis] = slice(None, -2)
+        d = (padded[tuple(fwd)] - padded[tuple(bwd)]) / (2.0 * s)
+        grad2 += d * d
+    grad = np.pad(np.sqrt(grad2), 1, mode="constant", constant_values=np.inf)
+    idx = np.round(seeds_mm / np.asarray(spacing) - 0.5).astype(np.int64)
+    idx = np.clip(idx, 0, np.asarray(intensity.shape) - 1)
+    moved = []
+    for x, y, z in idx:
+        cands = [(x, y, z)] + [(x + i, y + j, z + k)
+                               for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)]
+        moved.append(cands[int(np.argmin([grad[c[0] + 1, c[1] + 1, c[2] + 1] for c in cands]))])
+    return np.array(moved, dtype=np.int64).reshape(-1, 3)
+
+
+def compact_ids(labels: np.ndarray) -> np.ndarray:
+    """Renumber IDs to drop empty ones, ordered by first occurrence in scan order."""
+    flat = labels.ravel()
+    uniq, first = np.unique(flat, return_index=True)
+    order = np.argsort(first)
+    remap = np.empty(int(uniq.max()) + 1, dtype=np.int32)
+    remap[uniq[order]] = np.arange(len(uniq), dtype=np.int32)
+    return remap[flat].reshape(labels.shape)
+
+
 def reference_active_boundary_loss(probs, image, params):
     """``losses.active_boundary_loss`` before its buffers were reused in place,
     copied verbatim but for the shape check; returns (value, grad).

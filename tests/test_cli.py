@@ -353,8 +353,13 @@ def test_oversized_k_fails_before_slic(tmp_path, monkeypatch, runner, k, limit):
     assert "int16 NIfTI limit" in str(info.value)
 
 
-@pytest.mark.parametrize("slic", [{"compactness": -1}, {"k": -3}, {"iterations": 0}],
-                         ids=["compactness", "k", "iterations"])
+@pytest.mark.parametrize("slic", [
+    {"compactness": -1}, {"k": -3}, {"iterations": 0},
+    {"k": 10.7}, {"k": True}, {"iterations": True}, {"iterations": 2.5},
+    {"compactness": float("nan")}, {"compactness": "10"}, {"k": "10"}, {"k": 0}, {"k": False},
+], ids=["compactness", "k", "iterations", "fractional_k", "bool_k", "bool_iterations",
+        "fractional_iterations", "nan_compactness", "string_compactness", "string_k", "zero_k",
+        "false_k"])
 def test_slic_settings_fail_in_read_before_any_compute(tmp_path, monkeypatch, slic):
     img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
 
