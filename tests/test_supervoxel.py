@@ -376,7 +376,7 @@ def test_slic3d_traced_peak_stays_below_four_and_a_half_volumes():
     Measured peaks on this input, in float64 volumes of its grid: 16.0 with a
     full-volume face graph for the equal-ID components and the three axis
     weights held across the Lloyd rounds; 6.3 without them, with full-volume
-    ID sorts and a padded gradient volume; 3.6 without those (3.6 on the
+    ID sorts and a padded gradient volume; 3.6 without those (3.5 on the
     224x224x32 benchmark phantom).
     """
     shape, spacing = (96, 96, 16), (1.25, 1.25, 5.0)
