@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import label_propagation, losses, metrics, refnet, scribble_sim, supervoxel
-from .errors import InvalidConfigError, ScribsupError, UnsupportedDatatypeError
+from .errors import ScribsupError, UnsupportedDatatypeError, check_setting
 from .volume_io import (
     BinaryVolume, LabelVolume, ProbVolume, PseudoLabels, Volume, _check_same_grid, crop_or_pad,
     read_nifti, write_nifti,
@@ -266,6 +266,8 @@ def loss_cmd(pred_init, pred_final, boundary_pred, pseudo, conf, edges_path, ima
              beta1, beta2, lambda1, lambda2, literal_bry, grad_prefix, report_path):
     """Evaluate all loss terms on saved predictions; emit a JSON breakdown."""
     with stage("loss"):
+        ab = losses.AbParams(lambda1, lambda2, _DEFAULTS["ab"]["epsilon"])
+        weights = losses.TotalLossWeights(beta1, beta2)
         image = read_nifti(image_path, kind="image")
 
         def on_grid(path, kind="image"):
@@ -285,9 +287,7 @@ def loss_cmd(pred_init, pred_final, boundary_pred, pseudo, conf, edges_path, ima
         static_edges = on_grid(edges_path, "binary")
         report = losses.total_loss(
             boundary, static_edges, probs_init, probs_final, pl, image,
-            ab=losses.AbParams(lambda1, lambda2, _DEFAULTS["ab"]["epsilon"]),
-            weights=losses.TotalLossWeights(beta1, beta2),
-            literal_boundary=literal_bry,
+            ab=ab, weights=weights, literal_boundary=literal_bry,
         )
         _write_json(report.terms, report_path)
         if grad_prefix:
@@ -350,15 +350,11 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
         if not cfg["scribbles"] and not cfg["gt"]:
             raise ScribsupError("need either 'scribbles' or 'gt' (to simulate them)")
         label_propagation._check_edge_threshold(cfg["edge_threshold"])
-        for key, least in (("seed", 0), ("margin_vox", 1), ("num_classes", 2)):
-            value = cfg[key]
-            if key == "num_classes" and value == 0:
-                continue  # inferred from the scribbles
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise InvalidConfigError(f"{key} must be an integer of at least {least}, got {value!r}")
+        check_setting("margin_vox", cfg["margin_vox"], 1, integer=True)
+        # num_classes 0 is inferred from the scribbles later; any other count is checked here
+        net_cfg = refnet.NetConfig(2 if cfg["num_classes"] == 0 else cfg["num_classes"],
+                                   cfg["forward_base_filters"], seed=cfg["seed"])
         if cfg["forward"]:
-            # the class count does not bear on base filters or the patch ladder
-            net_cfg = refnet.NetConfig(num_classes=2, base_filters=cfg["forward_base_filters"])
             net_cfg.check_patch_shape(tuple(cfg["patch_shape"]))
             ab, weights = losses.AbParams(**cfg["ab"]), losses.TotalLossWeights(**cfg["weights"])
         out_dir = Path(cfg["output_dir"])

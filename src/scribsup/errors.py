@@ -1,4 +1,12 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one rule for numeric settings.
+
+Every numeric setting (SLIC, edge threshold, loss weights, network shape,
+scribble margin, class counts) is checked by :func:`check_setting`, which
+raises :class:`InvalidConfigError`, a ``ValueError`` that names the setting.
+"""
+
+import math
+from numbers import Integral, Real
 
 
 class ScribsupError(Exception):
@@ -38,8 +46,25 @@ class NoConfidentVoxelsError(ScribsupError):
     """Confidence mask is empty; partial cross-entropy is undefined."""
 
 
-class InvalidConfigError(ScribsupError):
+class InvalidConfigError(ScribsupError, ValueError):
     """Network or pipeline configuration violates its invariants."""
+
+
+def check_setting(name: str, value, low, high=math.inf, integer: bool = False,
+                  open_low: bool = False) -> None:
+    """Raise InvalidConfigError unless ``value`` is a finite number in range.
+
+    The range is ``low <= value < high`` (``low < value`` when ``open_low``).
+    Bools, strings and other non-numbers, NaN and +-inf are refused; with
+    ``integer`` only integers (numpy integers included) pass.
+    """
+    number = not isinstance(value, bool) and isinstance(value, Integral if integer else Real)
+    if not (number and (isinstance(value, Integral) or math.isfinite(value))
+            and (low < value if open_low else low <= value) and value < high):
+        bound = f"> {low}" if open_low else f">= {low}"
+        bound += f" and < {high}" if high < math.inf else ""
+        kind = "an integer" if integer else "a finite number"
+        raise InvalidConfigError(f"{name} must be {kind} {bound}, got {value!r}")
 
 
 class BadPatchShapeError(ScribsupError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_setting
 from .volume_io import BinaryVolume, LabelVolume, PseudoLabels, ScribbleSet, SupervoxelMap, Volume
 from .volume_io import _check_same_grid, _normalize
 
@@ -91,8 +92,7 @@ def _slice_edges(img: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def _check_edge_threshold(threshold: float) -> None:
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"edge threshold {threshold} must lie in (0, 1)")
+    check_setting("edge_threshold", threshold, 0.0, 1.0, open_low=True)
 
 
 def static_boundary(vol: Volume, edge_threshold: float = 0.2) -> BinaryVolume:

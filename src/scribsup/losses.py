@@ -23,7 +23,7 @@ from typing import Dict
 
 import numpy as np
 
-from .errors import NoConfidentVoxelsError, ShapeMismatchError
+from .errors import NoConfidentVoxelsError, ShapeMismatchError, check_setting
 from .volume_io import BinaryVolume, ProbVolume, PseudoLabels, Volume, _check_same_grid, _normalize
 
 __all__ = [
@@ -49,10 +49,8 @@ class AbParams:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("lambdas must be nonnegative")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        for name in ("lambda1", "lambda2", "epsilon"):
+            check_setting(name, getattr(self, name), 0.0)
 
 
 @dataclass(frozen=True)
@@ -63,8 +61,8 @@ class TotalLossWeights:
     beta2: float = 0.3
 
     def __post_init__(self):
-        if self.beta1 < 0 or self.beta2 < 0:
-            raise ValueError("betas must be nonnegative")
+        for name in ("beta1", "beta2"):
+            check_setting(name, getattr(self, name), 0.0)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
+from scipy.ndimage import binary_erosion, distance_transform_edt
 
 from .volume_io import LabelVolume, _check_same_grid
 
@@ -84,17 +84,9 @@ def precision(pred: LabelVolume, gt: LabelVolume, c: int) -> Optional[float]:
 
 
 def boundary_voxels(mask: np.ndarray) -> np.ndarray:
-    """Boundary of a binary set: set voxels with a non-set 6-neighbor or on
-    the image border."""
-    padded = np.pad(mask.astype(bool), 1, mode="constant", constant_values=False)
-    interior = np.ones_like(mask, dtype=bool)
-    for axis in range(3):
-        lo = [slice(1, -1)] * 3
-        hi = [slice(1, -1)] * 3
-        lo[axis] = slice(None, -2)
-        hi[axis] = slice(2, None)
-        interior &= padded[tuple(lo)] & padded[tuple(hi)]
-    return mask.astype(bool) & ~interior
+    """Boundary of a bool set: set voxels with a non-set 6-neighbor or on
+    the image border (the default erosion structure is the 6-neighbourhood)."""
+    return mask & ~binary_erosion(mask, border_value=0)
 
 
 def hd95(pred: LabelVolume, gt: LabelVolume, c: int) -> Optional[float]:

@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .errors import BadPatchShapeError, InvalidConfigError
+from .errors import BadPatchShapeError, InvalidConfigError, check_setting
 from .volume_io import ProbVolume, Volume
 
 __all__ = [
@@ -68,14 +68,12 @@ class NetConfig:
     aspp_rates: Tuple[int, ...] = (3, 6, 12, 18)
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise InvalidConfigError("num_classes must be at least 2")
-        if self.base_filters < 1:
-            raise InvalidConfigError("base_filters must be at least 1")
-        if self.levels_2d < 0 or self.depth < self.levels_2d + 1:
-            raise InvalidConfigError("depth must be at least levels_2d + 1")
-        if not self.aspp_rates or any(r < 1 for r in self.aspp_rates):
-            raise InvalidConfigError("aspp_rates must be positive")
+        for name, low in (("num_classes", 2), ("base_filters", 1), ("seed", 0), ("levels_2d", 0)):
+            check_setting(name, getattr(self, name), low, integer=True)
+        check_setting("depth", self.depth, self.levels_2d + 1, integer=True)
+        check_setting("number of aspp_rates", len(self.aspp_rates), 1, integer=True)
+        for rate in self.aspp_rates:
+            check_setting("aspp_rates", rate, 1, integer=True)
 
     @property
     def growth(self) -> int:

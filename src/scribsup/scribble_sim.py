@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import binary_dilation, binary_erosion, generate_binary_structure
 
-from .errors import EmptyForegroundError
+from .errors import EmptyForegroundError, check_setting
 from .volume_io import LabelVolume, ScribbleSet, _check_same_grid
 
 __all__ = [
@@ -174,8 +174,7 @@ def simulate_background_scribble(gt: LabelVolume, margin_vox: int = 10) -> Scrib
     is background in ``gt`` is emitted as class 0. The contour is clipped at
     the image border, so border-touching objects yield open curves.
     """
-    if margin_vox < 1:
-        raise ValueError("margin_vox must be at least 1")
+    check_setting("margin_vox", margin_vox, 1, integer=True)
     fg = gt.data >= 1
     if not fg.any():
         raise EmptyForegroundError("ground truth has no foreground class")
@@ -211,10 +210,11 @@ def scribbles_to_label_volume(scribbles: ScribbleSet) -> LabelVolume:
 
 
 def scribbles_from_label_volume(vol: LabelVolume, num_classes: int = 0) -> ScribbleSet:
-    """Inverse of :func:`scribbles_to_label_volume`."""
+    """Inverse of :func:`scribbles_to_label_volume`; ``num_classes`` 0 infers the count."""
     mask = vol.data != SCRIBBLE_SENTINEL
     idx = np.argwhere(mask)
     cls = vol.data[mask]
-    if num_classes <= 0:
+    if num_classes == 0:
         num_classes = max(2, int(cls.max()) + 1 if cls.size else 2)
+    check_setting("num_classes", num_classes, 2, integer=True)
     return ScribbleSet(idx, cls, num_classes, vol.shape, vol.spacing)

@@ -30,17 +30,15 @@ component-sized arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
-from numbers import Integral, Real
 from typing import Optional, Tuple
 
 import numpy as np
 from scipy import ndimage
 from scipy.sparse import coo_matrix
 
-from .errors import KTooLargeError
+from .errors import KTooLargeError, check_setting
 from .volume_io import SupervoxelMap, Volume, _normalize
 
 __all__ = ["SupervoxelMap", "SlicParams", "slic3d", "enforce_connectivity"]
@@ -55,13 +53,9 @@ class SlicParams:
     iterations: int = 10
 
     def __post_init__(self):
-        for name in ("k", "iterations"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        c = self.compactness
-        if isinstance(c, bool) or not isinstance(c, Real) or not 0 < c < math.inf:
-            raise ValueError(f"compactness must be a positive finite number, got {c!r}")
+        check_setting("k", self.k, 1, integer=True)
+        check_setting("iterations", self.iterations, 1, integer=True)
+        check_setting("compactness", self.compactness, 0, open_low=True)
 
 
 def _seed_grid(shape, spacing, k) -> Tuple[np.ndarray, float]:

@@ -10,10 +10,11 @@ rejected rather than ignored, and so is a ``bitpix`` that does not match
 ``datatype``. A header with ``dim[0]=4`` and a singleton fourth dimension
 is read as 3D.
 
-Every grid container lives here, and its constructor is the one place that
-decides which values and which spacing a grid may hold; ``_check_same_grid``
-is the one place that decides whether two grids match. The reader passes the
-payload straight to the requested container and raises
+Every grid container lives here and states only the values its grid may
+hold; ``_own_array`` checks the array's ndim, stores a read-only copy the
+container owns and checks the spacing for all of them, and
+``_check_same_grid`` is the one place that decides whether two grids match.
+The reader passes the payload straight to the requested container and raises
 ``UnsupportedDatatypeError``, naming the file, when the container refuses it.
 """
 
@@ -31,6 +32,7 @@ from .errors import (
     TruncatedDataError,
     UnsupportedDatatypeError,
     UnsupportedScalingError,
+    check_setting,
 )
 
 __all__ = [
@@ -111,10 +113,8 @@ assert _HEADER_DTYPE.itemsize == _HEADER_SIZE
 
 def _check_spacing(spacing) -> Tuple[float, float, float]:
     spacing = tuple(float(s) for s in spacing)
-    if len(spacing) != 3:
-        raise ValueError("spacing must have three components")
-    if not all(np.isfinite(s) and s > 0 for s in spacing):
-        raise ValueError(f"spacing must be finite and positive, got {spacing}")
+    if len(spacing) != 3 or not all(np.isfinite(s) and s > 0 for s in spacing):
+        raise ValueError(f"spacing must be three finite positive values, got {spacing}")
     return spacing
 
 
@@ -157,14 +157,35 @@ def _normalize(data: np.ndarray) -> np.ndarray:
     return (data - lo) / (hi - lo)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, order="C")  # own copy, so callers' buffers stay writable
-    arr.setflags(write=False)
-    return arr
+def _own_array(grid, name: str, ndim: int, rule) -> None:
+    """Store field ``name`` of ``grid``, which must be ``ndim``-D, as a read-only copy
+    that ``grid`` owns, then check ``grid.spacing``. ``rule`` is the container's value
+    rule: it raises on a bad value and returns the array to store (it may cast)."""
+    data = np.asarray(getattr(grid, name))
+    if data.ndim != ndim:
+        raise ValueError(f"{type(grid).__name__} {name} must be {ndim}D, got {data.ndim}D")
+    data = np.array(rule(data), order="C")  # own copy, so callers' buffers stay writable
+    data.setflags(write=False)
+    object.__setattr__(grid, name, data)
+    object.__setattr__(grid, "spacing", _check_spacing(grid.spacing))
+
+
+class _Grid:
+    """A dense grid: its ``_ndim``-D array field ``_array`` passes the container's
+    ``_values`` rule through ``_own_array``; ``shape`` is that array's first three axes."""
+
+    _array, _ndim = "data", 3
+
+    def __post_init__(self):
+        _own_array(self, self._array, self._ndim, self._values)
+
+    @property
+    def shape(self) -> Tuple[int, int, int]:
+        return getattr(self, self._array).shape[:3]
 
 
 @dataclass(frozen=True)
-class Volume:
+class Volume(_Grid):
     """A 3D scalar intensity grid with per-axis physical spacing in mm.
 
     ``data`` is float32, shape ``(nx, ny, nz)``, indexed ``[x, y, z]``.
@@ -174,18 +195,11 @@ class Volume:
     data: np.ndarray
     spacing: Tuple[float, float, float]
 
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float32)
-        if data.ndim != 3:
-            raise ValueError(f"volume data must be 3D, got {data.ndim}D")
-        if not np.all(np.isfinite(data)):
+    def _values(self, data: np.ndarray) -> np.ndarray:
+        data = data.astype(np.float32, copy=False)
+        if not np.isfinite(data).all():
             raise ValueError("volume data must be finite everywhere")
-        object.__setattr__(self, "data", _freeze(data))
-        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        return self.data.shape
+        return data
 
     @property
     def voxel_volume_mm3(self) -> float:
@@ -194,7 +208,7 @@ class Volume:
 
 
 @dataclass(frozen=True)
-class LabelVolume:
+class LabelVolume(_Grid):
     """Integer class-ID grid sharing a Volume's geometry.
 
     Values live in ``{0, ..., num_classes - 1}``; class 0 is background.
@@ -207,44 +221,26 @@ class LabelVolume:
     num_classes: int
     storage_datatype: Optional[int] = field(default=None, compare=False)
 
-    def __post_init__(self):
-        data = np.asarray(self.data)
-        if data.ndim != 3:
-            raise ValueError(f"label data must be 3D, got {data.ndim}D")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be at least 2")
-        data = _check_integers(data, self.num_classes, "labels", np.uint16)
+    def _values(self, data: np.ndarray) -> np.ndarray:
+        check_setting("num_classes", self.num_classes, 2, integer=True)
         if self.storage_datatype not in (None, DT_UINT8, DT_INT16):
             raise UnsupportedDatatypeError(
                 f"labels cannot be stored as datatype code {self.storage_datatype}"
             )
-        object.__setattr__(self, "data", _freeze(data))
-        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        return self.data.shape
+        return _check_integers(data, self.num_classes, "labels", np.uint16)
 
 
 @dataclass(frozen=True)
-class BinaryVolume:
+class BinaryVolume(_Grid):
     """A {0,1}-valued grid (masks, confidence maps, edge volumes)."""
 
     data: np.ndarray
     spacing: Tuple[float, float, float]
 
-    def __post_init__(self):
-        data = np.asarray(self.data)
-        if data.ndim != 3:
-            raise ValueError(f"mask data must be 3D, got {data.ndim}D")
+    def _values(self, data: np.ndarray) -> np.ndarray:
         if not np.isin(data, (0, 1)).all():
             raise ValueError("binary volume values must be 0 or 1")
-        object.__setattr__(self, "data", _freeze(data.astype(np.uint8)))
-        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        return self.data.shape
+        return data.astype(np.uint8, copy=False)
 
 
 AnyVolume = Union[Volume, LabelVolume, BinaryVolume]
@@ -256,7 +252,7 @@ _SUM_ATOL = 5e-5
 
 
 @dataclass(frozen=True)
-class ProbVolume:
+class ProbVolume(_Grid):
     """Per-voxel per-class probabilities, shape (nx, ny, nz, channels).
 
     Multi-channel volumes must sum to 1 per voxel (softmax outputs);
@@ -267,24 +263,17 @@ class ProbVolume:
     data: np.ndarray
     spacing: Tuple[float, float, float]
 
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 4:
-            raise ValueError("probability data must be (nx, ny, nz, channels)")
+    _ndim = 4
+
+    def _values(self, data: np.ndarray) -> np.ndarray:
+        data = data.astype(np.float64, copy=False)
         if data.size:
             lo, hi = data.min(), data.max()  # NaN if any entry is NaN, which fails both tests
             if not (lo >= -_SUM_ATOL and hi <= 1.0 + _SUM_ATOL):
                 raise ValueError("probabilities must lie in [0, 1]")
-            if data.shape[3] >= 2:
-                sums = data.sum(axis=3)
-                if np.abs(sums - 1.0).max() > _SUM_ATOL:
-                    raise ValueError("per-voxel channel sums must equal 1")
-        object.__setattr__(self, "data", _freeze(data))
-        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        return self.data.shape[:3]
+            if data.shape[3] >= 2 and np.abs(data.sum(axis=3) - 1.0).max() > _SUM_ATOL:
+                raise ValueError("per-voxel channel sums must equal 1")
+        return data
 
     @property
     def channels(self) -> int:
@@ -292,7 +281,7 @@ class ProbVolume:
 
 
 @dataclass(frozen=True)
-class SupervoxelMap:
+class SupervoxelMap(_Grid):
     """Per-voxel supervoxel IDs forming a partition of the volume.
 
     IDs are contiguous in ``0..count-1`` and each occurs at least once.
@@ -301,22 +290,13 @@ class SupervoxelMap:
     ids: np.ndarray
     spacing: Tuple[float, float, float]
     count: int
+    _array = "ids"
 
-    def __post_init__(self):
-        ids = np.asarray(self.ids)
-        if ids.ndim != 3:
-            raise ValueError("supervoxel ids must be 3D")
+    def _values(self, ids: np.ndarray) -> np.ndarray:
         ids = _check_integers(ids, self.count, "supervoxel ids", np.int32)
-        if ids.size:
-            present = np.bincount(ids.ravel(), minlength=self.count)
-            if (present == 0).any():
-                raise ValueError("every supervoxel id must occur at least once")
-        object.__setattr__(self, "ids", _freeze(ids))
-        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        return self.ids.shape
+        if ids.size and (np.bincount(ids.ravel(), minlength=self.count) == 0).any():
+            raise ValueError("every supervoxel id must occur at least once")
+        return ids
 
 
 @dataclass(frozen=True)
@@ -335,24 +315,21 @@ class ScribbleSet:
 
     def __post_init__(self):
         shape = tuple(int(n) for n in self.shape)
-        idx = np.asarray(self.indices).reshape(-1, 3)
-        idx = _check_integers(idx, np.asarray(shape), "scribble indices", np.int64)
-        cls = np.reshape(self.classes, -1)
-        cls = _check_integers(cls, self.num_classes, "scribble classes", np.uint16)
+        object.__setattr__(self, "shape", shape)
+        check_setting("num_classes", self.num_classes, 2, integer=True)
+        _own_array(self, "indices", 2, lambda idx: _check_integers(
+            idx.reshape(-1, 3), np.asarray(shape), "scribble indices", np.int64))
+        _own_array(self, "classes", 1, lambda cls: _check_integers(
+            cls, self.num_classes, "scribble classes", np.uint16))
+        idx, cls = self.indices, self.classes
         if len(idx) != len(cls):
             raise ValueError("indices and classes length mismatch")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be at least 2")
         flat = idx[:, 0] * shape[1] * shape[2] + idx[:, 1] * shape[2] + idx[:, 2]
         order = np.argsort(flat, kind="stable")
         f, c = flat[order], cls[order]
         dup = f[1:] == f[:-1]
         if dup.any() and (c[1:][dup] != c[:-1][dup]).any():
             raise ValueError("conflicting classes at a shared voxel")
-        object.__setattr__(self, "indices", _freeze(idx))
-        object.__setattr__(self, "classes", _freeze(cls))
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
 
     def __len__(self) -> int:
         return len(self.classes)

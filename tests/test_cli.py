@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ def test_pipeline_end_to_end_and_determinism(tmp_path):
         if art["path"].endswith(".nii"):
             assert read_nifti(art["path"]) is not None
         else:
-            json.loads(open(art["path"]).read())
+            json.loads(Path(art["path"]).read_text())
     hashes = [
         {a["name"]: a["sha256"] for a in m["artifacts"]} for m in manifests
     ]
@@ -191,7 +192,7 @@ def test_pipeline_with_forward(tmp_path):
     names = {a["name"] for a in manifest["artifacts"]}
     assert {"boundary_pred", "loss", "eval"} <= names
     loss_art = next(a for a in manifest["artifacts"] if a["name"] == "loss")
-    payload = json.loads(open(loss_art["path"]).read())
+    payload = json.loads(Path(loss_art["path"]).read_text())
     assert np.isfinite(payload["total"])
 
 
@@ -312,7 +313,15 @@ def test_precomputed_edges_are_thresholded_as_float32(tmp_path, runner):
     ({"edge_threshold": 0.0}, ValueError),
     ({"ab": {"lambda1": -1}}, ValueError),
     ({"weights": {"beta2": -1}}, ValueError),
-], ids=["patch_shape", "base_filters", "edge_threshold", "ab_lambda1", "weights_beta2"])
+    ({"ab": {"lambda1": float("nan")}}, InvalidConfigError),
+    ({"ab": {"epsilon": float("inf")}}, InvalidConfigError),
+    ({"ab": {"lambda2": True}}, InvalidConfigError),
+    ({"weights": {"beta1": float("inf")}}, InvalidConfigError),
+    ({"forward_base_filters": 2.5}, InvalidConfigError),
+    ({"forward_base_filters": True}, InvalidConfigError),
+], ids=["patch_shape", "base_filters", "edge_threshold", "ab_lambda1", "weights_beta2",
+        "nan_lambda1", "inf_epsilon", "bool_lambda2", "inf_beta1", "fractional_base_filters",
+        "bool_base_filters"])
 def test_forward_and_edge_settings_fail_in_config_before_any_compute(
         tmp_path, monkeypatch, setting, cause):
     img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
@@ -387,7 +396,9 @@ def test_config_section_must_be_an_object(tmp_path):
 
 @pytest.mark.parametrize("setting", [
     {"seed": -1}, {"seed": 1.5}, {"margin_vox": 0}, {"num_classes": 1}, {"num_classes": -2},
-], ids=["negative_seed", "fractional_seed", "margin_vox", "num_classes_1", "num_classes_-2"])
+    {"margin_vox": True}, {"margin_vox": 2.5},
+], ids=["negative_seed", "fractional_seed", "margin_vox", "num_classes_1", "num_classes_-2",
+        "bool_margin_vox", "fractional_margin_vox"])
 def test_run_settings_fail_in_config_before_any_compute(tmp_path, monkeypatch, setting):
     img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
 
@@ -521,6 +532,35 @@ def test_propagate_supervoxels_at_another_spacing_are_rejected(tmp_path, runner)
                                   "--output-conf", str(tmp_path / "c.nii")])
     assert result.exit_code == 1
     assert "error in stage 'propagate'" in result.output and str(sv) in result.output
+
+
+def test_propagate_refuses_a_negative_class_count(tmp_path, runner):
+    scrib, sv = tmp_path / "scrib.nii", tmp_path / "sv.nii"
+    labels = np.full((8, 8, 2), 255, dtype=np.uint16)
+    labels[2, 2, 0], labels[6, 6, 1] = 0, 1
+    write_nifti(LabelVolume(labels, (1.0, 1.0, 4.0), 256), scrib)
+    write_nifti(LabelVolume(np.zeros((8, 8, 2), dtype=np.uint16), (1.0, 1.0, 4.0), 2), sv)
+    result = runner.invoke(main, ["propagate", "--scribbles", str(scrib), "--supervoxels", str(sv),
+                                  "--classes", "-3", "--output-mask", str(tmp_path / "m.nii"),
+                                  "--output-conf", str(tmp_path / "c.nii")])
+    assert result.exit_code == 1
+    assert "error in stage 'propagate'" in result.output and "num_classes" in result.output
+    assert not (tmp_path / "m.nii").exists()
+
+
+def test_loss_settings_fail_before_any_file_is_read(tmp_path, runner):
+    # an empty file fails any read, so only a settings check can produce this error
+    empty = tmp_path / "empty.nii"
+    empty.touch()
+    report = tmp_path / "loss.json"
+    args = ["loss", "--beta1", "nan", "--report", str(report)]
+    for flag in ("--pred-init", "--pred-final", "--boundary-pred", "--pseudo", "--conf",
+                 "--edges", "--image"):
+        args += [flag, str(empty)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "error in stage 'loss'" in result.output and "beta1" in result.output
+    assert not report.exists()
 
 
 def test_propagate_names_a_supervoxel_file_with_a_missing_id(tmp_path, runner):

@@ -19,7 +19,7 @@ from scribsup.volume_io import (
 
 SRC = Path(scribsup.__file__).parent
 STAGE_MODULES = ("supervoxel", "scribble_sim", "label_propagation", "losses", "metrics", "refnet")
-PRIVATE_HELPERS = {"_check_integers", "_freeze", "_check_spacing"}
+PRIVATE_HELPERS = {"_check_integers", "_own_array", "_check_spacing"}
 GRID_TYPES = ("Volume", "LabelVolume", "BinaryVolume", "ProbVolume", "SupervoxelMap",
               "ScribbleSet", "PseudoLabels")
 

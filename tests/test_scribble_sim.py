@@ -174,6 +174,14 @@ def test_label_volume_round_trip():
     assert np.array_equal(np.sort(back.classes), np.sort(scr.classes))
 
 
+@pytest.mark.parametrize("num_classes", [-3, 1, 2.5, True])
+def test_label_volume_class_count_is_zero_or_at_least_two(num_classes):
+    vol = scribbles_to_label_volume(ScribbleSet([[1, 1, 1]], [1], 2, (4, 4, 2), (1, 1, 1)))
+    assert scribbles_from_label_volume(vol, 0).num_classes == 2
+    with pytest.raises(ValueError, match="num_classes"):
+        scribbles_from_label_volume(vol, num_classes)
+
+
 def test_scribble_set_rejects_conflicts():
     with pytest.raises(ValueError):
         ScribbleSet(

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -231,7 +232,7 @@ def test_volume_invariants():
             BinaryVolume(np.full((2, 2, 2), bad), (1, 1, 1))
 
 
-@pytest.mark.parametrize("make", [
+_CONTAINERS = pytest.mark.parametrize("make", [
     lambda sp: Volume(np.zeros((2, 2, 2), dtype=np.float32), sp),
     lambda sp: LabelVolume(np.zeros((2, 2, 2), dtype=np.uint16), sp, 2),
     lambda sp: BinaryVolume(np.zeros((2, 2, 2), dtype=np.uint8), sp),
@@ -239,11 +240,29 @@ def test_volume_invariants():
     lambda sp: SupervoxelMap(np.zeros((2, 2, 2), dtype=np.int32), sp, 1),
     lambda sp: ScribbleSet(np.array([[0, 0, 0]]), np.array([1]), 2, (2, 2, 2), sp),
 ], ids=["Volume", "LabelVolume", "BinaryVolume", "ProbVolume", "SupervoxelMap", "ScribbleSet"])
+
+
+@_CONTAINERS
 def test_every_container_checks_its_spacing(make):
     assert make((1.0, 2.0, 3.0)).spacing == (1.0, 2.0, 3.0)
     for bad in ((1.0, np.nan, 1.0), (1.0, -1.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0)):
         with pytest.raises(ValueError, match="spacing"):
             make(bad)
+
+
+@_CONTAINERS
+def test_every_container_checks_ndim_and_owns_a_read_only_copy(make):
+    good = make((1.0, 1.0, 1.0))
+    arrays = {f.name: getattr(good, f.name) for f in dataclasses.fields(good)
+              if isinstance(getattr(good, f.name), np.ndarray)}
+    for name, stored in arrays.items():
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(good, **{name: stored[None]})
+        mine = np.array(stored)  # the caller's buffer, already of the stored dtype
+        held = getattr(dataclasses.replace(good, **{name: mine}), name)
+        assert not held.flags.writeable and mine.flags.writeable
+        assert not np.shares_memory(held, mine)
 
 
 _ORIGIN = np.array([[0, 0, 0]])
