@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import label_propagation, losses, metrics, refnet, scribble_sim, supervoxel
-from .errors import ScribsupError, UnsupportedDatatypeError, check_setting
+from .errors import NoConfidentVoxelsError, ScribsupError, UnsupportedDatatypeError, check_setting
 from .volume_io import (
     BinaryVolume, LabelVolume, ProbVolume, PseudoLabels, Volume, _check_same_grid, crop_or_pad,
     read_nifti, write_nifti,
@@ -98,6 +98,7 @@ def _refusal_names(path):
 
 def _simulate_scribbles(gt: LabelVolume, margin: int, num_classes: int = 0):
     """Foreground skeletons plus the background ring; ``num_classes`` widens the set."""
+    check_setting("margin_vox", margin, 1, integer=True)  # before any slice is skeletonised
     merged = scribble_sim.merge_scribbles(
         scribble_sim.simulate_foreground_scribbles(gt),
         scribble_sim.simulate_background_scribble(gt, margin),
@@ -106,11 +107,12 @@ def _simulate_scribbles(gt: LabelVolume, margin: int, num_classes: int = 0):
 
 
 def _slic_params(image: Volume, k, compactness: float, iterations: int) -> supervoxel.SlicParams:
-    """SLIC settings; ``k`` defaults to one per 1000 voxels and must fit an int16 ID map."""
+    """SLIC settings; ``k`` defaults to one per 1000 voxels and must fit the image and an int16 ID map."""
     k = max(1, image.data.size // 1000) if k is None else k
     params = supervoxel.SlicParams(k, compactness, iterations)  # a non-integer k fails here
     if k > _MAX_INT16_ID:
         raise ScribsupError(f"k={k} supervoxels exceed the int16 NIfTI limit ({_MAX_INT16_ID})")
+    params.check_fits(image.shape)
     return params
 
 
@@ -351,11 +353,13 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
             raise ScribsupError("need either 'scribbles' or 'gt' (to simulate them)")
         label_propagation._check_edge_threshold(cfg["edge_threshold"])
         check_setting("margin_vox", cfg["margin_vox"], 1, integer=True)
-        # num_classes 0 is inferred from the scribbles later; any other count is checked here
+        # only an integer 0 is inferred from the scribbles later; any other count is checked here
+        check_setting("num_classes (0 infers it)", cfg["num_classes"], 0, integer=True)
         net_cfg = refnet.NetConfig(2 if cfg["num_classes"] == 0 else cfg["num_classes"],
                                    cfg["forward_base_filters"], seed=cfg["seed"])
         if cfg["forward"]:
-            net_cfg.check_patch_shape(tuple(cfg["patch_shape"]))
+            patch_shape = tuple(cfg["patch_shape"])
+            net_cfg.check_patch_shape(patch_shape)
             ab, weights = losses.AbParams(**cfg["ab"]), losses.TotalLossWeights(**cfg["weights"])
         out_dir = Path(cfg["output_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -367,6 +371,9 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
     def write(vol, name: str):
         write_nifti(vol, out_dir / f"{name}.nii")
         emit(name, out_dir / f"{name}.nii")
+
+    def crop(vol):
+        return crop_or_pad(vol, patch_shape, origin="center")
 
     with stage("read"):
         image = read_nifti(cfg["image"], kind="image")
@@ -393,6 +400,10 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
         pl = label_propagation.propagate(scribbles, sv)
         write(pl.mask, "pseudo_mask")
         write(pl.confident, "confidence")
+        if cfg["forward"]:  # the loss supervises the centre patch only: refuse an empty one now
+            pl_patch = PseudoLabels(crop(pl.mask), crop(pl.confident))
+            if not pl_patch.confident.data.any():
+                raise NoConfidentVoxelsError(f"no confident voxels in the centre patch {patch_shape}")
 
     with stage("edges"):
         edge_vol = _edges(image, cfg["edge_threshold"], edges_in)
@@ -400,7 +411,6 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
 
     if cfg["forward"]:
         with stage("forward"):
-            patch_shape = tuple(cfg["patch_shape"])
             patch, _, outputs = _forward(image, scribbles.num_classes, cfg["seed"],
                                          cfg["forward_base_filters"], patch_shape)
             written = _write_forward(outputs, out_dir / "boundary_pred.nii", out_dir / "mask")
@@ -408,10 +418,6 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
                 emit(Path(path).stem, path)
 
         with stage("loss"):
-            def crop(vol):
-                return crop_or_pad(vol, patch_shape, origin="center")
-
-            pl_patch = PseudoLabels(crop(pl.mask), crop(pl.confident))
             report = losses.total_loss(
                 outputs.boundary, crop(edge_vol), outputs.mask_init, outputs.mask_final,
                 pl_patch, patch, ab=ab, weights=weights,

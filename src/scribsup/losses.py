@@ -13,7 +13,9 @@ Three signals, each returning value plus exact gradient:
 
 Values for the cross-entropy losses are means (per voxel / per confident
 voxel) so they are patch-size independent; the active-boundary terms are
-physical integrals weighted by the voxel volume in mm^3.
+physical integrals weighted by the voxel volume in mm^3. Gradients are built
+in place, in the same IEEE operations and order as their out-of-place forms
+(``tests/oracles.py``), so every value and gradient is byte-identical to them.
 """
 
 from __future__ import annotations
@@ -140,30 +142,37 @@ def partial_ce(probs: ProbVolume, pl: PseudoLabels) -> LossReport:
     n_conf = int(conf.sum())
     if n_conf == 0:
         raise NoConfidentVoxelsError("no confident voxels to supervise")
-    labels = pl.mask.data.astype(np.int64)
-    raw = np.take_along_axis(probs.data, labels[..., None], axis=3)[..., 0]
-    picked = np.clip(raw, _CLAMP_LO, None)
-    value = -float(np.sum(np.log(picked[conf]))) / n_conf
+    labels = pl.mask.data  # each label lies below the channel count, so every voxel is picked
+    picked = np.empty(labels.shape)  # the picked probability, its clamp, then the coefficient
+    for c in range(probs.channels):
+        np.copyto(picked, probs.data[..., c], where=labels == c)
+    keep = conf & (picked > _CLAMP_LO)  # the gradient is zero where the clamp is active
+    value = -float(np.sum(np.log(np.maximum(picked, _CLAMP_LO, out=picked)[conf]))) / n_conf
+    np.divide(-1.0, np.multiply(picked, n_conf, out=picked), out=picked)
+    picked[~keep] = 0.0
     grad = np.zeros_like(probs.data)
-    coeff = np.where(conf & (raw > _CLAMP_LO), -1.0 / (n_conf * picked), 0.0)
-    np.put_along_axis(grad, labels[..., None], coeff[..., None], axis=3)
+    for c in range(probs.channels):
+        np.copyto(grad[..., c], picked, where=labels == c)
     return LossReport(value, grad)
 
 
 def _active_boundary_term(u, v, spacing, omega, params: AbParams):
     """One foreground channel's value and gradient; its temporaries die on return."""
-    # forward differences with a zero-flux far border
-    diffs = [np.diff(u, axis=a, append=u.take([-1], axis=a)) / spacing[a] for a in range(3)]
-    phi = np.sqrt(diffs[0] ** 2 + diffs[1] ** 2 + diffs[2] ** 2 + params.epsilon)
+    def diff(a):  # forward difference with a zero-flux far border, made where it is read
+        return np.diff(u, axis=a, append=u.take([-1], axis=a)) / spacing[a]
+    phi = np.square(diff(0))
+    for a in (1, 2):  # ((d0^2 + d1^2) + d2^2) + eps, one difference alive at a time
+        phi += np.square(diff(a))
+    np.sqrt(np.add(phi, params.epsilon, out=phi), out=phi)
     surface = float(phi.sum()) * omega
 
     g = np.zeros_like(u)
     w = np.zeros_like(u)  # reused by every axis: only entries where phi > 0 are written
     for a in range(3):
         # zero subgradient where the field vanishes (possible at eps = 0)
-        np.divide(diffs[a], phi, out=w, where=phi > 0)
+        np.divide(diff(a), phi, out=w, where=phi > 0)
         g -= np.diff(w, axis=a, prepend=0.0) / spacing[a]
-    del diffs, phi, w  # before the volume terms' temporaries
+    del phi, w  # before the volume terms' temporaries
     g *= omega
 
     su = float(u.sum())
@@ -230,23 +239,27 @@ def total_loss(
     for name, vol in zip(("boundary", "static_edges", "probs_init", "probs_final", "pl.mask"),
                          (boundary, static_edges, probs_init, probs_final, pl.mask)):
         _check_same_grid(vol, image, f"{name} and image")
-    # the largest transient first, while no other term's gradient is held
+    # the largest transient first, while no other gradient is held; the final-mask
+    # gradient is summed into its buffer before the boundary and initial-mask terms run
     abl = active_boundary_loss(probs_final, image, ab)
+    grad_final = abl.grad
+    grad_final *= weights.beta2
+    seg_final = partial_ce(probs_final, pl)
+    grad_final += seg_final.grad
+    l_seg_final = seg_final.value
+    del seg_final
     bry = boundary_loss(boundary, static_edges, literal=literal_boundary)
     seg_init = partial_ce(probs_init, pl)
-    seg_final = partial_ce(probs_final, pl)
     value = (
         weights.beta1 * bry.value
         + seg_init.value
-        + seg_final.value
+        + l_seg_final
         + weights.beta2 * abl.value
     )
-    grad_final = weights.beta2 * abl.grad
-    grad_final += seg_final.grad
     terms = {
         "l_bry": bry.value,
         "l_seg_init": seg_init.value,
-        "l_seg_final": seg_final.value,
+        "l_seg_final": l_seg_final,
         "l_ab": abl.value,
         "total": value,
         "beta1": weights.beta1,

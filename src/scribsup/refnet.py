@@ -403,16 +403,20 @@ def _channel_gates(net, prefix, s):
 
 
 def _decoder_level(net, i, d, skip):
-    """Upsample ``d`` to ``skip``'s grid, gate the skip and run level ``i``'s conv block;
-    returns (features, gate), so the full-resolution temporaries die on return."""
+    """Upsample ``d`` to ``skip``'s grid, gate the skip in place and run level ``i``'s conv
+    block; returns (features, gate). The caller popped ``skip``, so both ``conv1`` inputs
+    die once it has read them, before its instance norm and ``conv2`` allocate."""
     params = net.params
     d_up = _upsample_to(d, skip.shape[1:])
     gate1 = params[f"dec{i}.gate1.w"][..., None, None, None]
     t = _relu(_conv3d((d_up, skip), gate1, params[f"dec{i}.gate1.b"]))
     gate = _sigmoid64(_conv1x1(t, params[f"dec{i}.gate2.w"], params[f"dec{i}.gate2.b"])[0])
     del t
-    skip *= gate.astype(np.float32)[None]  # the caller popped the skip, so gate it in place
-    return _conv_block(net, f"dec{i}", (d_up, skip)), gate
+    skip *= gate.astype(np.float32)[None]
+    x = _conv3d((d_up, skip), params[f"dec{i}.conv1.w"], params[f"dec{i}.conv1.b"])
+    del d_up, skip
+    x = _conv3d(_relu(_instance_norm(x)), params[f"dec{i}.conv2.w"], params[f"dec{i}.conv2.b"])
+    return _relu(_instance_norm(x)), gate
 
 
 def forward(net: Network, patch: Volume) -> NetworkOutputs:

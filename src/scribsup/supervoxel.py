@@ -57,6 +57,12 @@ class SlicParams:
         check_setting("iterations", self.iterations, 1, integer=True)
         check_setting("compactness", self.compactness, 0, open_low=True)
 
+    def check_fits(self, shape) -> None:
+        """Raise KTooLargeError when ``k`` exceeds the voxel count of ``shape``."""
+        nvox = int(np.prod(shape))
+        if self.k > nvox:
+            raise KTooLargeError(f"k={self.k} exceeds voxel count {nvox}")
+
 
 def _seed_grid(shape, spacing, k) -> Tuple[np.ndarray, float]:
     """Regular seed lattice with physical step S = (total mm^3 / k)^(1/3).
@@ -193,9 +199,7 @@ def _slic_state(vol: Volume, params: SlicParams):
     (by D) to its own center among centers whose window covers it.
     """
     shape = vol.shape
-    nvox = int(np.prod(shape))
-    if params.k > nvox:
-        raise KTooLargeError(f"k={params.k} exceeds voxel count {nvox}")
+    params.check_fits(shape)
     intensity = _normalize(vol.data)
     seeds_mm, step = _seed_grid(shape, vol.spacing, params.k)
     seed_idx = _perturb_seeds(seeds_mm, intensity, vol.spacing)

@@ -477,3 +477,46 @@ def reference_active_boundary_loss(probs, image, params):
 def reference_grad_final(seg_final_grad, ab_grad, beta2):
     """``total_loss``'s final-mask gradient as one out-of-place sum (copied verbatim)."""
     return seg_final_grad + beta2 * ab_grad
+
+
+_CLAMP_LO = 1e-7  # ``losses._CLAMP_LO``
+
+
+def reference_partial_ce(probs, pl):
+    """``losses.partial_ce`` before it picked and clamped in one buffer, copied
+    verbatim but for the grid and class-count checks; returns (value, grad).
+
+    It gathers with int64 labels and ``take_along_axis`` and scatters with
+    ``put_along_axis``; the in-place edition makes the same IEEE operations on
+    every voxel, so both must agree byte for byte.
+    """
+    conf = pl.confident.data.astype(bool)
+    n_conf = int(conf.sum())
+    labels = pl.mask.data.astype(np.int64)
+    raw = np.take_along_axis(probs.data, labels[..., None], axis=3)[..., 0]
+    picked = np.clip(raw, _CLAMP_LO, None)
+    value = -float(np.sum(np.log(picked[conf]))) / n_conf
+    grad = np.zeros_like(probs.data)
+    coeff = np.where(conf & (raw > _CLAMP_LO), -1.0 / (n_conf * picked), 0.0)
+    np.put_along_axis(grad, labels[..., None], coeff[..., None], axis=3)
+    return value, grad
+
+
+def reference_decoder_level(net, i, d, skip):
+    """``refnet._decoder_level`` before it freed its ``conv1`` inputs early,
+    copied verbatim; returns (features, gate).
+
+    It keeps the upsampled ``d`` and the gated skip alive through the whole
+    conv block. It runs the network's own primitives (their own tests check
+    them), so what it pins is the order of the steps, not their arithmetic.
+    """
+    from scribsup.refnet import _conv1x1, _conv3d, _conv_block, _relu, _sigmoid64, _upsample_to
+
+    params = net.params
+    d_up = _upsample_to(d, skip.shape[1:])
+    gate1 = params[f"dec{i}.gate1.w"][..., None, None, None]
+    t = _relu(_conv3d((d_up, skip), gate1, params[f"dec{i}.gate1.b"]))
+    gate = _sigmoid64(_conv1x1(t, params[f"dec{i}.gate2.w"], params[f"dec{i}.gate2.b"])[0])
+    del t
+    skip *= gate.astype(np.float32)[None]  # the caller popped the skip, so gate it in place
+    return _conv_block(net, f"dec{i}", (d_up, skip)), gate

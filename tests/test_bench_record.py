@@ -1,0 +1,44 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+_spec = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+
+@pytest.mark.parametrize("values", [[3.0, 1.0, 2.0, 10.0], [5.0, 5.0], list(range(10)),
+                                    [0.3, 0.1, 0.7, 0.2, 0.9, 0.4, 0.5]])
+def test_iqr_matches_numpy_linear_percentiles(values):
+    want = np.percentile(values, 75) - np.percentile(values, 25)
+    assert bench_record.iqr(values) == pytest.approx(want, abs=1e-12)
+
+
+def test_iqr_of_one_value_is_zero():
+    assert bench_record.iqr([4.2]) == 0.0
+
+
+def _runs(**metrics):
+    n = len(next(iter(metrics.values())))
+    return [{"metrics": {name: v[i] for name, v in metrics.items()}} for i in range(n)]
+
+
+def test_summarise_counts_strict_pair_wins_in_each_direction():
+    by_side = {
+        "parent": _runs(peak_rss_mib=[500, 510, 505, 400], volumes_per_s=[1.0, 2.0, 3.0, 4.0],
+                        pseudo_dice=[0.7] * 4),
+        "change": _runs(peak_rss_mib=[460, 470, 505, 420], volumes_per_s=[1.5, 1.0, 3.0, 5.0],
+                        pseudo_dice=[0.7] * 4),
+    }
+    better = {"peak_rss_mib": "lower", "volumes_per_s": "higher", "pseudo_dice": "higher"}
+    rec = bench_record.summarise(by_side, better)
+    # pair 2 ties on both: a tie is no win
+    assert rec["change_wins"] == {"peak_rss_mib": 2, "volumes_per_s": 2, "pseudo_dice": 0}
+    assert rec["parent"]["median"]["peak_rss_mib"] == 502.5
+    assert rec["change"]["median"]["peak_rss_mib"] == 465.0
+    assert rec["parent"]["iqr"]["pseudo_dice"] == 0.0
+    assert rec["change_over_parent"]["peak_rss_mib"] == pytest.approx(465.0 / 502.5)
+    assert rec["parent"]["runs"] is by_side["parent"]

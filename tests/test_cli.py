@@ -8,9 +8,12 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import sphere_labels
-from scribsup import cli, scribble_sim, supervoxel
+from scribsup import cli, losses, refnet, scribble_sim, supervoxel
 from scribsup.cli import main, run_pipeline, PipelineStageError
-from scribsup.errors import BadPatchShapeError, InvalidConfigError, ScribsupError, ShapeMismatchError
+from scribsup.errors import (
+    BadPatchShapeError, InvalidConfigError, KTooLargeError, NoConfidentVoxelsError, ScribsupError,
+    ShapeMismatchError,
+)
 from scribsup.volume_io import BinaryVolume, LabelVolume, Volume, read_nifti, write_nifti
 
 
@@ -675,3 +678,74 @@ def test_loss_refuses_nan_prediction_at_an_unsupervised_voxel(tmp_path, runner):
     assert result.exit_code == 1
     assert "error in stage 'loss'" in result.output and str(nan_path) in result.output
     assert not (tmp_path / "loss.json").exists()
+
+
+def _record_compute(monkeypatch):
+    """Record calls to the four expensive steps; each still runs."""
+    calls = []
+    for module, name in ((scribble_sim, "simulate_foreground_scribbles"), (supervoxel, "slic3d"),
+                         (refnet, "forward"), (losses, "total_loss")):
+        def recorded(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_simulate_scribbles_refuses_margin_before_skeletonising(tmp_path, monkeypatch, runner):
+    _, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
+    calls = _record_compute(monkeypatch)
+    result = runner.invoke(main, ["simulate-scribbles", "--gt", str(gt_path), "--margin", "0",
+                                  "--output", str(tmp_path / "s.nii")])
+    assert result.exit_code == 1
+    assert "error in stage 'simulate-scribbles'" in result.output
+    assert "margin_vox must be an integer >= 1, got 0" in result.output
+    assert calls.count("simulate_foreground_scribbles") == 0
+    assert not (tmp_path / "s.nii").exists()
+
+
+@pytest.mark.parametrize("value", [False, True, 0.0], ids=["false", "true", "float_zero"])
+def test_only_an_integer_zero_infers_num_classes_before_any_compute(tmp_path, monkeypatch, value):
+    img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
+    calls = _record_compute(monkeypatch)
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline({"image": str(img_path), "gt": str(gt_path), "num_classes": value,
+                      "output_dir": str(tmp_path / "out")}, echo=lambda *_: None)
+    assert info.value.stage == "config"
+    assert isinstance(info.value.cause, InvalidConfigError)
+    assert "num_classes" in str(info.value) and "integer" in str(info.value)
+    assert calls == [] and not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_k_above_the_voxel_count_fails_in_read_before_any_compute(tmp_path, monkeypatch):
+    img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))  # 1,024 voxels
+    calls = _record_compute(monkeypatch)
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline({"image": str(img_path), "gt": str(gt_path), "slic": {"k": 2000},
+                      "output_dir": str(tmp_path / "out")}, echo=lambda *_: None)
+    assert info.value.stage == "read"
+    assert isinstance(info.value.cause, KTooLargeError)
+    assert "k=2000 exceeds voxel count 1024" in str(info.value)
+    assert calls == []
+
+
+def test_no_confident_voxel_in_the_patch_fails_in_propagate_before_any_compute(tmp_path, monkeypatch):
+    """Scribbles in one corner of a 96x96x8 image leave the centre 32x32x8 patch
+    without a confident voxel; the loss could not supervise it, so the run stops
+    before the forward pass."""
+    img_path, _ = _phantom(tmp_path, shape=(96, 96, 8))
+    labels = np.full((96, 96, 8), 255, dtype=np.uint16)
+    labels[0:3, 0:3, :], labels[6:9, 0:3, :] = 1, 0
+    scrib = tmp_path / "scribbles.nii"
+    write_nifti(LabelVolume(labels, (1.0, 1.0, 4.0), 256), scrib)
+    calls = _record_compute(monkeypatch)
+    out = tmp_path / "out"
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline({"image": str(img_path), "scribbles": str(scrib), "output_dir": str(out),
+                      "slic": {"k": 300}, "forward": True, "patch_shape": [32, 32, 8],
+                      "forward_base_filters": 2}, echo=lambda *_: None)
+    assert info.value.stage == "propagate"
+    assert isinstance(info.value.cause, NoConfidentVoxelsError)
+    assert "centre patch (32, 32, 8)" in str(info.value)
+    assert calls == ["slic3d"]
+    assert read_nifti(out / "confidence.nii", kind="binary").data.any()  # confident elsewhere

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_volume, random_softmax
-from oracles import central_fd, reference_active_boundary_loss, reference_grad_final, rel_err
+from oracles import (
+    central_fd, reference_active_boundary_loss, reference_grad_final, reference_partial_ce, rel_err,
+)
 from scribsup.errors import NoConfidentVoxelsError, ShapeMismatchError
 from scribsup.label_propagation import PseudoLabels
 from scribsup.losses import (
@@ -371,3 +374,107 @@ def test_prob_volume_rejects_nan(channels):
     data[1, 2, 0, 0] = np.nan
     with pytest.raises(ValueError, match="probabilities must lie in"):
         ProbVolume(data, SPACING)
+
+
+# ---------------------------------------------------------------------------
+# in-place partial CE and total loss against the out-of-place references
+
+
+def _ce_cases():
+    """Seeded (probs, pseudo labels, image, ab params): random shapes, spacings and
+    class counts; every class among the confident labels; all, most or few voxels
+    confident, with labels off the confident set in every other case; ~1/5 of the
+    voxels clamp-active, their labelled probability 0, below, at or just above
+    1e-7; eps in {0, 1e-6}; every fourth image constant."""
+    clamped = np.array([0.0, 5e-8, 1e-7, np.nextafter(1e-7, 1.0)])
+    for case in range(24):
+        rng = np.random.default_rng(900 + case)
+        shape = tuple(int(n) for n in rng.integers(2, 9, size=3))
+        spacing = tuple(float(s) for s in rng.uniform(0.3, 5.0, size=3))
+        n = int(rng.integers(2, 6))
+        conf = rng.random(shape) >= (0.0, 0.4, 0.9)[case % 3]
+        labels = rng.integers(0, n, size=shape)
+        conf.flat[:n], labels.flat[:n] = True, np.arange(n)
+        if case % 2:
+            labels = np.where(conf, labels, 0)
+        probs = random_softmax(rng, shape, n)
+        onehot = np.eye(n, dtype=bool)[labels]
+        tiny = rng.choice(clamped, size=shape)[..., None]
+        rest = np.where(onehot, 0.0, probs)
+        rest *= (1.0 - tiny) / rest.sum(-1, keepdims=True)
+        probs = np.where((rng.random(shape) < 0.2)[..., None], np.where(onehot, tiny, rest), probs)
+        pl = PseudoLabels(LabelVolume(labels.astype(np.uint16), spacing, n),
+                          BinaryVolume(conf.astype(np.uint8), spacing))
+        image = rng.random(shape)
+        if case % 4 == 0:
+            image[:] = 0.3
+        params = AbParams(float(rng.uniform(0, 2)), float(rng.uniform(0, 1)), (0.0, 1e-6)[case % 2])
+        yield ProbVolume(probs, spacing), pl, make_volume(image, spacing), params
+
+
+def test_partial_ce_bytes_match_out_of_place_reference():
+    hit_clamp = 0
+    for probs, pl, _, _ in _ce_cases():
+        rep = partial_ce(probs, pl)
+        value, grad = reference_partial_ce(probs, pl)
+        assert rep.value == value
+        assert rep.grad.dtype == grad.dtype and rep.grad.tobytes() == grad.tobytes()
+        picked = np.take_along_axis(probs.data, pl.mask.data[..., None].astype(np.int64), 3)
+        hit_clamp += int((picked[pl.confident.data.astype(bool)] <= 1e-7).sum())
+    assert hit_clamp > 0  # the cases exercise the clamp
+
+
+def test_total_loss_bytes_match_out_of_place_references():
+    for case, (probs_final, pl, image, params) in enumerate(_ce_cases()):
+        rng = np.random.default_rng(1000 + case)
+        shape, n, spacing = probs_final.shape, probs_final.channels, probs_final.spacing
+        probs_init = ProbVolume(random_softmax(rng, shape, n), spacing)
+        boundary = ProbVolume(rng.uniform(0.1, 0.9, shape)[..., None], spacing)
+        edges = BinaryVolume((rng.random(shape) > 0.5).astype(np.uint8), spacing)
+        weights = TotalLossWeights(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
+        rep = total_loss(boundary, edges, probs_init, probs_final, pl, image, ab=params,
+                         weights=weights)
+
+        l_ab, ab_grad = reference_active_boundary_loss(probs_final, image, params)
+        l_init, grad_init = reference_partial_ce(probs_init, pl)
+        l_final, seg_grad = reference_partial_ce(probs_final, pl)
+        bry = boundary_loss(boundary, edges)
+        value = weights.beta1 * bry.value + l_init + l_final + weights.beta2 * l_ab
+        want = {"l_bry": bry.value, "l_seg_init": l_init, "l_seg_final": l_final, "l_ab": l_ab,
+                "total": value}
+        assert {k: repr(rep.terms[k]) for k in want} == {k: repr(v) for k, v in want.items()}
+        assert repr(rep.value) == repr(value)
+        for got, ref in ((rep.grad_init, grad_init),
+                         (rep.grad_final, reference_grad_final(seg_grad, ab_grad, weights.beta2)),
+                         (rep.grad_boundary, weights.beta1 * bry.grad)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_total_loss_traced_peak_is_bounded():
+    """``total_loss`` at 64x64x16 with 4 classes peaks within 13 float64 volumes of
+    traced allocations, of which its three gradients (2 * 4 + 1) are the result.
+
+    It was 18.3 volumes while every term's gradient and ``partial_ce``'s int64
+    labels, gathered copies and coefficient volume were alive together, and is 10.8
+    with the final-mask gradient summed into the active-boundary buffer first.
+    """
+    shape, n = (64, 64, 16), 4
+    rng = np.random.default_rng(5)
+    conf = rng.random(shape) > 0.4
+    mask = np.where(conf, rng.integers(0, n, size=shape), 0).astype(np.uint16)
+    pl = PseudoLabels(LabelVolume(mask, SPACING, n), BinaryVolume(conf.astype(np.uint8), SPACING))
+    probs_init = ProbVolume(random_softmax(rng, shape, n), SPACING)
+    probs_final = ProbVolume(random_softmax(rng, shape, n), SPACING)
+    boundary = ProbVolume(rng.uniform(0.1, 0.9, shape)[..., None], SPACING)
+    edges = BinaryVolume((rng.random(shape) > 0.5).astype(np.uint8), SPACING)
+    image = make_volume(rng.random(shape), SPACING)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        total_loss(boundary, edges, probs_init, probs_final, pl, image)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    unit = int(np.prod(shape)) * np.dtype(np.float64).itemsize
+    assert peak <= 13 * unit, f"traced peak is {peak / unit:.1f} float64 volumes"

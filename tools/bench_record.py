@@ -9,11 +9,12 @@ Each pair runs ``perfbench/run.py`` (seed 0, ``--trace 0``, the run length of
 ``BENCHMARK.json``) on every workload of ``BENCHMARK.json``, once in the parent
 checkout and once in this one. The side that goes first flips from pair to
 pair, so host drift falls on both. The file keeps every run's
-``correct``/``failed`` flags and end-to-end metrics, the per-side medians, the
-change/parent ratio of those medians, each side's commit, ``src/`` digest and
-``src/`` line count, and the host note that ``perfbench`` writes to
-``.perfbench_out/``. Needs only the standard library; ``perfbench`` itself
-needs numpy, scipy and click.
+``correct``/``failed`` flags and end-to-end metrics, the per-side medians and
+interquartile ranges, the change/parent ratio of those medians, the number of
+pairs in which the change did better on each metric (in the direction
+``BENCHMARK.json`` names), each side's commit, ``src/`` digest and ``src/`` line
+count, and the host note that ``perfbench`` writes to ``.perfbench_out/``. Needs
+only the standard library; ``perfbench`` itself needs numpy, scipy and click.
 """
 
 from __future__ import annotations
@@ -62,6 +63,40 @@ def run_once(checkout: Path, workload: str, seconds: float):
     return run, env
 
 
+def iqr(values) -> float:
+    """Q3 - Q1, interpolated as ``statistics.quantiles(method="inclusive")`` (and
+    numpy's default ``percentile``) do; 0 for fewer than two values."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarise(by_side: dict, better: dict) -> dict:
+    """One workload's record from its ``{"parent": runs, "change": runs}``.
+
+    Run ``i`` of each side makes pair ``i``. ``better`` maps a metric to
+    ``"lower"`` or ``"higher"``; ``change_wins`` counts the pairs in which the
+    change was strictly better, so a tie is no win.
+    """
+    values = {side: {name: [r["metrics"][name] for r in runs] for name in runs[0]["metrics"]}
+              for side, runs in by_side.items()}
+    median = {side: {name: statistics.median(v) for name, v in m.items()}
+              for side, m in values.items()}
+    wins = {}
+    for name, sign in ((n, 1 if better.get(n) == "higher" else -1) for n in values["change"]):
+        pairs = zip(values["parent"][name], values["change"][name])
+        wins[name] = sum(sign * (c - p) > 0 for p, c in pairs)
+    return {
+        **{side: {"runs": runs, "median": median[side],
+                  "iqr": {name: iqr(v) for name, v in values[side].items()}}
+           for side, runs in by_side.items()},
+        "change_over_parent": {name: v / median["parent"][name] if median["parent"][name] else None
+                               for name, v in median["change"].items()},
+        "change_wins": wins,
+    }
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent", required=True, type=Path, help="checkout of the commit to compare with")
@@ -90,16 +125,16 @@ def main(argv=None):
         "host": {k: env[k] for k in ("note", "nproc", "machine", "python", "numpy", "scipy")},
         "workloads": {},
     }
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     for workload, by_side in runs.items():
-        median = {side: {name: statistics.median(r["metrics"][name] for r in side_runs)
-                         for name in side_runs[0]["metrics"]}
-                  for side, side_runs in by_side.items()}
-        record["workloads"][workload] = {
-            **{side: {"runs": by_side[side], "median": median[side]} for side in by_side},
-            "change_over_parent": {name: v / median["parent"][name] if median["parent"][name] else None
-                                   for name, v in median["change"].items()},
-        }
+        record["workloads"][workload] = summarise(by_side, better)
     args.output.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    for workload, rec in record["workloads"].items():
+        for name in better:
+            print(f"{workload} {name}: parent {rec['parent']['median'][name]:.4g} "
+                  f"(IQR {rec['parent']['iqr'][name]:.3g}), change {rec['change']['median'][name]:.4g} "
+                  f"(IQR {rec['change']['iqr'][name]:.3g}), change better in "
+                  f"{rec['change_wins'][name]}/{args.pairs} pairs")
     print(f"wrote {args.output}")
 
 
