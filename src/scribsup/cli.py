@@ -22,10 +22,10 @@ import click
 import numpy as np
 
 from . import label_propagation, losses, metrics, refnet, scribble_sim, supervoxel
-from .errors import NoConfidentVoxelsError, ScribsupError, UnsupportedDatatypeError, check_setting
+from .errors import NoConfidentVoxelsError, ScribsupError, check_setting
 from .volume_io import (
-    BinaryVolume, LabelVolume, ProbVolume, PseudoLabels, Volume, _check_same_grid, crop_or_pad,
-    read_nifti, write_nifti,
+    BinaryVolume, LabelVolume, ProbVolume, PseudoLabels, Volume, _check_same_grid, _refusal_names,
+    crop_or_pad, read_nifti, write_nifti,
 )
 
 _MAX_INT16_ID = 32767
@@ -87,22 +87,10 @@ def _read_on_grid(path, kind: str, ref, ref_path):
     return vol
 
 
-@contextmanager
-def _refusal_names(path):
-    """Re-raise a container's refusal of the values read from ``path`` as an error naming it."""
-    try:
-        yield
-    except ValueError as exc:
-        raise UnsupportedDatatypeError(f"{path}: {exc}") from exc
-
-
 def _simulate_scribbles(gt: LabelVolume, margin: int, num_classes: int = 0):
     """Foreground skeletons plus the background ring; ``num_classes`` widens the set."""
-    check_setting("margin_vox", margin, 1, integer=True)  # before any slice is skeletonised
-    merged = scribble_sim.merge_scribbles(
-        scribble_sim.simulate_foreground_scribbles(gt),
-        scribble_sim.simulate_background_scribble(gt, margin),
-    )
+    background = scribble_sim.simulate_background_scribble(gt, margin)  # refuses a bad margin first
+    merged = scribble_sim.merge_scribbles(scribble_sim.simulate_foreground_scribbles(gt), background)
     return dataclasses.replace(merged, num_classes=num_classes) if num_classes else merged
 
 
@@ -134,7 +122,7 @@ def _edges(image: Volume, threshold: float, precomputed: Volume | None = None) -
 
 def _forward(image: Volume, num_classes: int, seed: int, base_filters: int, patch_shape=None):
     """Center-crop/pad to ``patch_shape`` (if given), build the network, run it."""
-    patch = crop_or_pad(image, patch_shape, origin="center") if patch_shape else image
+    patch = crop_or_pad(image, patch_shape) if patch_shape else image
     net = refnet.build(refnet.NetConfig(num_classes, base_filters=base_filters, seed=seed))
     return patch, net, refnet.forward(net, patch)
 
@@ -372,9 +360,6 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
         write_nifti(vol, out_dir / f"{name}.nii")
         emit(name, out_dir / f"{name}.nii")
 
-    def crop(vol):
-        return crop_or_pad(vol, patch_shape, origin="center")
-
     with stage("read"):
         image = read_nifti(cfg["image"], kind="image")
         slic_params = _slic_params(image, **cfg["slic"])  # bad settings fail before any compute
@@ -401,7 +386,7 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
         write(pl.mask, "pseudo_mask")
         write(pl.confident, "confidence")
         if cfg["forward"]:  # the loss supervises the centre patch only: refuse an empty one now
-            pl_patch = PseudoLabels(crop(pl.mask), crop(pl.confident))
+            pl_patch = PseudoLabels(*(crop_or_pad(v, patch_shape) for v in (pl.mask, pl.confident)))
             if not pl_patch.confident.data.any():
                 raise NoConfidentVoxelsError(f"no confident voxels in the centre patch {patch_shape}")
 
@@ -419,8 +404,8 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
 
         with stage("loss"):
             report = losses.total_loss(
-                outputs.boundary, crop(edge_vol), outputs.mask_init, outputs.mask_final,
-                pl_patch, patch, ab=ab, weights=weights,
+                outputs.boundary, crop_or_pad(edge_vol, patch_shape), outputs.mask_init,
+                outputs.mask_final, pl_patch, patch, ab=ab, weights=weights,
             )
             _write_json(report.terms, out_dir / "loss.json")
             emit("loss", out_dir / "loss.json")

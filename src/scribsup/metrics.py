@@ -115,9 +115,8 @@ def evaluate(pred: LabelVolume, gt: LabelVolume) -> MetricsReport:
     """Per-foreground-class Dice/HD95/precision plus their means.
 
     Undefined entries (empty regions) are excluded from the means and
-    listed under ``undefined``.
+    listed under ``undefined``. The first ``dice`` call checks the grids.
     """
-    _check_same_grid(pred, gt, "prediction and ground truth")
     num_classes = max(pred.num_classes, gt.num_classes)
     per_class: List[ClassMetrics] = []
     undefined: List[Dict[str, object]] = []

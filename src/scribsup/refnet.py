@@ -104,11 +104,11 @@ class NetConfig:
 
 @dataclass(frozen=True)
 class Network:
-    """Immutable weight store; built once from a seed, then read-only."""
+    """Immutable weight store, read-only once built. ``params`` is in parameter order: the
+    inventory of :func:`_param_specs`, or an imported manifest's layer order."""
 
     config: NetConfig
     params: Dict[str, np.ndarray] = field(repr=False)
-    order: Tuple[str, ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -182,13 +182,11 @@ def build(config: NetConfig) -> Network:
     """
     rng = np.random.default_rng(config.seed)
     params: Dict[str, np.ndarray] = {}
-    order: List[str] = []
     for name, shape in _param_specs(config):
         arr = rng.standard_normal(shape, dtype=np.float32) * np.float32(_INIT_STD)
         arr.setflags(write=False)
         params[name] = arr
-        order.append(name)
-    return Network(config=config, params=params, order=tuple(order))
+    return Network(config=config, params=params)
 
 
 def count_params(net: Network) -> int:
@@ -201,8 +199,7 @@ def export_weights(net: Network, blob_path, manifest_path) -> None:
     offset = 0
     layers = []
     chunks = []
-    for name in net.order:
-        arr = net.params[name]
+    for name, arr in net.params.items():
         layers.append({"name": name, "shape": list(arr.shape), "offset": offset})
         raw = arr.astype("<f4").tobytes()
         chunks.append(raw)
@@ -222,7 +219,6 @@ def import_weights(config: NetConfig, blob_path, manifest_path) -> Network:
         blob = fh.read()
     expected = dict((name, shape) for name, shape in _param_specs(config))
     params: Dict[str, np.ndarray] = {}
-    order: List[str] = []
     for layer in manifest["layers"]:
         name = layer["name"]
         shape = tuple(layer["shape"])
@@ -237,11 +233,10 @@ def import_weights(config: NetConfig, blob_path, manifest_path) -> Network:
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=start).reshape(shape).copy()
         arr.setflags(write=False)
         params[name] = arr
-        order.append(name)
     missing = set(expected) - set(params)
     if missing:
         raise InvalidConfigError(f"manifest missing layers: {sorted(missing)}")
-    return Network(config=config, params=params, order=tuple(order))
+    return Network(config=config, params=params)
 
 
 # ---------------------------------------------------------------------------

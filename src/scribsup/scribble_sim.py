@@ -216,5 +216,4 @@ def scribbles_from_label_volume(vol: LabelVolume, num_classes: int = 0) -> Scrib
     cls = vol.data[mask]
     if num_classes == 0:
         num_classes = max(2, int(cls.max()) + 1 if cls.size else 2)
-    check_setting("num_classes", num_classes, 2, integer=True)
     return ScribbleSet(idx, cls, num_classes, vol.shape, vol.spacing)

@@ -4,23 +4,24 @@ All grids are indexed ``[x, y, z]`` with x varying fastest in the serialized
 byte stream, matching the NIfTI voxel order. Spacing is physical, in
 millimeters, one value per axis. The reader/writer supports uncompressed
 single-file ``.nii`` only, with datatypes uint8 (code 2), int16 (code 4) and
-float32 (code 16); qform/sform orientation is ignored and spacing is taken
-from ``pixdim`` alone. Intensity scaling (``scl_slope``/``scl_inter``) is
-rejected rather than ignored, and so is a ``bitpix`` that does not match
-``datatype``. A header with ``dim[0]=4`` and a singleton fourth dimension
-is read as 3D.
+float32 (code 16); qform/sform orientation is ignored and spacing is ``pixdim``
+scaled to mm by the spatial unit in ``xyzt_units``. Intensity scaling, a
+``bitpix`` that does not match ``datatype``, a length unit other than m, mm or
+micron and a fractional ``vox_offset`` are rejected rather than ignored. A
+header with ``dim[0]=4`` and a singleton fourth dimension is read as 3D.
 
 Every grid container lives here and states only the values its grid may
 hold; ``_own_array`` checks the array's ndim, stores a read-only copy the
 container owns and checks the spacing for all of them, and
 ``_check_same_grid`` is the one place that decides whether two grids match.
-The reader passes the payload straight to the requested container and raises
-``UnsupportedDatatypeError``, naming the file, when the container refuses it.
+The reader passes the payload straight to the requested container; ``_refusal_names``
+(the CLI's too) turns a refusal into an ``UnsupportedDatatypeError`` naming the file.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple, Union
 
@@ -317,8 +318,10 @@ class ScribbleSet:
         shape = tuple(int(n) for n in self.shape)
         object.__setattr__(self, "shape", shape)
         check_setting("num_classes", self.num_classes, 2, integer=True)
+        if np.shape(self.indices)[1:] != (3,):  # a (3, K) array is refused, not reinterpreted
+            raise ValueError(f"scribble indices must have shape (K, 3), got {np.shape(self.indices)}")
         _own_array(self, "indices", 2, lambda idx: _check_integers(
-            idx.reshape(-1, 3), np.asarray(shape), "scribble indices", np.int64))
+            idx, np.asarray(shape), "scribble indices", np.int64))
         _own_array(self, "classes", 1, lambda cls: _check_integers(
             cls, self.num_classes, "scribble classes", np.uint16))
         idx, cls = self.indices, self.classes
@@ -344,6 +347,15 @@ class PseudoLabels:
 
     def __post_init__(self):
         _check_same_grid(self.mask, self.confident, "pseudo mask and confidence")
+
+
+@contextmanager
+def _refusal_names(path):
+    """Re-raise a container's refusal of the values read from ``path`` as an error naming it."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise UnsupportedDatatypeError(f"{path}: {exc}") from exc
 
 
 def _parse_header(raw: bytes, path: str):
@@ -374,9 +386,13 @@ def _parse_header(raw: bytes, path: str):
     spacing = tuple(float(p) for p in hdr["pixdim"][1:4])
     if not all(np.isfinite(s) and s > 0 for s in spacing):
         raise MalformedHeaderError(f"{path}: nonpositive pixdim {spacing}")
+    units = int(hdr["xyzt_units"]) & 7  # spatial unit: 0 unknown (read as mm), 1 m, 2 mm, 3 micron
+    if units > 3:
+        raise MalformedHeaderError(f"{path}: xyzt_units spatial code {units} is not a length unit")
+    spacing = tuple(s * 1000.0 if units == 1 else s / 1000.0 if units == 3 else s for s in spacing)
     vox_offset = float(hdr["vox_offset"])
-    if not (np.isfinite(vox_offset) and vox_offset >= _HEADER_SIZE):
-        raise MalformedHeaderError(f"{path}: vox_offset {vox_offset} is not a finite value >= 348")
+    if not (vox_offset.is_integer() and vox_offset >= _HEADER_SIZE):  # also refuses NaN and +-inf
+        raise MalformedHeaderError(f"{path}: vox_offset {vox_offset} is not a whole number >= 348")
     # NIfTI-1: scl_slope 0 means unscaled; any other slope scales every voxel.
     slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
     if slope != 0.0 and (slope != 1.0 or inter != 0.0):
@@ -396,11 +412,11 @@ def read_nifti(path, kind: str = "auto") -> AnyVolume:
             to :class:`LabelVolume`; the explicit kinds force a container.
 
     Returns:
-        Volume, LabelVolume, or BinaryVolume depending on ``kind``/datatype.
+        Volume, LabelVolume or BinaryVolume by ``kind``/datatype; spacing in mm (``xyzt_units``).
 
     Raises:
-        MalformedHeaderError: bad magic, size, dims, bitpix, pixdim or
-            vox_offset.
+        MalformedHeaderError: bad magic, size, dims, bitpix, pixdim, spatial
+            unit (``xyzt_units``), or a vox_offset that is not a whole number >= 348.
         UnsupportedDatatypeError: datatype outside {uint8, int16, float32},
             or a payload the requested container refuses.
         UnsupportedScalingError: scl_slope/scl_inter other than unscaled.
@@ -419,7 +435,7 @@ def read_nifti(path, kind: str = "auto") -> AnyVolume:
         )
     flat = np.frombuffer(raw[vox_offset : vox_offset + nbytes], dtype=dtype)
     data = flat.reshape(shape, order="F")
-    try:
+    with _refusal_names(path):
         if kind == "binary":
             return BinaryVolume(data, spacing)
         if kind == "labels" or (kind == "auto" and code != DT_FLOAT32):
@@ -427,8 +443,6 @@ def read_nifti(path, kind: str = "auto") -> AnyVolume:
             storage = None if code == DT_FLOAT32 else code
             return LabelVolume(data, spacing, max(2, int(data.max()) + 1), storage)
         return Volume(data, spacing)
-    except (ValueError, OverflowError) as exc:
-        raise UnsupportedDatatypeError(f"{path}: {exc}") from exc
 
 
 def _storage_code(vol) -> int:
@@ -478,25 +492,19 @@ def write_nifti(vol: Union[AnyVolume, SupervoxelMap], path) -> None:
     os.replace(tmp, path)
 
 
-def crop_or_pad(vol: AnyVolume, target_shape, origin="center") -> AnyVolume:
-    """Crop and/or zero-pad a volume to ``target_shape``.
+def crop_or_pad(vol: AnyVolume, target_shape) -> AnyVolume:
+    """Centre-crop and/or zero-pad a volume to ``target_shape``.
 
-    ``origin`` places source voxel (0,0,0) at that index of the output grid
-    (may be negative, which crops). ``"center"`` centers the overlap,
-    rounding the offset toward zero. Voxels outside the source are zero;
-    spacing is unchanged. Total function: any target and origin are valid.
+    The source is centred on the output grid: source voxel (0,0,0) lands at
+    index ``int((t - s) / 2)`` per axis, the offset rounded toward zero
+    (negative where the axis is cropped). Voxels outside the source are
+    zero; spacing is unchanged. Any positive target shape is valid.
     """
     target_shape = tuple(int(t) for t in target_shape)
     if len(target_shape) != 3 or any(t <= 0 for t in target_shape):
         raise ValueError(f"target shape must be three positive ints, got {target_shape}")
     src = vol.data
-    if origin == "center":
-        origin = tuple(int((t - s) / 2) for t, s in zip(target_shape, src.shape))  # toward zero
-    else:
-        origin = tuple(int(o) for o in origin)
-        if len(origin) != 3:
-            raise ValueError("origin must have three components")
-
+    origin = tuple(int((t - s) / 2) for t, s in zip(target_shape, src.shape))  # toward zero
     out = np.zeros(target_shape, dtype=src.dtype)
     # the overlap in source indices; an axis without overlap gives an empty slice
     src_box = tuple(slice(max(0, -o), max(0, -o, min(s, t - o)))

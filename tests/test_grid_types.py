@@ -86,6 +86,16 @@ def test_grid_types_are_defined_only_in_volume_io():
     assert defined == {name: ["volume_io"] for name in GRID_TYPES}
 
 
+def test_only_volume_io_names_a_file_in_a_container_refusal():
+    """Only ``volume_io`` raises ``UnsupportedDatatypeError``; the CLI reuses its wrapper."""
+    raisers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "UnsupportedDatatypeError" in _identifiers(node.func):
+                raisers.add(path.stem)
+    assert raisers == {"volume_io"}
+
+
 @pytest.mark.parametrize("module, name", [
     (losses, "ProbVolume"), (supervoxel, "SupervoxelMap"), (scribble_sim, "ScribbleSet"),
     (label_propagation, "PseudoLabels"),

@@ -57,15 +57,15 @@ def _forward_summaries(shape):
 def test_same_seed_identical_weights():
     a = build(NetConfig(num_classes=3, base_filters=2, seed=42))
     b = build(NetConfig(num_classes=3, base_filters=2, seed=42))
-    assert a.order == b.order
-    for name in a.order:
+    assert list(a.params) == list(b.params)
+    for name in a.params:
         assert np.array_equal(a.params[name], b.params[name])
 
 
 def test_different_seed_different_weights():
     a = build(NetConfig(num_classes=3, base_filters=2, seed=1))
     b = build(NetConfig(num_classes=3, base_filters=2, seed=2))
-    assert any(not np.array_equal(a.params[n], b.params[n]) for n in a.order)
+    assert any(not np.array_equal(a.params[n], b.params[n]) for n in a.params)
 
 
 def test_weight_init_statistics():
@@ -192,12 +192,29 @@ def test_weight_export_import_roundtrip(tmp_path, rng):
     manifest = tmp_path / "weights.json"
     export_weights(net, blob, manifest)
     back = import_weights(cfg, blob, manifest)
-    assert back.order == net.order
-    for name in net.order:
+    assert list(back.params) == list(net.params)
+    for name in net.params:
         assert np.array_equal(back.params[name], net.params[name])
     patch = _patch(rng, (16, 16, 4))
     assert np.array_equal(forward(net, patch).mask_final.data,
                           forward(back, patch).mask_final.data)
+
+
+def test_import_keeps_a_permuted_manifest_order(tmp_path):
+    net = build(NetConfig(num_classes=3, base_filters=2, seed=9))
+    blob, manifest = tmp_path / "w.bin", tmp_path / "w.json"
+    export_weights(net, blob, manifest)
+    doc = json.loads(manifest.read_text())
+    doc["layers"] = doc["layers"][::2] + doc["layers"][1::2]  # same offsets, another order
+    manifest.write_text(json.dumps(doc))
+    permuted = [layer["name"] for layer in doc["layers"]]
+    back = import_weights(net.config, blob, manifest)
+    assert permuted != list(net.params)
+    assert list(back.params) == permuted
+    assert all(np.array_equal(back.params[n], net.params[n]) for n in permuted)
+    blob2, manifest2 = tmp_path / "w2.bin", tmp_path / "w2.json"
+    export_weights(back, blob2, manifest2)
+    assert [layer["name"] for layer in json.loads(manifest2.read_text())["layers"]] == permuted
 
 
 def test_import_rejects_wrong_config(tmp_path):

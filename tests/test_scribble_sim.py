@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,15 @@ def test_label_volume_class_count_is_zero_or_at_least_two(num_classes):
     assert scribbles_from_label_volume(vol, 0).num_classes == 2
     with pytest.raises(ValueError, match="num_classes"):
         scribbles_from_label_volume(vol, num_classes)
+
+
+def test_scribble_set_refuses_indices_not_shaped_k_by_3():
+    # both used to be reshaped to (K, 3) and stored as the wrong voxels, without an error
+    mask = np.zeros((8, 8, 8), dtype=bool)
+    mask[np.arange(6), np.arange(6), 2] = True
+    for indices in (np.array(np.nonzero(mask)), np.zeros((2, 6), dtype=np.int64)):
+        with pytest.raises(ValueError, match=re.escape(f"(K, 3), got {indices.shape}")):
+            ScribbleSet(indices, np.ones(len(indices.T), dtype=np.uint16), 2, mask.shape, (1, 1, 1))
 
 
 def test_scribble_set_rejects_conflicts():

@@ -97,6 +97,35 @@ def test_non_finite_vox_offset_is_malformed(tmp_path, offset):
         read_nifti(path)
 
 
+def test_fractional_vox_offset_is_malformed(tmp_path):
+    # int() used to truncate 352.5 and read the payload from byte 352
+    path = _patched_file(tmp_path, {108: np.float32(352.5).tobytes()})
+    with pytest.raises(MalformedHeaderError, match="352.5"):
+        read_nifti(path)
+
+
+# xyzt_units (byte 123): the low three bits are the spatial unit, the rest time
+@pytest.mark.parametrize("units, mm_per_unit", [
+    (0, 1.0), (1, 1000.0), (2, 1.0), (3, 0.001), (2 | 8, 1.0), (1 | 16, 1000.0), (3 | 24, 0.001),
+], ids=["unknown", "metre", "mm", "micron", "mm_seconds", "metre_ms", "micron_us"])
+def test_spacing_is_scaled_to_mm_by_the_spatial_unit(tmp_path, units, mm_per_unit):
+    path = tmp_path / "v.nii"
+    write_nifti(Volume(np.zeros((2, 2, 2), dtype=np.float32), (1.25, 2.0, 1000.0)), path)
+    raw = bytearray(path.read_bytes())
+    raw[123] = units
+    path.write_bytes(bytes(raw))
+    for kind in ("image", "labels", "binary"):
+        assert read_nifti(path, kind=kind).spacing == pytest.approx(
+            (1.25 * mm_per_unit, 2.0 * mm_per_unit, 1000.0 * mm_per_unit), rel=1e-12)
+
+
+@pytest.mark.parametrize("units", [4, 5, 6, 7, 4 | 8])
+def test_spatial_unit_other_than_a_length_is_malformed(tmp_path, units):
+    path = _patched_file(tmp_path, {123: bytes([units])})
+    with pytest.raises(MalformedHeaderError, match=re.escape(str(path))):
+        read_nifti(path)
+
+
 def test_bad_magic_and_bad_size(tmp_path):
     path = tmp_path / "ok.nii"
     write_nifti(Volume(np.zeros((2, 2, 2), dtype=np.float32), (1, 1, 1)), path)
@@ -289,15 +318,6 @@ def test_bitpix_must_match_datatype(tmp_path):
         read_nifti(path)
 
 
-def test_crop_or_pad_corner_origin():
-    vol = Volume(np.ones((2, 2, 2), dtype=np.float32), (1, 1, 1))
-    out = crop_or_pad(vol, (4, 4, 4), origin=(1, 1, 1))
-    expected = np.zeros((4, 4, 4), dtype=np.float32)
-    expected[1:3, 1:3, 1:3] = 1.0
-    assert np.array_equal(out.data, expected)
-    assert out.spacing == vol.spacing
-
-
 def test_crop_or_pad_to_patch_size():
     vol = Volume(np.ones((200, 200, 28), dtype=np.float32), (1.5, 1.5, 6.0))
     out = crop_or_pad(vol, (224, 224, 32))
@@ -306,10 +326,12 @@ def test_crop_or_pad_to_patch_size():
 
 
 def test_crop_or_pad_inverse_with_aligned_origins(rng):
+    # a centred pad then a centred crop back: odd differences 5 -> 8 and 6 -> 9, an even one 7 -> 9
     data = rng.random((5, 6, 7)).astype(np.float32)
     vol = Volume(data, (1, 1, 1))
-    padded = crop_or_pad(vol, (9, 9, 9), origin=(2, 1, 0))
-    back = crop_or_pad(padded, (5, 6, 7), origin=(-2, -1, 0))
+    padded = crop_or_pad(vol, (8, 9, 9))
+    assert np.array_equal(padded.data[1:6, 1:7, 1:8], data)  # offsets int(3/2), int(3/2), int(2/2)
+    back = crop_or_pad(padded, (5, 6, 7))
     assert np.array_equal(back.data, data)
 
 
@@ -351,8 +373,8 @@ def test_write_read_roundtrip_bit_exact(tmp_path_factory, seed):
 
 
 # sizeof_hdr, dim[0], dim[1], dim[4], datatype, bitpix, pixdim[1..3], vox_offset, scl_slope,
-# scl_inter, magic
-_HEADER_FIELDS = [0, 40, 42, 48, 70, 72, 80, 84, 88, 108, 112, 116, 344]
+# scl_inter, xyzt_units, magic
+_HEADER_FIELDS = [0, 40, 42, 48, 70, 72, 80, 84, 88, 108, 112, 116, 123, 344]
 _SPECIAL_VALUES = [np.float32(v).tobytes() for v in (np.nan, np.inf, -np.inf, -1, 0, 1, 351, 1e30)]
 _SPECIAL_VALUES += [np.int16(v).tobytes() for v in (-1, 0, 1, 2, 3, 4, 5, 16, 32767)]
 _NAN, _INF = np.float32(np.nan).tobytes(), np.float32(np.inf).tobytes()
