@@ -104,19 +104,19 @@ def test_fractional_vox_offset_is_malformed(tmp_path):
         read_nifti(path)
 
 
+_AS_MM, _M_AS_MM, _UM_AS_MM = (1.25, 2.0, 1000.0), (1250.0, 2000.0, 1e6), (0.00125, 0.002, 1.0)
+
+
 # xyzt_units (byte 123): the low three bits are the spatial unit, the rest time
-@pytest.mark.parametrize("units, mm_per_unit", [
-    (0, 1.0), (1, 1000.0), (2, 1.0), (3, 0.001), (2 | 8, 1.0), (1 | 16, 1000.0), (3 | 24, 0.001),
+@pytest.mark.parametrize("units, spacing_mm", [
+    (0, _AS_MM), (1, _M_AS_MM), (2, _AS_MM), (3, _UM_AS_MM),
+    (2 | 8, _AS_MM), (1 | 16, _M_AS_MM), (3 | 24, _UM_AS_MM),
 ], ids=["unknown", "metre", "mm", "micron", "mm_seconds", "metre_ms", "micron_us"])
-def test_spacing_is_scaled_to_mm_by_the_spatial_unit(tmp_path, units, mm_per_unit):
-    path = tmp_path / "v.nii"
-    write_nifti(Volume(np.zeros((2, 2, 2), dtype=np.float32), (1.25, 2.0, 1000.0)), path)
-    raw = bytearray(path.read_bytes())
-    raw[123] = units
-    path.write_bytes(bytes(raw))
+def test_spacing_is_scaled_to_mm_by_the_spatial_unit(tmp_path, units, spacing_mm):
+    pixdim = np.array(_AS_MM, dtype="<f4").tobytes()  # pixdim[1..3]
+    path = _patched_file(tmp_path, {80: pixdim, 123: bytes([units])})
     for kind in ("image", "labels", "binary"):
-        assert read_nifti(path, kind=kind).spacing == pytest.approx(
-            (1.25 * mm_per_unit, 2.0 * mm_per_unit, 1000.0 * mm_per_unit), rel=1e-12)
+        assert read_nifti(path, kind=kind).spacing == spacing_mm
 
 
 @pytest.mark.parametrize("units", [4, 5, 6, 7, 4 | 8])
