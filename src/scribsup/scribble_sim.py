@@ -2,8 +2,12 @@
 
 Foreground scribbles are per-slice skeletons obtained by alternating an
 8-connected morphological closing with one thinning pass until the slice is
-stable. Background scribbles are 1-voxel-wide contours drawn at a fixed
-Chebyshev margin around the per-slice foreground.
+stable. Each thinning subpass deletes its candidates one by one in scan order,
+and is run as one walk over a table: a candidate's decision depends only on its
+8-neighbour code at the start of the subpass and on which of its four earlier
+scan-order neighbours were deleted, so a 16-bit table per code holds every
+decision it can take. Background scribbles are 1-voxel-wide contours drawn at a
+fixed Chebyshev margin around the per-slice foreground.
 """
 
 from __future__ import annotations
@@ -53,19 +57,37 @@ def _deletion_tables():
 
 
 _B, _DELETABLE = _deletion_tables()
-# weight of the neighbour at offset (dx + 1, dy + 1) in a pixel's code; the
-# flipped table is what a deleted pixel clears in its neighbours' codes
+# weight of the neighbour at offset (dx + 1, dy + 1) in a pixel's code
 _CODE_WEIGHTS = np.array([[128, 1, 2], [64, 0, 4], [32, 16, 8]], dtype=np.uint8)
-_CLEARED = _CODE_WEIGHTS[::-1, ::-1]
+
+
+def _walk_tables():
+    """Each subpass's 16-bit decision table per 8-neighbour code.
+
+    Bit s of ``table[code]`` is the deletion rule for the code left once the
+    subset s of the earlier scan-order neighbours (x-1, y-1), (x-1, y),
+    (x-1, y+1) and (x, y-1) (bits 0-3 of s) has been deleted. A subset that
+    clears a neighbour the code lacks cannot happen and reads 0.
+    """
+    subsets = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    # the first four neighbours in scan order are the earlier ones
+    cleared = subsets @ _CODE_WEIGHTS.flat[:4]
+    codes = np.arange(256)[:, None]
+    held = (codes & cleared) == cleared
+    return ((_DELETABLE[:, codes & ~cleared] & held) << np.arange(16)).sum(axis=2)
+
+
+_WALK = _walk_tables()
 
 
 def _codes(mask: np.ndarray) -> np.ndarray:
-    """Neighbour code of every pixel of ``mask`` padded by one; pixel (x, y) sits at (x+1, y+1)."""
+    """8-neighbour code of every pixel of ``mask``; pixels outside it count as background."""
     h, w = mask.shape
-    p = np.pad(mask, 2).view(np.uint8)
-    codes = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    p = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    p[1:-1, 1:-1] = mask
+    codes = np.zeros((h, w), dtype=np.uint8)
     for (dx, dy), weight in np.ndenumerate(_CODE_WEIGHTS):
-        codes += weight * p[dx:dx + h + 2, dy:dy + w + 2]
+        codes += weight * p[dx:dx + h, dy:dy + w]
     return codes
 
 
@@ -76,15 +98,33 @@ def _thin_once(mask: np.ndarray) -> np.ndarray:
     sequentially in scan order, revalidating against the current image, which
     preserves connectivity and endpoints even for patterns a purely parallel
     pass would annihilate.
+
+    Each subpass is one walk over a table. When a candidate's turn comes, only
+    its four earlier scan-order neighbours (x-1, y-1), (x-1, y), (x-1, y+1)
+    and (x, y-1) can have been deleted; every other neighbour still holds its
+    value from the start of the subpass. So its decision is bit s of
+    ``_WALK[pass][code]``, where ``code`` is its code at the start and s says
+    which of those four were deleted. The walk reads s from the decisions
+    already made, with a sentinel index (always 0) for a neighbour that is not
+    a candidate, and all deletions are applied at the end.
     """
     out = mask.copy()
-    for deletable in _DELETABLE:
+    h, w = out.shape
+    for walk in _WALK:
         codes = _codes(out)
-        b = _B[codes[1:-1, 1:-1]]
-        for x, y in np.argwhere(out & (b >= 2) & (b <= 6)).tolist():
-            if deletable[codes[x + 1, y + 1]]:
-                out[x, y] = False
-                codes[x:x + 3, y:y + 3] -= _CLEARED
+        b = _B[codes]
+        xs, ys = np.nonzero(out & (b >= 2) & (b <= 6))
+        n = xs.size
+        # candidate numbers padded by one, n where there is no candidate
+        index = np.full((h + 2, w + 2), n)
+        index[xs + 1, ys + 1] = np.arange(n)
+        earlier = (index[xs, ys], index[xs, ys + 1], index[xs, ys + 2], index[xs + 1, ys])
+        dec = [0] * (n + 1)
+        rows = zip(walk[codes[xs, ys]].tolist(), *(e.tolist() for e in earlier))
+        for i, (table, nw, north, ne, west) in enumerate(rows):
+            dec[i] = (table >> (dec[nw] | dec[north] << 1 | dec[ne] << 2 | dec[west] << 3)) & 1
+        gone = np.array(dec[:n], dtype=bool)
+        out[xs[gone], ys[gone]] = False
     return out
 
 
@@ -98,7 +138,7 @@ def _remove_square_blocks(mask: np.ndarray) -> np.ndarray:
     out = mask.copy()
     for _ in range(out.size):
         blocks = out[:-1, :-1] & out[1:, :-1] & out[:-1, 1:] & out[1:, 1:]
-        ok = either[_codes(out)[1:-1, 1:-1]]
+        ok = either[_codes(out)]
         corners = np.stack([ok[:-1, :-1], ok[:-1, 1:], ok[1:, :-1], ok[1:, 1:]]) & blocks
         hit = corners.any(axis=0)
         if not hit.any():

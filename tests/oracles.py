@@ -338,6 +338,27 @@ def brute_deletable(mask: np.ndarray, x: int, y: int, first_pass: bool) -> bool:
     return p2 * p4 * p8 == 0 and p2 * p6 * p8 == 0
 
 
+def brute_thin_once(mask: np.ndarray) -> np.ndarray:
+    """One thinning iteration, pixel by pixel, from ``brute_deletable`` alone.
+
+    Each subpass fixes its candidates (2 <= B <= 6) on the image as it stood
+    at the start of the subpass, then visits them in scan order and deletes
+    each one the rule accepts against the current image.
+    """
+    out = np.array(mask, dtype=bool)
+    h, w = out.shape
+    for first_pass in (True, False):
+        start = out.copy()
+        candidates = [
+            (x, y) for x in range(h) for y in range(w)
+            if start[x, y] and 2 <= start[max(x - 1, 0):x + 2, max(y - 1, 0):y + 2].sum() - 1 <= 6
+        ]
+        for x, y in candidates:
+            if brute_deletable(out, x, y, first_pass):
+                out[x, y] = False
+    return out
+
+
 def brute_assign(intensity, coords_mm, centers_pos, centers_int, step, compactness):
     """One SLIC assignment sweep, each centre scanning its full ±2S window.
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -42,3 +43,33 @@ def test_summarise_counts_strict_pair_wins_in_each_direction():
     assert rec["parent"]["iqr"]["pseudo_dice"] == 0.0
     assert rec["change_over_parent"]["peak_rss_mib"] == pytest.approx(465.0 / 502.5)
     assert rec["parent"]["runs"] is by_side["parent"]
+
+
+def test_main_records_then_fails_on_incorrect_or_failed_runs(tmp_path, monkeypatch, capsys):
+    metrics = ["latency_s_p50", "peak_rss_mib"]
+    spec = {"run_seconds": 1, "workloads": [{"name": "a"}, {"name": "b"}],
+            "end_to_end": [{"name": n, "better": "lower"} for n in metrics]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.chdir(tmp_path)
+    bad = {("a", "change", 1): {"correct": False}, ("b", "parent", 0): {"failed": 2}}
+    calls = []
+
+    def fake_run_once(checkout, workload, seconds):
+        side = "change" if checkout == tmp_path else "parent"
+        pair = sum(c == (workload, side) for c in calls)
+        calls.append((workload, side))
+        run = {"correct": True, "attempted": 3, "failed": 0, "metrics": dict.fromkeys(metrics, 1.0)}
+        run.update(bad.get((workload, side, pair), {}))
+        env = dict.fromkeys(("note", "nproc", "machine", "python", "numpy", "scipy"), "x")
+        return run, env
+
+    monkeypatch.setattr(bench_record, "run_once", fake_run_once)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--parent", str(tmp_path / "parent"), "--pairs", "2", "--output", str(out)])
+    assert exc.value.code not in (0, None)
+    record = json.loads(out.read_text())
+    assert record["workloads"]["a"]["change"]["runs"][1]["correct"] is False
+    assert record["workloads"]["b"]["parent"]["runs"][0]["failed"] == 2
+    named = [line for line in capsys.readouterr().err.splitlines() if line.startswith("pair ")]
+    assert named == ["pair 0 b parent: correct True, failed 2 of 3", "pair 1 a change: correct False, failed 0 of 3"]

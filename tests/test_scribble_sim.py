@@ -8,7 +8,7 @@ import pytest
 from scipy.ndimage import uniform_filter
 
 from conftest import make_labels, sphere_labels
-from oracles import brute_deletable, chebyshev_ring
+from oracles import brute_deletable, brute_thin_once, chebyshev_ring
 from scribsup import scribble_sim
 from scribsup.errors import EmptyForegroundError
 from scribsup.scribble_sim import (
@@ -72,10 +72,31 @@ def test_deletion_tables_match_brute_rule_on_all_codes():
         window[1, 1] = True
         for i, (r, c) in enumerate(_CLOCKWISE):
             window[r, c] = bool(code >> i & 1)
-        assert scribble_sim._codes(window)[2, 2] == code
+        assert scribble_sim._codes(window)[1, 1] == code
         assert scribble_sim._B[code] == window.sum() - 1
         for first_pass, table in zip((True, False), scribble_sim._DELETABLE):
             assert table[code] == brute_deletable(window, 1, 1, first_pass), (code, first_pass)
+
+
+def _thinning_masks():
+    """Every shape with an axis of 1-3 pixels (up to 13), all-true and
+    all-false masks, then seeded random masks of 1-13 x 1-13 pixels at
+    random densities."""
+    rng = np.random.default_rng(18)
+    shapes = [(h, w) for h in range(1, 14) for w in range(1, 14) if min(h, w) <= 3]
+    for shape in shapes:
+        yield rng.random(shape) < rng.uniform(0.2, 0.9)
+    for shape in [(1, 1), (2, 2), (3, 3), (7, 5), (13, 13)]:
+        yield np.ones(shape, dtype=bool)
+        yield np.zeros(shape, dtype=bool)
+    for _ in range(2000):
+        h, w = (int(v) for v in rng.integers(1, 14, size=2))
+        yield rng.random((h, w)) < rng.uniform(0.1, 0.95)
+
+
+def test_thin_once_matches_pixel_by_pixel_oracle():
+    for mask in _thinning_masks():
+        assert np.array_equal(scribble_sim._thin_once(mask), brute_thin_once(mask)), mask.astype(int)
 
 
 def test_multi_class_multi_slice_fidelity_and_sparsity():

@@ -13,8 +13,11 @@ pair, so host drift falls on both. The file keeps every run's
 interquartile ranges, the change/parent ratio of those medians, the number of
 pairs in which the change did better on each metric (in the direction
 ``BENCHMARK.json`` names), each side's commit, ``src/`` digest and ``src/`` line
-count, and the host note that ``perfbench`` writes to ``.perfbench_out/``. Needs
-only the standard library; ``perfbench`` itself needs numpy, scipy and click.
+count, and the host note that ``perfbench`` writes to ``.perfbench_out/``. A run
+that reports ``correct: false`` or ``failed > 0`` is still recorded, but the
+script names each such run (pair, workload, side) and exits non-zero, since
+``perfbench/run.py`` itself exits 0 then. Needs only the standard library;
+``perfbench`` itself needs numpy, scipy and click.
 """
 
 from __future__ import annotations
@@ -109,11 +112,15 @@ def main(argv=None):
 
     runs = {w["name"]: {side: [] for side, _ in sides} for w in spec["workloads"]}
     env = None
+    incorrect = []
     for pair in range(args.pairs):
         for workload, by_side in runs.items():
             for side, checkout in sides if pair % 2 == 0 else sides[::-1]:
                 run, env = run_once(checkout, workload, seconds)
                 by_side[side].append(run)
+                if not run["correct"] or run["failed"] > 0:
+                    incorrect.append(f"pair {pair} {workload} {side}: correct {run['correct']}, "
+                                     f"failed {run['failed']} of {run['attempted']}")
                 print(f"pair {pair} {workload} {side}: correct {run['correct']}, "
                       f"latency_s_p50 {run['metrics']['latency_s_p50']:.3f}", flush=True)
 
@@ -136,6 +143,10 @@ def main(argv=None):
                   f"(IQR {rec['change']['iqr'][name]:.3g}), change better in "
                   f"{rec['change_wins'][name]}/{args.pairs} pairs")
     print(f"wrote {args.output}")
+    if incorrect:
+        print("\n".join(incorrect), file=sys.stderr)
+        sys.exit(f"bench_record: {len(incorrect)} run(s) above were incorrect or had failures; "
+                 f"their metrics are in {args.output}'s medians")
 
 
 if __name__ == "__main__":
