@@ -194,7 +194,7 @@ def propagate_cmd(scribbles_path, sv_path, classes, output_mask, output_conf):
         scribbles = scribble_sim.scribbles_from_label_volume(scribble_vol, classes)
         ids = _read_on_grid(sv_path, "labels", scribble_vol, scribbles_path)
         with _refusal_names(sv_path):
-            sv = supervoxel.SupervoxelMap(ids.data, ids.spacing, int(ids.data.max()) + 1)
+            sv = supervoxel.SupervoxelMap(ids.data, ids.spacing)
         pl = label_propagation.propagate(scribbles, sv)
         write_nifti(pl.mask, output_mask)
         write_nifti(pl.confident, output_conf)

@@ -5,9 +5,9 @@ Foreground scribbles are per-slice skeletons obtained by alternating an
 stable. Each thinning subpass deletes its candidates one by one in scan order,
 and is run as one walk over a table: a candidate's decision depends only on its
 8-neighbour code at the start of the subpass and on which of its four earlier
-scan-order neighbours were deleted, so a 16-bit table per code holds every
-decision it can take. Background scribbles are 1-voxel-wide contours drawn at a
-fixed Chebyshev margin around the per-slice foreground.
+scan-order neighbours were deleted, so one table, ``_WALK``, holds every
+decision of both subpasses. Background scribbles are 1-voxel-wide contours
+drawn at a fixed Chebyshev margin around the per-slice foreground.
 """
 
 from __future__ import annotations
@@ -40,41 +40,36 @@ def _closing8(mask: np.ndarray) -> np.ndarray:
     return binary_erosion(dilated, structure=_SQUARE3, border_value=1)
 
 
-def _deletion_tables():
-    """B (foreground neighbours) and each subpass's thinning deletion rule per 8-neighbour code.
-
-    Bit i of a code is neighbour P(i+2) of the clockwise sequence N, NE, E, SE,
-    S, SW, W, NW; pixels outside the image count as background.
-    """
-    p = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    b = p.sum(axis=1)
-    a = ((p == 0) & (np.roll(p, -1, axis=1) == 1)).sum(axis=1)
-    p2, p4, p6, p8 = p[:, 0], p[:, 2], p[:, 4], p[:, 6]
-    base = (2 <= b) & (b <= 6) & (a == 1)
-    first = base & (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
-    second = base & (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
-    return b, np.stack([first, second])
-
-
-_B, _DELETABLE = _deletion_tables()
 # weight of the neighbour at offset (dx + 1, dy + 1) in a pixel's code
 _CODE_WEIGHTS = np.array([[128, 1, 2], [64, 0, 4], [32, 16, 8]], dtype=np.uint8)
 
 
 def _walk_tables():
-    """Each subpass's 16-bit decision table per 8-neighbour code.
+    """Each thinning subpass's 16-bit decision table per 8-neighbour code.
 
-    Bit s of ``table[code]`` is the deletion rule for the code left once the
+    Bit i of a code is neighbour P(i+2) of the clockwise sequence N, NE, E, SE,
+    S, SW, W, NW; pixels outside the image count as background. Bit s of
+    ``table[code]`` is the subpass's deletion rule for the code left once the
     subset s of the earlier scan-order neighbours (x-1, y-1), (x-1, y),
-    (x-1, y+1) and (x, y-1) (bits 0-3 of s) has been deleted. A subset that
-    clears a neighbour the code lacks cannot happen and reads 0.
+    (x-1, y+1) and (x, y-1) (bits 0-3 of s) has been deleted, so bit 0 is the
+    rule for the code itself. A subset that clears a neighbour the code lacks
+    cannot happen and reads 0, and a code outside 2 <= B <= 6 (B foreground
+    neighbours) is never a candidate, so all of its bits are 0.
     """
+    p = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    b = p.sum(axis=1)
+    a = ((p == 0) & (np.roll(p, -1, axis=1) == 1)).sum(axis=1)
+    p2, p4, p6, p8 = p[:, 0], p[:, 2], p[:, 4], p[:, 6]
+    candidate = (2 <= b) & (b <= 6)
+    base = candidate & (a == 1)
+    rule = np.stack([base & (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0),
+                     base & (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)])
     subsets = (np.arange(16)[:, None] >> np.arange(4)) & 1
     # the first four neighbours in scan order are the earlier ones
     cleared = subsets @ _CODE_WEIGHTS.flat[:4]
     codes = np.arange(256)[:, None]
-    held = (codes & cleared) == cleared
-    return ((_DELETABLE[:, codes & ~cleared] & held) << np.arange(16)).sum(axis=2)
+    held = ((codes & cleared) == cleared) & candidate[:, None]
+    return ((rule[:, codes & ~cleared] & held) << np.arange(16)).sum(axis=2)
 
 
 _WALK = _walk_tables()
@@ -94,10 +89,10 @@ def _codes(mask: np.ndarray) -> np.ndarray:
 def _thin_once(mask: np.ndarray) -> np.ndarray:
     """One thinning iteration (two directional subpasses).
 
-    Candidates (2 <= B <= 6) are fixed at the start of each subpass but removed
-    sequentially in scan order, revalidating against the current image, which
-    preserves connectivity and endpoints even for patterns a purely parallel
-    pass would annihilate.
+    Candidates (foreground pixels with a nonzero ``_WALK`` entry) are fixed at
+    the start of each subpass but removed sequentially in scan order,
+    revalidating against the current image, which preserves connectivity and
+    endpoints even for patterns a purely parallel pass would annihilate.
 
     Each subpass is one walk over a table. When a candidate's turn comes, only
     its four earlier scan-order neighbours (x-1, y-1), (x-1, y), (x-1, y+1)
@@ -111,16 +106,15 @@ def _thin_once(mask: np.ndarray) -> np.ndarray:
     out = mask.copy()
     h, w = out.shape
     for walk in _WALK:
-        codes = _codes(out)
-        b = _B[codes]
-        xs, ys = np.nonzero(out & (b >= 2) & (b <= 6))
+        tables = walk[_codes(out)]
+        xs, ys = np.nonzero(out & (tables != 0))
         n = xs.size
         # candidate numbers padded by one, n where there is no candidate
         index = np.full((h + 2, w + 2), n)
         index[xs + 1, ys + 1] = np.arange(n)
         earlier = (index[xs, ys], index[xs, ys + 1], index[xs, ys + 2], index[xs + 1, ys])
         dec = [0] * (n + 1)
-        rows = zip(walk[codes[xs, ys]].tolist(), *(e.tolist() for e in earlier))
+        rows = zip(tables[xs, ys].tolist(), *(e.tolist() for e in earlier))
         for i, (table, nw, north, ne, west) in enumerate(rows):
             dec[i] = (table >> (dec[nw] | dec[north] << 1 | dec[ne] << 2 | dec[west] << 3)) & 1
         gone = np.array(dec[:n], dtype=bool)
@@ -134,7 +128,7 @@ def _remove_square_blocks(mask: np.ndarray) -> np.ndarray:
     Each round removes the first deletable corner, in corner order, of the first
     block in scan order that has one, then looks at the blocks again.
     """
-    either = _DELETABLE[0] | _DELETABLE[1]
+    either = ((_WALK[0] | _WALK[1]) & 1) == 1  # bit 0: the rule for the code itself
     out = mask.copy()
     for _ in range(out.size):
         blocks = out[:-1, :-1] & out[1:, :-1] & out[:-1, 1:] & out[1:, 1:]

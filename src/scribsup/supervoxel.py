@@ -256,9 +256,7 @@ def slic3d(vol: Volume, params: SlicParams) -> SupervoxelMap:
     min_size = (step ** 3) / 4.0 / vol.voxel_volume_mm3
     present = np.bincount(labels.ravel()) > 0
     raw = (np.cumsum(present, dtype=np.int32) - 1)[labels]
-    return enforce_connectivity(
-        SupervoxelMap(raw, vol.spacing, int(present.sum())), min_size_voxels=min_size
-    )
+    return enforce_connectivity(SupervoxelMap(raw, vol.spacing), min_size_voxels=min_size)
 
 
 def _face_pairs(arr: np.ndarray):
@@ -329,15 +327,15 @@ def enforce_connectivity(
     flat_comp = comp.ravel()
     comp_sizes = np.bincount(flat_comp, minlength=ncomp)
 
-    # Largest component per original ID keeps it (ties: earliest in scan order).
-    order = np.lexsort((first_voxel, -comp_sizes))
+    # Largest component per original ID keeps it (ties: the lowest, first in scan order).
+    order = np.argsort(-comp_sizes, kind="stable")
     _, first_of_id = np.unique(ids.ravel()[first_voxel[order]], return_index=True)
     keep = comp_sizes >= min_size_voxels
     keep[order[first_of_id]] = True
 
-    # Cores and large fragments get their own supervoxels in scan order;
-    # small fragments (-1) are resolved by merging below.
-    kept = np.flatnonzero(keep)[np.argsort(first_voxel[keep])]
+    # Cores and large fragments get their own supervoxels in scan order, which
+    # is component order; small fragments (-1) are resolved by merging below.
+    kept = np.flatnonzero(keep)
     final_of_comp = np.full(ncomp, -1, dtype=np.int64)
     final_of_comp[kept] = np.arange(len(kept))
     sv_sizes = comp_sizes[kept]
@@ -370,4 +368,4 @@ def enforce_connectivity(
     _, lowest_comp = np.unique(final_of_comp, return_index=True)
     rank = np.empty(len(lowest_comp), dtype=np.int32)
     rank[np.argsort(lowest_comp)] = np.arange(len(lowest_comp), dtype=np.int32)
-    return SupervoxelMap(rank[final_of_comp][comp], svmap.spacing, len(lowest_comp))
+    return SupervoxelMap(rank[final_of_comp][comp], svmap.spacing)

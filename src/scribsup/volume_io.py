@@ -285,18 +285,22 @@ class ProbVolume(_Grid):
 class SupervoxelMap(_Grid):
     """Per-voxel supervoxel IDs forming a partition of the volume.
 
-    IDs are contiguous in ``0..count-1`` and each occurs at least once.
+    IDs are contiguous in ``0..count-1`` and each occurs at least once, so
+    ``count``, one more than the largest ID, is derived rather than passed.
     """
 
     ids: np.ndarray
     spacing: Tuple[float, float, float]
-    count: int
+    count: int = field(init=False)
     _array = "ids"
 
     def _values(self, ids: np.ndarray) -> np.ndarray:
-        ids = _check_integers(ids, self.count, "supervoxel ids", np.int32)
-        if ids.size and (np.bincount(ids.ravel(), minlength=self.count) == 0).any():
+        # every ID below count occurs, so each is below the voxel count (which bounds the bincount)
+        ids = _check_integers(ids, ids.size, "supervoxel ids", np.int32)
+        occurs = np.bincount(ids.ravel())
+        if not occurs.all():
             raise ValueError("every supervoxel id must occur at least once")
+        object.__setattr__(self, "count", len(occurs))
         return ids
 
 
@@ -427,14 +431,12 @@ def read_nifti(path, kind: str = "auto") -> AnyVolume:
     with open(path, "rb") as fh:
         raw = fh.read()
     shape, spacing, code, vox_offset = _parse_header(raw, str(path))
-    dtype = _DTYPES[code]
-    nbytes = int(np.prod(shape)) * dtype.itemsize
-    if len(raw) < vox_offset + nbytes:
-        raise TruncatedDataError(
-            f"{path}: expected {vox_offset + nbytes} bytes, file has {len(raw)}"
-        )
-    flat = np.frombuffer(raw[vox_offset : vox_offset + nbytes], dtype=dtype)
-    data = flat.reshape(shape, order="F")
+    dtype, n = _DTYPES[code], int(np.prod(shape))
+    end = vox_offset + n * dtype.itemsize
+    if len(raw) < end:
+        raise TruncatedDataError(f"{path}: expected {end} bytes, file has {len(raw)}")
+    # a view of the file's bytes: the payload is not copied before a container owns it
+    data = np.frombuffer(raw, dtype, count=n, offset=vox_offset).reshape(shape, order="F")
     with _refusal_names(path):
         if kind == "binary":
             return BinaryVolume(data, spacing)

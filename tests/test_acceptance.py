@@ -159,7 +159,7 @@ def test_criterion_2_propagation_oracle_equivalence():
             ids = random_partition(rng, shape, n_cells)
             from scribsup.supervoxel import SupervoxelMap
 
-            sv = SupervoxelMap(ids, (1, 1, 1), int(ids.max()) + 1)
+            sv = SupervoxelMap(ids, (1, 1, 1))
             n_classes = int(rng.integers(2, 5))
             n_scrib = int(rng.integers(0, 15))
             idx = np.stack([rng.integers(0, s, size=n_scrib) for s in shape], axis=1)

@@ -14,7 +14,9 @@ from scribsup.errors import (
     BadPatchShapeError, InvalidConfigError, KTooLargeError, NoConfidentVoxelsError, ScribsupError,
     ShapeMismatchError,
 )
-from scribsup.volume_io import BinaryVolume, LabelVolume, Volume, read_nifti, write_nifti
+from scribsup.volume_io import (
+    BinaryVolume, LabelVolume, ProbVolume, PseudoLabels, Volume, read_nifti, write_nifti,
+)
 
 
 @pytest.fixture
@@ -107,11 +109,33 @@ def test_forward_and_loss_commands(tmp_path, runner):
     for c in range(2):
         args += ["--pred-init", f"{prefix}_init_c{c}.nii"]
         args += ["--pred-final", f"{prefix}_final_c{c}.nii"]
-    result = runner.invoke(main, args)
+    grad_prefix = str(tmp_path / "g")
+    result = runner.invoke(main, args + ["--grad-prefix", grad_prefix])
     assert result.exit_code == 0, result.output
     payload = json.loads(report.read_text())
     assert {"l_bry", "l_seg_init", "l_seg_final", "l_ab", "total"} <= set(payload)
     assert payload["beta1"] == 0.3 and payload["lambda2"] == 0.1
+
+    # each gradient file is the matching total_loss gradient channel, as float32 on the image grid
+    image = read_nifti(img_path, kind="image")
+
+    def probs(paths):
+        return ProbVolume(np.stack([read_nifti(p).data for p in paths], axis=-1), image.spacing)
+
+    want = losses.total_loss(
+        probs([f"{prefix}_boundary.nii"]), read_nifti(edges, kind="binary"),
+        probs([f"{prefix}_init_c{c}.nii" for c in range(2)]),
+        probs([f"{prefix}_final_c{c}.nii" for c in range(2)]),
+        PseudoLabels(read_nifti(mask, kind="labels"), read_nifti(conf, kind="binary")), image,
+    )
+    expected = {f"{grad_prefix}_grad_boundary.nii": want.grad_boundary[..., 0]}
+    for tag, grad in (("init", want.grad_init), ("final", want.grad_final)):
+        expected.update({f"{grad_prefix}_grad_{tag}_c{c}.nii": grad[..., c] for c in range(2)})
+    assert sorted(str(p) for p in tmp_path.glob("g_*")) == sorted(expected)
+    for path, grad in expected.items():
+        got = read_nifti(path, kind="image")
+        assert (got.shape, got.spacing) == (image.shape, image.spacing)
+        assert np.array_equal(got.data, grad.astype(np.float32))
 
 
 def test_edges_precomputed_volume(tmp_path, runner):
@@ -419,6 +443,23 @@ def test_run_settings_fail_in_config_before_any_compute(tmp_path, monkeypatch, s
     assert next(iter(setting)) in str(info.value)
 
 
+@pytest.mark.parametrize("drop, extra, message", [
+    ("image", {}, "config must set 'image' and 'output_dir'"),
+    ("output_dir", {}, "config must set 'image' and 'output_dir'"),
+    ("gt", {}, "need either 'scribbles' or 'gt'"),
+    (None, {"slic": {"kk": 3}}, "unknown config key slic.kk"),
+], ids=["no_image", "no_output_dir", "no_scribbles_or_gt", "unknown_section_key"])
+def test_incomplete_config_fails_in_config_naming_what_is_wrong(tmp_path, drop, extra, message):
+    img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
+    cfg = {"image": str(img_path), "gt": str(gt_path), "output_dir": str(tmp_path / "out"),
+           **extra}
+    cfg.pop(drop, None)
+    with pytest.raises(PipelineStageError, match=message) as info:
+        run_pipeline(cfg, echo=lambda *_: None)
+    assert info.value.stage == "config"
+    assert type(info.value.cause) is ScribsupError
+
+
 def test_config_document_must_be_an_object(tmp_path, monkeypatch):
     def no_compute(*args, **kwargs):
         raise AssertionError("compute ran before the config was checked")
@@ -587,7 +628,8 @@ def test_propagate_names_a_supervoxel_file_with_a_missing_id(tmp_path, runner):
     ("pred_init", "probabilities must lie in [0, 1]"),
     ("boundary", "probabilities must lie in [0, 1]"),
     ("pseudo", "labels must be below 2"),
-], ids=["pred_init", "boundary", "pseudo"])
+    ("pred_final", "per-voxel channel sums must equal 1"),
+], ids=["pred_init", "boundary", "pseudo", "pred_final_sums"])
 def test_loss_names_a_file_whose_values_are_refused(tmp_path, runner, bad, message):
     shape, spacing = (8, 8, 2), (1.0, 1.0, 4.0)
     img_path, _ = _phantom(tmp_path, shape=shape)
@@ -596,7 +638,9 @@ def test_loss_names_a_file_whose_values_are_refused(tmp_path, runner, bad, messa
     raw = np.random.default_rng(3).uniform(0.0, 1000.0, shape).astype(np.float32)
     vols = {
         "pred_init": Volume(raw if bad == "pred_init" else np.full(shape, 0.5, np.float32), spacing),
-        "pred_final": Volume(np.full(shape, 0.5, dtype=np.float32), spacing),
+        # two channels of 0.3 each sum to 0.6
+        "pred_final": Volume(np.full(shape, 0.3 if bad == "pred_final" else 0.5, np.float32),
+                             spacing),
         "boundary": Volume(raw if bad == "boundary" else np.full(shape, 0.25, np.float32), spacing),
         "pseudo": LabelVolume(pseudo, spacing, 3),
         "conf": BinaryVolume(np.ones(shape, dtype=np.uint8), spacing),

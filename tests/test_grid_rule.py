@@ -33,7 +33,7 @@ def _inputs(spacing):
         "probs": ProbVolume(random_softmax(rng, SHAPE, 2), spacing),
         "scribbles": ScribbleSet(np.argwhere(labels == 1), np.ones(int(labels.sum())), 2,
                                  SHAPE, spacing),
-        "sv": SupervoxelMap(labels.astype(np.int32), spacing, 2),
+        "sv": SupervoxelMap(labels.astype(np.int32), spacing),
     }
 
 

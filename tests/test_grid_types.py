@@ -108,7 +108,7 @@ def test_old_import_paths_name_the_volume_io_types(module, name):
 def _id_map(shape, count):
     """IDs ``0..count-1`` in scan order, the last one filling the rest of the grid."""
     ids = np.minimum(np.arange(int(np.prod(shape))), count - 1).reshape(shape)
-    return SupervoxelMap(ids, (1.0, 1.0, 2.5), count)
+    return SupervoxelMap(ids, (1.0, 1.0, 2.5))
 
 
 @pytest.mark.parametrize("count", [1, 2, 200, 255])

@@ -14,8 +14,7 @@ from scribsup.volume_io import Volume
 
 def _random_instance(rng, shape=(8, 8, 8), n_cells=10, n_scrib=12, n_classes=3):
     ids = random_partition(rng, shape, n_cells)
-    count = int(ids.max()) + 1
-    sv = SupervoxelMap(ids, (1, 1, 1), count)
+    sv = SupervoxelMap(ids, (1, 1, 1))
     idx = np.stack([rng.integers(0, s, size=n_scrib) for s in shape], axis=1)
     # dedupe so class conflicts at a voxel cannot occur
     flat = idx[:, 0] * shape[1] * shape[2] + idx[:, 1] * shape[2] + idx[:, 2]
@@ -27,7 +26,7 @@ def _random_instance(rng, shape=(8, 8, 8), n_cells=10, n_scrib=12, n_classes=3):
 
 
 def test_single_supervoxel_single_scribble():
-    sv = SupervoxelMap(np.zeros((4, 4, 4), dtype=np.int32), (1, 1, 1), 1)
+    sv = SupervoxelMap(np.zeros((4, 4, 4), dtype=np.int32), (1, 1, 1))
     scr = ScribbleSet(np.array([[1, 2, 3]]), np.array([1]), 2, (4, 4, 4), (1, 1, 1))
     pl = propagate(scr, sv)
     assert np.all(pl.mask.data == 1)
@@ -37,7 +36,7 @@ def test_single_supervoxel_single_scribble():
 def test_multi_class_supervoxel_excluded():
     ids = np.zeros((4, 4, 4), dtype=np.int32)
     ids[2:] = 1
-    sv = SupervoxelMap(ids, (1, 1, 1), 2)
+    sv = SupervoxelMap(ids, (1, 1, 1))
     scr = ScribbleSet(
         np.array([[0, 0, 0], [1, 1, 1], [3, 3, 3]]),
         np.array([1, 2, 1]),
@@ -103,7 +102,7 @@ def test_no_scribbles_means_no_confidence(rng):
 
 
 def test_shape_mismatch():
-    sv = SupervoxelMap(np.zeros((4, 4, 4), dtype=np.int32), (1, 1, 1), 1)
+    sv = SupervoxelMap(np.zeros((4, 4, 4), dtype=np.int32), (1, 1, 1))
     scr = ScribbleSet(np.array([[0, 0, 0]]), np.array([1]), 2, (5, 4, 4), (1, 1, 1))
     with pytest.raises(ShapeMismatchError):
         propagate(scr, sv)

@@ -12,6 +12,7 @@ from scribsup.errors import NoConfidentVoxelsError, ShapeMismatchError
 from scribsup.label_propagation import PseudoLabels
 from scribsup.losses import (
     AbParams,
+    LossReport,
     ProbVolume,
     TotalLossWeights,
     active_boundary_loss,
@@ -109,6 +110,13 @@ def test_partial_ce_no_confident_raises(rng):
     probs = ProbVolume(random_softmax(rng, SHAPE, 3), SPACING)
     with pytest.raises(NoConfidentVoxelsError):
         partial_ce(probs, PseudoLabels(mask, conf))
+
+
+def test_partial_ce_refuses_a_channel_count_other_than_the_class_count(rng):
+    pl = _random_pl(rng, n_classes=3)
+    probs = ProbVolume(random_softmax(rng, SHAPE, 2), SPACING)
+    with pytest.raises(ShapeMismatchError, match="2 channels vs 3 classes"):
+        partial_ce(probs, pl)
 
 
 def test_partial_ce_matches_bruteforce_and_fd(rng):
@@ -374,6 +382,18 @@ def test_prob_volume_rejects_nan(channels):
     data[1, 2, 0, 0] = np.nan
     with pytest.raises(ValueError, match="probabilities must lie in"):
         ProbVolume(data, SPACING)
+
+
+@pytest.mark.parametrize("value, grad, message", [
+    (np.nan, np.zeros(3), "loss value must be finite"),
+    (np.inf, np.zeros(3), "loss value must be finite"),
+    (1.0, np.array([0.0, np.nan, 0.0]), "gradient must be finite everywhere"),
+    (1.0, np.array([0.0, 0.0, -np.inf]), "gradient must be finite everywhere"),
+], ids=["nan_value", "inf_value", "nan_grad", "inf_grad"])
+def test_loss_report_refuses_a_non_finite_value_or_gradient(value, grad, message):
+    LossReport(1.0, np.zeros(3))
+    with pytest.raises(ValueError, match=message):
+        LossReport(value, grad)
 
 
 # ---------------------------------------------------------------------------

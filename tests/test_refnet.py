@@ -226,6 +226,24 @@ def test_import_rejects_wrong_config(tmp_path):
         import_weights(NetConfig(num_classes=4, base_filters=2, seed=9), blob, manifest)
 
 
+@pytest.mark.parametrize("change, message", [
+    ("rename", "unexpected layer 'stray' in manifest"),
+    ("drop", "manifest missing layers"),
+], ids=["unexpected_layer", "missing_layer"])
+def test_import_refuses_a_manifest_whose_layers_differ(tmp_path, change, message):
+    net = build(NetConfig(num_classes=3, base_filters=2, seed=9))
+    blob, manifest = tmp_path / "w.bin", tmp_path / "w.json"
+    export_weights(net, blob, manifest)
+    doc = json.loads(manifest.read_text())
+    if change == "rename":
+        doc["layers"][-1]["name"] = "stray"
+    else:
+        doc["layers"].pop()
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(InvalidConfigError, match=message):
+        import_weights(net.config, blob, manifest)
+
+
 @pytest.mark.parametrize("shape", GOLDEN_SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_forward_matches_pre_change_golden(shape):
     golden = json.loads(GOLDEN_PATH.read_text())["x".join(map(str, shape))]

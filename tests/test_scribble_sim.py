@@ -73,9 +73,10 @@ def test_deletion_tables_match_brute_rule_on_all_codes():
         for i, (r, c) in enumerate(_CLOCKWISE):
             window[r, c] = bool(code >> i & 1)
         assert scribble_sim._codes(window)[1, 1] == code
-        assert scribble_sim._B[code] == window.sum() - 1
-        for first_pass, table in zip((True, False), scribble_sim._DELETABLE):
-            assert table[code] == brute_deletable(window, 1, 1, first_pass), (code, first_pass)
+        if not 2 <= window.sum() - 1 <= 6:  # B outside 2..6: never a candidate in either subpass
+            assert not scribble_sim._WALK[:, code].any(), code
+        for first_pass, table in zip((True, False), scribble_sim._WALK):
+            assert table[code] & 1 == brute_deletable(window, 1, 1, first_pass), (code, first_pass)
 
 
 def _thinning_masks():
@@ -211,6 +212,21 @@ def test_scribble_set_refuses_indices_not_shaped_k_by_3():
     for indices in (np.array(np.nonzero(mask)), np.zeros((2, 6), dtype=np.int64)):
         with pytest.raises(ValueError, match=re.escape(f"(K, 3), got {indices.shape}")):
             ScribbleSet(indices, np.ones(len(indices.T), dtype=np.uint16), 2, mask.shape, (1, 1, 1))
+
+
+@pytest.mark.parametrize("n_indices, n_classes", [(2, 1), (1, 2)])
+def test_scribble_set_refuses_indices_and_classes_of_different_lengths(n_indices, n_classes):
+    with pytest.raises(ValueError, match="indices and classes length mismatch"):
+        ScribbleSet(np.arange(3 * n_indices).reshape(n_indices, 3), np.ones(n_classes, np.uint16),
+                    2, (8, 8, 8), (1, 1, 1))
+
+
+def test_label_volume_refuses_a_class_count_that_collides_with_the_sentinel():
+    scribbles = ScribbleSet([[1, 1, 1]], [1], SCRIBBLE_SENTINEL, (4, 4, 2), (1, 1, 1))
+    assert scribbles_to_label_volume(scribbles).data[1, 1, 1] == 1
+    with pytest.raises(ValueError, match="collides with the sentinel"):
+        scribbles_to_label_volume(ScribbleSet([[1, 1, 1]], [1], SCRIBBLE_SENTINEL + 1, (4, 4, 2),
+                                              (1, 1, 1)))
 
 
 def test_scribble_set_rejects_conflicts():

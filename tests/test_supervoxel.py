@@ -116,7 +116,7 @@ def test_anisotropy_supervoxels_follow_physical_space():
 def test_enforce_connectivity_fixpoint():
     ids = np.zeros((6, 6, 6), dtype=np.int32)
     ids[3:] = 1
-    svmap = SupervoxelMap(ids, (1, 1, 1), 2)
+    svmap = SupervoxelMap(ids, (1, 1, 1))
     out = enforce_connectivity(svmap)
     assert out.count == 2
     assert np.array_equal(out.ids, ids)
@@ -127,7 +127,7 @@ def test_enforce_connectivity_absorbs_small_island():
     ids[3:] = 1
     ids[1, 1, 1] = 1  # 1-voxel island of ID 1 inside ID 0 territory
     ids[1, 1, 2] = 1
-    svmap = SupervoxelMap(ids, (1, 1, 1), 2)
+    svmap = SupervoxelMap(ids, (1, 1, 1))
     out = enforce_connectivity(svmap)
     assert out.count == 2
     # island absorbed by its host
@@ -141,7 +141,7 @@ def test_enforce_connectivity_checkerboard():
     shape = (6, 6, 6)
     grid = np.indices(shape).sum(axis=0)
     ids = (grid % 2).astype(np.int32)
-    svmap = SupervoxelMap(ids, (1, 1, 1), 2)
+    svmap = SupervoxelMap(ids, (1, 1, 1))
     out = enforce_connectivity(svmap)
     assert all_ids_connected_6(out.ids)
     counts = np.bincount(out.ids.ravel(), minlength=out.count)
@@ -153,7 +153,7 @@ def test_enforce_connectivity_keeps_large_fragments():
     ids = np.zeros((12, 6, 6), dtype=np.int32)
     ids[0:3, 0:3, 0:3] = 1
     ids[9:12, 0:3, 0:3] = 1
-    svmap = SupervoxelMap(ids, (1, 1, 1), 2)
+    svmap = SupervoxelMap(ids, (1, 1, 1))
     out = enforce_connectivity(svmap, min_size_voxels=10.0)
     assert out.count == 3
     assert all_ids_connected_6(out.ids)
@@ -269,7 +269,7 @@ def _fragmented_map(rng, kind):
         _, ids = np.unique(ids, return_inverse=True)
         ids = ids.reshape(shape)
         if any(flood_components_6(ids == v)[1] > 1 for v in np.unique(ids)):
-            return SupervoxelMap(ids, (1.0, 1.0, 1.0), int(ids.max()) + 1)
+            return SupervoxelMap(ids, (1.0, 1.0, 1.0))
 
 
 _MAP_KINDS = ["random", "checkerboard", "noisy_blocks"]
@@ -296,7 +296,7 @@ def test_enforce_connectivity_ignores_input_id_numbering(kind):
         permuted = rng.permutation(svmap.count)[np.asarray(svmap.ids)]
         bound = float(rng.uniform(1.0, 6.0))
         want = enforce_connectivity(svmap, min_size_voxels=bound)
-        got = enforce_connectivity(SupervoxelMap(permuted, svmap.spacing, svmap.count),
+        got = enforce_connectivity(SupervoxelMap(permuted, svmap.spacing),
                                    min_size_voxels=bound)
         assert np.array_equal(got.ids, want.ids) and got.count == want.count
 
@@ -314,7 +314,7 @@ def test_slic3d_drops_ids_of_empty_clusters(monkeypatch, kind):
         monkeypatch.setattr(supervoxel, "_slic_state", lambda vol, params: (labels, None, None, step))
         vol = Volume(np.zeros(ids.shape, dtype=np.float32), (1.0, 1.0, 2.0))
         raw = compact_ids(labels)
-        want = enforce_connectivity(SupervoxelMap(raw, vol.spacing, int(raw.max()) + 1),
+        want = enforce_connectivity(SupervoxelMap(raw, vol.spacing),
                                     min_size_voxels=step ** 3 / 4.0 / vol.voxel_volume_mm3)
         got = slic3d(vol, SlicParams(k=1))
         assert np.array_equal(got.ids, want.ids) and got.count == want.count
@@ -360,7 +360,7 @@ def test_enforce_connectivity_on_fragment_heavy_noise_is_fast():
     vol = Volume(np.random.default_rng(0).random((64, 64, 16)).astype(np.float32), (1, 1, 1))
     labels, _, _, step = _slic_state(vol, SlicParams(k=65, compactness=0.3))
     raw = compact_ids(labels)
-    svmap = SupervoxelMap(raw, vol.spacing, int(raw.max()) + 1)
+    svmap = SupervoxelMap(raw, vol.spacing)
     start = time.perf_counter()
     out = enforce_connectivity(svmap, min_size_voxels=step ** 3 / 4.0)
     elapsed = time.perf_counter() - start

@@ -143,6 +143,20 @@ def test_bad_magic_and_bad_size(tmp_path):
         read_nifti(bad)
 
 
+def test_file_shorter_than_a_header_is_malformed(tmp_path):
+    path = tmp_path / "short.nii"
+    path.write_bytes(_patched_file(tmp_path, {}).read_bytes()[:347])
+    with pytest.raises(MalformedHeaderError, match="shorter than a NIfTI-1 header"):
+        read_nifti(path)
+
+
+def test_unknown_kind_is_refused(tmp_path):
+    path = _patched_file(tmp_path, {})
+    assert read_nifti(path, kind="image").shape == (2, 2, 2)
+    with pytest.raises(ValueError, match="unknown kind 'volume'"):
+        read_nifti(path, kind="volume")
+
+
 def test_unsupported_datatype(tmp_path):
     path = tmp_path / "ok.nii"
     write_nifti(Volume(np.zeros((2, 2, 2), dtype=np.float32), (1, 1, 1)), path)
@@ -259,6 +273,8 @@ def test_volume_invariants():
     for bad in (256, 0.7, np.nan):  # checked before the uint8 cast, so none wraps
         with pytest.raises(ValueError):
             BinaryVolume(np.full((2, 2, 2), bad), (1, 1, 1))
+    with pytest.raises(UnsupportedDatatypeError, match="datatype code 16"):
+        LabelVolume(np.zeros((2, 2, 2), dtype=np.uint16), (1, 1, 1), 2, DT_FLOAT32)
 
 
 _CONTAINERS = pytest.mark.parametrize("make", [
@@ -266,7 +282,7 @@ _CONTAINERS = pytest.mark.parametrize("make", [
     lambda sp: LabelVolume(np.zeros((2, 2, 2), dtype=np.uint16), sp, 2),
     lambda sp: BinaryVolume(np.zeros((2, 2, 2), dtype=np.uint8), sp),
     lambda sp: ProbVolume(np.full((2, 2, 2, 2), 0.5), sp),
-    lambda sp: SupervoxelMap(np.zeros((2, 2, 2), dtype=np.int32), sp, 1),
+    lambda sp: SupervoxelMap(np.zeros((2, 2, 2), dtype=np.int32), sp),
     lambda sp: ScribbleSet(np.array([[0, 0, 0]]), np.array([1]), 2, (2, 2, 2), sp),
 ], ids=["Volume", "LabelVolume", "BinaryVolume", "ProbVolume", "SupervoxelMap", "ScribbleSet"])
 
@@ -298,8 +314,8 @@ _ORIGIN = np.array([[0, 0, 0]])
 
 
 @pytest.mark.parametrize("make", [
-    lambda: SupervoxelMap(np.full((2, 2, 2), 2**32, dtype=np.int64), (1, 1, 1), 1),
-    lambda: SupervoxelMap(np.full((2, 2, 2), 0.9), (1, 1, 1), 1),
+    lambda: SupervoxelMap(np.full((2, 2, 2), 2**32, dtype=np.int64), (1, 1, 1)),
+    lambda: SupervoxelMap(np.full((2, 2, 2), 0.9), (1, 1, 1)),
     lambda: ScribbleSet(_ORIGIN, np.array([65537]), 2, (2, 2, 2), (1, 1, 1)),
     lambda: ScribbleSet(_ORIGIN, np.array([-65535]), 2, (2, 2, 2), (1, 1, 1)),
     lambda: ScribbleSet(_ORIGIN, np.array([1.6]), 2, (2, 2, 2), (1, 1, 1)),
@@ -310,6 +326,13 @@ def test_values_are_checked_before_narrowing(make):
     # each of these used to wrap or truncate to a valid value in the cast
     with pytest.raises(ValueError):
         make()
+
+
+def test_writing_a_non_grid_object_fails_before_any_byte_is_written(tmp_path):
+    scribbles = ScribbleSet(np.array([[0, 0, 0]]), np.array([1]), 2, (2, 2, 2), (1, 1, 1))
+    with pytest.raises(TypeError, match="cannot write object of type ScribbleSet"):
+        write_nifti(scribbles, tmp_path / "s.nii")
+    assert not list(tmp_path.iterdir())
 
 
 def test_bitpix_must_match_datatype(tmp_path):
@@ -323,6 +346,14 @@ def test_crop_or_pad_to_patch_size():
     out = crop_or_pad(vol, (224, 224, 32))
     assert out.shape == (224, 224, 32)
     assert out.data.sum() == vol.data.sum()
+
+
+@pytest.mark.parametrize("target", [(4, 4), (4, 4, 0), (4, -1, 4), (4, 4, 4, 1)],
+                         ids=["2d", "zero", "negative", "4d"])
+def test_crop_or_pad_refuses_a_target_that_is_not_three_positive_ints(target):
+    vol = Volume(np.ones((4, 4, 4), dtype=np.float32), (1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="target shape must be three positive ints"):
+        crop_or_pad(vol, target)
 
 
 def test_crop_or_pad_inverse_with_aligned_origins(rng):
