@@ -140,6 +140,14 @@ def test_edges_match_per_pixel_reference(rng):
         got = static_boundary(vol, 0.2).data[:, :, 0].astype(bool)
         want = edge_slice_reference(img, 0.2)
         assert np.array_equal(got, want)
+    # Integer levels give exact magnitude ties and flat pixels; axes of 1-13
+    # pixels put most neighbours off the slice.
+    for _ in range(40):
+        img = rng.integers(0, 3, size=tuple(rng.integers(1, 14, size=2))).astype(np.float32)
+        vol = make_volume(img[:, :, None])
+        for threshold in (0.2, 0.5):
+            got = static_boundary(vol, threshold).data[:, :, 0].astype(bool)
+            assert np.array_equal(got, edge_slice_reference(img, threshold))
 
 
 @settings(max_examples=20, deadline=None)

@@ -182,6 +182,35 @@ def test_evaluate_report(rng):
     assert set(d["mean"]) == {"dice", "hd95_mm", "precision"}
 
 
+def test_evaluate_report_pins_order_and_means():
+    # row 0: class 1 in both; row 1: class 2 in GT only; row 2: class 3 in
+    # prediction only; class 4 in neither
+    gt = np.zeros((3, 6, 1), dtype=np.uint16)
+    pred = np.zeros_like(gt)
+    gt[0, :, 0] = 1
+    pred[0, 2:4, 0] = 1
+    gt[1, :2, 0] = 2
+    pred[2, :2, 0] = 3
+    spacing = (1.0, 0.5, 2.0)
+    report = evaluate(LabelVolume(pred, spacing, 5), LabelVolume(gt, spacing, 5))
+    assert report.to_dict() == {
+        "classes": [
+            {"class_id": 1, "dice": 0.5, "hd95_mm": 1.0, "precision": 1.0},
+            {"class_id": 2, "dice": 0.0, "hd95_mm": None, "precision": None},
+            {"class_id": 3, "dice": 0.0, "hd95_mm": None, "precision": 0.0},
+            {"class_id": 4, "dice": 1.0, "hd95_mm": None, "precision": None},
+        ],
+        "mean": {"dice": 0.375, "hd95_mm": 1.0, "precision": 0.5},
+        "undefined": [
+            {"class_id": 2, "metric": "hd95_mm"},
+            {"class_id": 2, "metric": "precision"},
+            {"class_id": 3, "metric": "hd95_mm"},
+            {"class_id": 4, "metric": "hd95_mm"},
+            {"class_id": 4, "metric": "precision"},
+        ],
+    }
+
+
 def test_shape_mismatch():
     a = _labels_from(np.zeros((4, 4, 4), dtype=np.uint16))
     b = _labels_from(np.zeros((4, 4, 5), dtype=np.uint16))
