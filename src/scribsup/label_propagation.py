@@ -2,10 +2,12 @@
 
 Propagation paints every supervoxel that is crossed by scribbles of exactly
 one class with that class and marks it confident; untouched or
-multiply-labeled supervoxels stay background with zero confidence. The
-static boundary stacks per-slice 2D edge maps (gradient magnitude,
-per-slice normalization, non-maximum suppression, fixed threshold) into a
-binary volume that never changes during training.
+multiply-labeled supervoxels stay background with zero confidence. One
+per-supervoxel confidence vector decides both outputs. The static boundary
+stacks per-slice 2D edge maps (gradient magnitude, per-slice min-max
+normalization, non-maximum suppression along one of four axes whose
+neighbour pairs come from one table, fixed threshold) into a binary volume
+that never changes during training.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ __all__ = ["PseudoLabels", "propagate", "static_boundary"]
 # tan(22.5 deg) and tan(67.5 deg): direction quantization bounds for NMS.
 _TAN_LO = 0.4142135623730951
 _TAN_HI = 2.414213562373095
+# Forward neighbour step of each NMS axis: horizontal, vertical, diagonal up, diagonal down.
+_STEPS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 
 def propagate(scribbles: ScribbleSet, sv: SupervoxelMap) -> PseudoLabels:
@@ -37,17 +41,13 @@ def propagate(scribbles: ScribbleSet, sv: SupervoxelMap) -> PseudoLabels:
     idx = scribbles.indices
     sv_at = sv.ids[idx[:, 0], idx[:, 1], idx[:, 2]]
     pairs = np.unique(np.stack([sv_at, scribbles.classes.astype(np.int64)], axis=1), axis=0)
-    hits = np.bincount(pairs[:, 0], minlength=sv.count)
+    confident = np.bincount(pairs[:, 0], minlength=sv.count) == 1
     label_of = np.zeros(sv.count, dtype=np.uint16)
     label_of[pairs[:, 0]] = pairs[:, 1]
-    unique = hits == 1
-    mask_lut = np.where(unique, label_of, 0).astype(np.uint16)
-    conf_lut = unique.astype(np.uint8)
-    mask = mask_lut[sv.ids]
-    conf = conf_lut[sv.ids]
+    label_of[~confident] = 0
     return PseudoLabels(
-        LabelVolume(mask, sv.spacing, scribbles.num_classes),
-        BinaryVolume(conf, sv.spacing),
+        LabelVolume(label_of[sv.ids], sv.spacing, scribbles.num_classes),
+        BinaryVolume(confident.astype(np.uint8)[sv.ids], sv.spacing),
     )
 
 
@@ -55,7 +55,7 @@ def _slice_edges(img: np.ndarray, threshold: float) -> np.ndarray:
     """Edge map of one slice: normalized gradient magnitude + NMS + threshold.
 
     Gradients use central differences with a replicated border. The gradient
-    direction is folded to gx >= 0 and quantized to one of four axes; a pixel
+    direction is folded to gx >= 0 and quantized to one of the four ``_STEPS`` axes; a pixel
     survives suppression when its magnitude is >= the backward neighbor and
     > the forward neighbor along that axis (out-of-bounds neighbors count 0).
     """
@@ -64,31 +64,19 @@ def _slice_edges(img: np.ndarray, threshold: float) -> np.ndarray:
     gy = (pad[1:-1, 2:] - pad[1:-1, :-2]) / 2.0
     mag = _normalize(np.sqrt(gx * gx + gy * gy))  # a flat slice gives zeros, hence no edges
 
-    # folded to gx >= 0, a diagonal (gx, gy both nonzero) points up iff the signs agree
-    ax_abs = np.abs(gx)
-    ay_abs = np.abs(gy)
-    horiz = ay_abs <= _TAN_LO * ax_abs
-    vert = ay_abs >= _TAN_HI * ax_abs
-    diag_up = ~horiz & ~vert & ((gx > 0) == (gy > 0))  # direction (+1, +1)
-    diag_dn = ~horiz & ~vert & ((gx > 0) != (gy > 0))  # direction (+1, -1)
+    # folded to gx >= 0, a diagonal points up iff the signs agree; gx = gy = 0 reads vertical
+    axis = 2 + ((gx > 0) != (gy > 0))
+    axis[np.abs(gy) <= _TAN_LO * np.abs(gx)] = 0
+    axis[np.abs(gy) >= _TAN_HI * np.abs(gx)] = 1
 
+    h, w = mag.shape
     mpad = np.pad(mag, 1, mode="constant")
-
-    def shifted(dx, dy):
-        return mpad[1 + dx : mpad.shape[0] - 1 + dx, 1 + dy : mpad.shape[1] - 1 + dy]
-
-    fwd = np.zeros_like(mag)
-    bwd = np.zeros_like(mag)
-    for sel, (dx, dy) in (
-        (horiz, (1, 0)),
-        (vert, (0, 1)),
-        (diag_up, (1, 1)),
-        (diag_dn, (1, -1)),
-    ):
-        fwd = np.where(sel, shifted(dx, dy), fwd)
-        bwd = np.where(sel, shifted(-dx, -dy), bwd)
-    keep = (mag >= bwd) & (mag > fwd)
-    return keep & (mag >= threshold)
+    keep = mag >= threshold
+    for a, (dx, dy) in enumerate(_STEPS):
+        fwd = mpad[1 + dx : h + 1 + dx, 1 + dy : w + 1 + dy]
+        bwd = mpad[1 - dx : h + 1 - dx, 1 - dy : w + 1 - dy]
+        keep &= (axis != a) | ((mag >= bwd) & (mag > fwd))
+    return keep
 
 
 def _check_edge_threshold(threshold: float) -> None:
@@ -100,8 +88,9 @@ def static_boundary(vol: Volume, edge_threshold: float = 0.2) -> BinaryVolume:
 
     Args:
         vol: Intensity volume.
-        edge_threshold: Fraction of the per-slice maximum gradient magnitude
-            below which responses are discarded; must lie in (0, 1).
+        edge_threshold: Fraction t of each slice's gradient-magnitude range,
+            which must lie in (0, 1); a pixel can be kept only when its
+            magnitude is >= min + t * (max - min) over that slice.
     """
     _check_edge_threshold(edge_threshold)
     out = np.zeros(vol.shape, dtype=np.uint8)

@@ -114,31 +114,20 @@ def hd95(pred: LabelVolume, gt: LabelVolume, c: int) -> Optional[float]:
 def evaluate(pred: LabelVolume, gt: LabelVolume) -> MetricsReport:
     """Per-foreground-class Dice/HD95/precision plus their means.
 
-    Undefined entries (empty regions) are excluded from the means and
-    listed under ``undefined``. The first ``dice`` call checks the grids.
+    The means and ``undefined`` are read off the per-class list: undefined
+    entries (empty regions) are excluded from the means and listed, class by
+    class with ``hd95_mm`` before ``precision``. The first ``dice`` call
+    checks the grids.
     """
-    num_classes = max(pred.num_classes, gt.num_classes)
-    per_class: List[ClassMetrics] = []
-    undefined: List[Dict[str, object]] = []
-    dices, hds, precs = [], [], []
-    for c in range(1, num_classes):
-        d = dice(pred, gt, c)
-        h = hd95(pred, gt, c)
-        p = precision(pred, gt, c)
-        per_class.append(ClassMetrics(c, d, h, p))
-        dices.append(d)
-        if h is None:
-            undefined.append({"class_id": c, "metric": "hd95_mm"})
-        else:
-            hds.append(h)
-        if p is None:
-            undefined.append({"class_id": c, "metric": "precision"})
-        else:
-            precs.append(p)
-    return MetricsReport(
-        per_class=per_class,
-        mean_dice=float(np.mean(dices)) if dices else None,
-        mean_hd95_mm=float(np.mean(hds)) if hds else None,
-        mean_precision=float(np.mean(precs)) if precs else None,
-        undefined=undefined,
-    )
+    per_class = [
+        ClassMetrics(c, dice(pred, gt, c), hd95(pred, gt, c), precision(pred, gt, c))
+        for c in range(1, max(pred.num_classes, gt.num_classes))
+    ]
+
+    def mean(metric: str) -> Optional[float]:
+        values = [v for m in per_class if (v := getattr(m, metric)) is not None]
+        return float(np.mean(values)) if values else None
+
+    undefined = [{"class_id": m.class_id, "metric": k} for m in per_class
+                 for k in ("hd95_mm", "precision") if getattr(m, k) is None]
+    return MetricsReport(per_class, mean("dice"), mean("hd95_mm"), mean("precision"), undefined)
