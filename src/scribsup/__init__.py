@@ -56,9 +56,7 @@ from .refnet import (
     NetworkOutputs,
     build,
     count_params,
-    export_weights,
     forward,
-    import_weights,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +71,6 @@ __all__ = [
     "boundary_loss", "partial_ce", "active_boundary_loss", "total_loss",
     "MetricsReport", "dice", "hd95", "precision", "evaluate",
     "NetConfig", "Network", "NetworkOutputs", "build", "forward", "count_params",
-    "export_weights", "import_weights",
     "ScribsupError", "MalformedHeaderError", "UnsupportedDatatypeError",
     "UnsupportedScalingError", "TruncatedDataError", "ShapeMismatchError", "KTooLargeError",
     "EmptyForegroundError", "NoConfidentVoxelsError", "InvalidConfigError",

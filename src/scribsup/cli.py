@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import label_propagation, losses, metrics, refnet, scribble_sim, supervoxel
-from .errors import NoConfidentVoxelsError, ScribsupError, check_setting
+from .errors import InvalidConfigError, NoConfidentVoxelsError, ScribsupError, check_setting
 from .volume_io import (
     BinaryVolume, LabelVolume, ProbVolume, PseudoLabels, Volume, _check_same_grid, _refusal_names,
     crop_or_pad, read_nifti, write_nifti,
@@ -343,6 +343,8 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
         check_setting("margin_vox", cfg["margin_vox"], 1, integer=True)
         # only an integer 0 is inferred from the scribbles later; any other count is checked here
         check_setting("num_classes (0 infers it)", cfg["num_classes"], 0, integer=True)
+        if not isinstance(cfg["forward"], bool):  # a string "false" would read as on
+            raise InvalidConfigError(f"forward must be true or false, got {cfg['forward']!r}")
         net_cfg = refnet.NetConfig(2 if cfg["num_classes"] == 0 else cfg["num_classes"],
                                    cfg["forward_base_filters"], seed=cfg["seed"])
         if cfg["forward"]:

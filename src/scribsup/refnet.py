@@ -20,12 +20,11 @@ activations bounded; it is a non-architectural stabilizer and always on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import json
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .errors import BadPatchShapeError, InvalidConfigError, check_setting
+from .errors import BadPatchShapeError, check_setting
 from .volume_io import ProbVolume, Volume
 
 __all__ = [
@@ -35,8 +34,6 @@ __all__ = [
     "build",
     "forward",
     "count_params",
-    "export_weights",
-    "import_weights",
 ]
 
 _INIT_STD = 0.1  # normal init: mean 0, variance 0.01
@@ -104,8 +101,7 @@ class NetConfig:
 
 @dataclass(frozen=True)
 class Network:
-    """Immutable weight store, read-only once built. ``params`` is in parameter order: the
-    inventory of :func:`_param_specs`, or an imported manifest's layer order."""
+    """Immutable weight store, read-only once built; ``params`` is in :func:`_param_specs` order."""
 
     config: NetConfig
     params: Dict[str, np.ndarray] = field(repr=False)
@@ -192,51 +188,6 @@ def build(config: NetConfig) -> Network:
 def count_params(net: Network) -> int:
     """Total number of scalar parameters (weights and biases)."""
     return int(sum(p.size for p in net.params.values()))
-
-
-def export_weights(net: Network, blob_path, manifest_path) -> None:
-    """Dump parameters as one little-endian float32 blob plus a manifest."""
-    offset = 0
-    layers = []
-    chunks = []
-    for name, arr in net.params.items():
-        layers.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        raw = arr.astype("<f4").tobytes()
-        chunks.append(raw)
-        offset += len(raw)
-    with open(blob_path, "wb") as fh:
-        fh.write(b"".join(chunks))
-    manifest = {"dtype": "float32-le", "total_bytes": offset, "layers": layers}
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-
-
-def import_weights(config: NetConfig, blob_path, manifest_path) -> Network:
-    """Rebuild a network from an exported blob, checking the inventory."""
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    with open(blob_path, "rb") as fh:
-        blob = fh.read()
-    expected = dict((name, shape) for name, shape in _param_specs(config))
-    params: Dict[str, np.ndarray] = {}
-    for layer in manifest["layers"]:
-        name = layer["name"]
-        shape = tuple(layer["shape"])
-        if name not in expected:
-            raise InvalidConfigError(f"unexpected layer {name!r} in manifest")
-        if shape != tuple(expected[name]):
-            raise InvalidConfigError(
-                f"layer {name!r}: manifest shape {shape} != config shape {expected[name]}"
-            )
-        n = int(np.prod(shape))
-        start = layer["offset"]
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=start).reshape(shape).copy()
-        arr.setflags(write=False)
-        params[name] = arr
-    missing = set(expected) - set(params)
-    if missing:
-        raise InvalidConfigError(f"manifest missing layers: {sorted(missing)}")
-    return Network(config=config, params=params)
 
 
 # ---------------------------------------------------------------------------

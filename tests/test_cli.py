@@ -423,9 +423,9 @@ def test_config_section_must_be_an_object(tmp_path):
 
 @pytest.mark.parametrize("setting", [
     {"seed": -1}, {"seed": 1.5}, {"margin_vox": 0}, {"num_classes": 1}, {"num_classes": -2},
-    {"margin_vox": True}, {"margin_vox": 2.5},
+    {"margin_vox": True}, {"margin_vox": 2.5}, {"forward": "false"}, {"forward": 1},
 ], ids=["negative_seed", "fractional_seed", "margin_vox", "num_classes_1", "num_classes_-2",
-        "bool_margin_vox", "fractional_margin_vox"])
+        "bool_margin_vox", "fractional_margin_vox", "string_forward", "int_forward"])
 def test_run_settings_fail_in_config_before_any_compute(tmp_path, monkeypatch, setting):
     img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
 

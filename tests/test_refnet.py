@@ -12,9 +12,7 @@ from scribsup.refnet import (
     NetConfig,
     build,
     count_params,
-    export_weights,
     forward,
-    import_weights,
 )
 from scribsup.volume_io import Volume
 
@@ -58,6 +56,7 @@ def test_same_seed_identical_weights():
     a = build(NetConfig(num_classes=3, base_filters=2, seed=42))
     b = build(NetConfig(num_classes=3, base_filters=2, seed=42))
     assert list(a.params) == list(b.params)
+    assert list(a.params) == [n for n, _ in refnet._param_specs(a.config)]
     for name in a.params:
         assert np.array_equal(a.params[name], b.params[name])
 
@@ -183,65 +182,6 @@ def test_invalid_configs():
         NetConfig(num_classes=2, base_filters=0)
     with pytest.raises(InvalidConfigError):
         NetConfig(num_classes=2, aspp_rates=())
-
-
-def test_weight_export_import_roundtrip(tmp_path, rng):
-    cfg = NetConfig(num_classes=3, base_filters=2, seed=9)
-    net = build(cfg)
-    blob = tmp_path / "weights.bin"
-    manifest = tmp_path / "weights.json"
-    export_weights(net, blob, manifest)
-    back = import_weights(cfg, blob, manifest)
-    assert list(back.params) == list(net.params)
-    for name in net.params:
-        assert np.array_equal(back.params[name], net.params[name])
-    patch = _patch(rng, (16, 16, 4))
-    assert np.array_equal(forward(net, patch).mask_final.data,
-                          forward(back, patch).mask_final.data)
-
-
-def test_import_keeps_a_permuted_manifest_order(tmp_path):
-    net = build(NetConfig(num_classes=3, base_filters=2, seed=9))
-    blob, manifest = tmp_path / "w.bin", tmp_path / "w.json"
-    export_weights(net, blob, manifest)
-    doc = json.loads(manifest.read_text())
-    doc["layers"] = doc["layers"][::2] + doc["layers"][1::2]  # same offsets, another order
-    manifest.write_text(json.dumps(doc))
-    permuted = [layer["name"] for layer in doc["layers"]]
-    back = import_weights(net.config, blob, manifest)
-    assert permuted != list(net.params)
-    assert list(back.params) == permuted
-    assert all(np.array_equal(back.params[n], net.params[n]) for n in permuted)
-    blob2, manifest2 = tmp_path / "w2.bin", tmp_path / "w2.json"
-    export_weights(back, blob2, manifest2)
-    assert [layer["name"] for layer in json.loads(manifest2.read_text())["layers"]] == permuted
-
-
-def test_import_rejects_wrong_config(tmp_path):
-    net = build(NetConfig(num_classes=3, base_filters=2, seed=9))
-    blob = tmp_path / "w.bin"
-    manifest = tmp_path / "w.json"
-    export_weights(net, blob, manifest)
-    with pytest.raises(InvalidConfigError):
-        import_weights(NetConfig(num_classes=4, base_filters=2, seed=9), blob, manifest)
-
-
-@pytest.mark.parametrize("change, message", [
-    ("rename", "unexpected layer 'stray' in manifest"),
-    ("drop", "manifest missing layers"),
-], ids=["unexpected_layer", "missing_layer"])
-def test_import_refuses_a_manifest_whose_layers_differ(tmp_path, change, message):
-    net = build(NetConfig(num_classes=3, base_filters=2, seed=9))
-    blob, manifest = tmp_path / "w.bin", tmp_path / "w.json"
-    export_weights(net, blob, manifest)
-    doc = json.loads(manifest.read_text())
-    if change == "rename":
-        doc["layers"][-1]["name"] = "stray"
-    else:
-        doc["layers"].pop()
-    manifest.write_text(json.dumps(doc))
-    with pytest.raises(InvalidConfigError, match=message):
-        import_weights(net.config, blob, manifest)
 
 
 @pytest.mark.parametrize("shape", GOLDEN_SHAPES, ids=lambda s: "x".join(map(str, s)))
