@@ -12,7 +12,6 @@ volumes where unannotated voxels carry the sentinel value 255.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from contextlib import contextmanager
@@ -27,8 +26,6 @@ from .volume_io import (
     BinaryVolume, LabelVolume, ProbVolume, PseudoLabels, Volume, _check_same_grid, _refusal_names,
     crop_or_pad, read_nifti, write_nifti,
 )
-
-_MAX_INT16_ID = 32767
 
 # Every default of the pipeline config; the subcommands' options read theirs
 # from here too.
@@ -87,19 +84,16 @@ def _read_on_grid(path, kind: str, ref, ref_path):
     return vol
 
 
-def _simulate_scribbles(gt: LabelVolume, margin: int, num_classes: int = 0):
-    """Foreground skeletons plus the background ring; ``num_classes`` widens the set."""
+def _simulate_scribbles(gt: LabelVolume, margin: int):
+    """Foreground skeletons plus the background ring, with ``gt``'s class count."""
     background = scribble_sim.simulate_background_scribble(gt, margin)  # refuses a bad margin first
-    merged = scribble_sim.merge_scribbles(scribble_sim.simulate_foreground_scribbles(gt), background)
-    return dataclasses.replace(merged, num_classes=num_classes) if num_classes else merged
+    return scribble_sim.merge_scribbles(scribble_sim.simulate_foreground_scribbles(gt), background)
 
 
 def _slic_params(image: Volume, k, compactness: float, iterations: int) -> supervoxel.SlicParams:
-    """SLIC settings; ``k`` defaults to one per 1000 voxels and must fit the image and an int16 ID map."""
+    """SLIC settings; ``k`` defaults to one per 1000 voxels and must not exceed the voxel count."""
     k = max(1, image.data.size // 1000) if k is None else k
     params = supervoxel.SlicParams(k, compactness, iterations)  # a non-integer k fails here
-    if k > _MAX_INT16_ID:
-        raise ScribsupError(f"k={k} supervoxels exceed the int16 NIfTI limit ({_MAX_INT16_ID})")
     params.check_fits(image.shape)
     return params
 
@@ -127,21 +121,17 @@ def _forward(image: Volume, num_classes: int, seed: int, base_filters: int, patc
     return patch, net, refnet.forward(net, patch)
 
 
-def _write_channels(data: np.ndarray, spacing, paths) -> list:
-    """Write channel ``c`` of ``data`` (last axis) as float32 to ``paths[c]``."""
-    for c, path in enumerate(paths):
-        write_nifti(Volume(data[..., c].astype(np.float32), spacing), path)
-    return [str(p) for p in paths]
+def _write_heads(spacing, boundary_path, prefix, boundary, init, final) -> dict:
+    """Write float32 files: ``boundary``'s one channel to ``boundary_path`` and channel ``c``
+    (last axis) of ``init``/``final`` to ``{prefix}_{init,final}_c{c}.nii``; return the paths."""
+    def put(data, paths):
+        for c, path in enumerate(paths):
+            write_nifti(Volume(data[..., c].astype(np.float32), spacing), path)
+        return [str(p) for p in paths]
 
-
-def _write_forward(outputs: refnet.NetworkOutputs, boundary_path, mask_prefix) -> dict:
-    """Write the boundary map and one file per class channel of both masks."""
-    b = outputs.boundary
-    written = {"boundary": _write_channels(b.data, b.spacing, [boundary_path])[0]}
-    for tag in ("init", "final"):
-        pv = getattr(outputs, f"mask_{tag}")
-        paths = [f"{mask_prefix}_{tag}_c{c}.nii" for c in range(pv.channels)]
-        written[f"mask_{tag}"] = _write_channels(pv.data, pv.spacing, paths)
+    written = {"boundary": put(boundary, [boundary_path])[0]}
+    for tag, d in (("init", init), ("final", final)):
+        written[f"mask_{tag}"] = put(d, [f"{prefix}_{tag}_c{c}.nii" for c in range(d.shape[-1])])
     return written
 
 
@@ -160,7 +150,7 @@ def _write_json(obj, path) -> None:
 @click.option("--iters", type=int, default=_DEFAULTS["slic"]["iterations"], show_default=True)
 @click.option("--output", required=True, type=click.Path())
 def slic_cmd(input_path, k, compactness, iters, output):
-    """Cluster a volume into supervoxels and write the ID map (int16)."""
+    """Cluster a volume into supervoxels and write the ID map (int16, int32 above 32,768 IDs)."""
     with stage("slic"):
         image = read_nifti(input_path, kind="image")
         sv = supervoxel.slic3d(image, _slic_params(image, k, compactness, iters))
@@ -191,10 +181,9 @@ def propagate_cmd(scribbles_path, sv_path, classes, output_mask, output_conf):
     """Expand scribbles through supervoxels into pseudo labels."""
     with stage("propagate"):
         scribble_vol = read_nifti(scribbles_path, kind="labels")
-        scribbles = scribble_sim.scribbles_from_label_volume(scribble_vol, classes)
-        ids = _read_on_grid(sv_path, "labels", scribble_vol, scribbles_path)
-        with _refusal_names(sv_path):
-            sv = supervoxel.SupervoxelMap(ids.data, ids.spacing)
+        with _refusal_names(scribbles_path):
+            scribbles = scribble_sim.scribbles_from_label_volume(scribble_vol, classes)
+        sv = _read_on_grid(sv_path, "supervoxels", scribble_vol, scribbles_path)
         pl = label_propagation.propagate(scribbles, sv)
         write_nifti(pl.mask, output_mask)
         write_nifti(pl.confident, output_conf)
@@ -229,10 +218,11 @@ def forward_cmd(input_path, classes, seed, base_filters, patch, out_prefix):
     with stage("forward"):
         patch_shape = tuple(int(t) for t in patch.split(",")) if patch else None
         image = read_nifti(input_path, kind="image")
-        vol, net, outputs = _forward(image, classes, seed, base_filters, patch_shape)
+        vol, net, out = _forward(image, classes, seed, base_filters, patch_shape)
         summary = {"input_shape": list(vol.shape), "num_classes": classes, "seed": seed,
                    "base_filters": base_filters, "param_count": refnet.count_params(net),
-                   **_write_forward(outputs, f"{out_prefix}_boundary.nii", out_prefix)}
+                   **_write_heads(vol.spacing, f"{out_prefix}_boundary.nii", out_prefix,
+                                  out.boundary.data, out.mask_init.data, out.mask_final.data)}
         _write_json(summary, f"{out_prefix}_summary.json")
         click.echo(f"wrote forward outputs with prefix {out_prefix}")
 
@@ -281,10 +271,8 @@ def loss_cmd(pred_init, pred_final, boundary_pred, pseudo, conf, edges_path, ima
         )
         _write_json(report.terms, report_path)
         if grad_prefix:
-            _write_channels(report.grad_boundary, image.spacing, [f"{grad_prefix}_grad_boundary.nii"])
-            for name, grad in (("init", report.grad_init), ("final", report.grad_final)):
-                paths = [f"{grad_prefix}_grad_{name}_c{c}.nii" for c in range(grad.shape[-1])]
-                _write_channels(grad, image.spacing, paths)
+            _write_heads(image.spacing, f"{grad_prefix}_grad_boundary.nii", f"{grad_prefix}_grad",
+                         report.grad_boundary, report.grad_init, report.grad_final)
         click.echo(f"total loss: {report.value:.6f}")
 
 
@@ -369,14 +357,18 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
             _read_on_grid(cfg[key], "labels", image, cfg["image"]) if cfg[key] else None
             for key in ("gt", "scribbles")
         )
+        if gt is not None and cfg["num_classes"]:  # a class above the count fails before compute
+            with _refusal_names(cfg["gt"]):
+                gt = LabelVolume(gt.data, gt.spacing, cfg["num_classes"])
         edges_in = (_read_edge_probs(cfg["edges_input"], image, cfg["image"])
                     if cfg["edges_input"] else None)
 
     with stage("scribbles"):
         if scribble_vol is not None:
-            scribbles = scribble_sim.scribbles_from_label_volume(scribble_vol, cfg["num_classes"])
+            with _refusal_names(cfg["scribbles"]):
+                scribbles = scribble_sim.scribbles_from_label_volume(scribble_vol, cfg["num_classes"])
         else:
-            scribbles = _simulate_scribbles(gt, cfg["margin_vox"], cfg["num_classes"])
+            scribbles = _simulate_scribbles(gt, cfg["margin_vox"])
             write(scribble_sim.scribbles_to_label_volume(scribbles), "scribbles")
 
     with stage("slic"):
@@ -400,7 +392,9 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
         with stage("forward"):
             patch, _, outputs = _forward(image, scribbles.num_classes, cfg["seed"],
                                          cfg["forward_base_filters"], patch_shape)
-            written = _write_forward(outputs, out_dir / "boundary_pred.nii", out_dir / "mask")
+            written = _write_heads(patch.spacing, out_dir / "boundary_pred.nii", out_dir / "mask",
+                                   outputs.boundary.data, outputs.mask_init.data,
+                                   outputs.mask_final.data)
             for path in (written["boundary"], *written["mask_init"], *written["mask_final"]):
                 emit(Path(path).stem, path)
 

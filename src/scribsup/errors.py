@@ -18,7 +18,7 @@ class MalformedHeaderError(ScribsupError):
 
 
 class UnsupportedDatatypeError(ScribsupError):
-    """Voxel datatype outside the supported {uint8, int16, float32} set, or a
+    """Voxel datatype outside the supported {uint8, int16, int32, float32} set, or a
     file payload that the requested container refuses (the message names the file)."""
 
 

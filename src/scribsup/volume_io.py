@@ -3,8 +3,8 @@
 All grids are indexed ``[x, y, z]`` with x varying fastest in the serialized
 byte stream, matching the NIfTI voxel order. Spacing is physical, in
 millimeters, one value per axis. The reader/writer supports uncompressed
-single-file ``.nii`` only, with datatypes uint8 (code 2), int16 (code 4) and
-float32 (code 16); qform/sform orientation is ignored and spacing is ``pixdim``
+single-file ``.nii`` only, with datatype codes 2 (uint8), 4 (int16), 8 (int32)
+and 16 (float32); qform/sform orientation is ignored and spacing is ``pixdim``
 scaled to mm by the spatial unit in ``xyzt_units``. Intensity scaling, a
 ``bitpix`` that does not match ``datatype``, a length unit other than m, mm or
 micron and a fractional ``vox_offset`` are rejected rather than ignored. A
@@ -28,6 +28,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import (
+    InvalidConfigError,
     MalformedHeaderError,
     ShapeMismatchError,
     TruncatedDataError,
@@ -50,11 +51,13 @@ __all__ = [
 # NIfTI-1 datatype codes supported by this subset.
 DT_UINT8 = 2
 DT_INT16 = 4
+DT_INT32 = 8
 DT_FLOAT32 = 16
 
 _DTYPES = {
     DT_UINT8: np.dtype("<u1"),
     DT_INT16: np.dtype("<i2"),
+    DT_INT32: np.dtype("<i4"),
     DT_FLOAT32: np.dtype("<f4"),
 }
 
@@ -224,7 +227,7 @@ class LabelVolume(_Grid):
 
     def _values(self, data: np.ndarray) -> np.ndarray:
         check_setting("num_classes", self.num_classes, 2, integer=True)
-        if self.storage_datatype not in (None, DT_UINT8, DT_INT16):
+        if self.storage_datatype not in (None, DT_UINT8, DT_INT16, DT_INT32):
             raise UnsupportedDatatypeError(
                 f"labels cannot be stored as datatype code {self.storage_datatype}"
             )
@@ -358,6 +361,8 @@ def _refusal_names(path):
     """Re-raise a container's refusal of the values read from ``path`` as an error naming it."""
     try:
         yield
+    except InvalidConfigError:  # a refused setting, such as a class count, is not the file's
+        raise
     except (ValueError, OverflowError) as exc:
         raise UnsupportedDatatypeError(f"{path}: {exc}") from exc
 
@@ -411,22 +416,22 @@ def read_nifti(path, kind: str = "auto") -> AnyVolume:
 
     Args:
         path: Path to a ``.nii`` file.
-        kind: One of ``"auto"``, ``"image"``, ``"labels"``, ``"binary"``.
+        kind: ``"auto"``, ``"image"``, ``"labels"``, ``"binary"`` or ``"supervoxels"``;
             ``auto`` maps float32 files to :class:`Volume` and integer files
-            to :class:`LabelVolume`; the explicit kinds force a container.
+            to :class:`LabelVolume`, the explicit kinds force a container.
 
     Returns:
-        Volume, LabelVolume or BinaryVolume by ``kind``/datatype; spacing in mm (``xyzt_units``).
+        Volume, LabelVolume, BinaryVolume or SupervoxelMap; spacing in mm (``xyzt_units``).
 
     Raises:
         MalformedHeaderError: bad magic, size, dims, bitpix, pixdim, spatial
             unit (``xyzt_units``), or a vox_offset that is not a whole number >= 348.
-        UnsupportedDatatypeError: datatype outside {uint8, int16, float32},
+        UnsupportedDatatypeError: datatype outside {uint8, int16, int32, float32},
             or a payload the requested container refuses.
         UnsupportedScalingError: scl_slope/scl_inter other than unscaled.
         TruncatedDataError: payload shorter than the header declares.
     """
-    if kind not in ("auto", "image", "labels", "binary"):
+    if kind not in ("auto", "image", "labels", "binary", "supervoxels"):
         raise ValueError(f"unknown kind {kind!r}")
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -440,6 +445,8 @@ def read_nifti(path, kind: str = "auto") -> AnyVolume:
     with _refusal_names(path):
         if kind == "binary":
             return BinaryVolume(data, spacing)
+        if kind == "supervoxels":
+            return SupervoxelMap(data, spacing)
         if kind == "labels" or (kind == "auto" and code != DT_FLOAT32):
             # float labels have no integer width to keep; the writer picks one
             storage = None if code == DT_FLOAT32 else code
@@ -452,13 +459,12 @@ def _storage_code(vol) -> int:
         return DT_FLOAT32
     if isinstance(vol, BinaryVolume):
         return DT_UINT8
-    if isinstance(vol, SupervoxelMap):  # IDs run 0..count-1
-        peak, code = vol.count - 1, DT_INT16
-    elif isinstance(vol, LabelVolume):
-        peak = int(vol.data.max()) if vol.data.size else 0
-        code = vol.storage_datatype or (DT_UINT8 if peak <= 255 else DT_INT16)
-    else:
+    if isinstance(vol, SupervoxelMap):  # IDs 0..count-1; int16 where it fits keeps old maps' bytes
+        return DT_INT16 if vol.count <= 32768 else DT_INT32
+    if not isinstance(vol, LabelVolume):
         raise TypeError(f"cannot write object of type {type(vol).__name__}")
+    peak = int(vol.data.max()) if vol.data.size else 0
+    code = vol.storage_datatype or (DT_UINT8 if peak <= 255 else DT_INT16)
     if peak > np.iinfo(_DTYPES[code]).max:
         raise UnsupportedDatatypeError(f"label value {peak} does not fit datatype code {code}")
     return code
@@ -468,9 +474,9 @@ def write_nifti(vol: Union[AnyVolume, SupervoxelMap], path) -> None:
     """Write a volume as uncompressed NIfTI-1 (352-byte header + raw voxels).
 
     Volume data is stored as float32, BinaryVolume as uint8, LabelVolume as
-    uint8 or int16 (honoring ``storage_datatype`` when set) and a
-    SupervoxelMap's IDs as int16; a value that does not fit fails before any
-    byte is written. Output is little-endian with x varying fastest.
+    its ``storage_datatype`` or else uint8 or int16 (a label that does not fit
+    fails before any byte is written), and SupervoxelMap IDs as int16, or as
+    int32 above 32,768 IDs. Output is little-endian with x varying fastest.
     """
     code = _storage_code(vol)
     data = vol.ids if isinstance(vol, SupervoxelMap) else vol.data

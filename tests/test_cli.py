@@ -75,7 +75,8 @@ def test_simulate_propagate_edges_eval_chain(tmp_path, runner):
     assert 0.0 <= payload["classes"][0]["dice"] <= 1.0
 
 
-def test_forward_and_loss_commands(tmp_path, runner):
+@pytest.mark.parametrize("literal", [False, True], ids=["two_sided_bry", "literal_bry"])
+def test_forward_and_loss_commands(tmp_path, runner, literal):
     img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
     prefix = str(tmp_path / "run")
     result = runner.invoke(
@@ -110,7 +111,8 @@ def test_forward_and_loss_commands(tmp_path, runner):
         args += ["--pred-init", f"{prefix}_init_c{c}.nii"]
         args += ["--pred-final", f"{prefix}_final_c{c}.nii"]
     grad_prefix = str(tmp_path / "g")
-    result = runner.invoke(main, args + ["--grad-prefix", grad_prefix])
+    args += ["--grad-prefix", grad_prefix] + (["--literal-bry"] if literal else [])
+    result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     payload = json.loads(report.read_text())
     assert {"l_bry", "l_seg_init", "l_seg_final", "l_ab", "total"} <= set(payload)
@@ -127,7 +129,9 @@ def test_forward_and_loss_commands(tmp_path, runner):
         probs([f"{prefix}_init_c{c}.nii" for c in range(2)]),
         probs([f"{prefix}_final_c{c}.nii" for c in range(2)]),
         PseudoLabels(read_nifti(mask, kind="labels"), read_nifti(conf, kind="binary")), image,
+        literal_boundary=literal,
     )
+    assert payload == want.terms
     expected = {f"{grad_prefix}_grad_boundary.nii": want.grad_boundary[..., 0]}
     for tag, grad in (("init", want.grad_init), ("final", want.grad_final)):
         expected.update({f"{grad_prefix}_grad_{tag}_c{c}.nii": grad[..., c] for c in range(2)})
@@ -366,9 +370,8 @@ def test_forward_and_edge_settings_fail_in_config_before_any_compute(
     assert isinstance(info.value.cause, cause)
 
 
-@pytest.mark.parametrize("k, limit", [(40000, cli._MAX_INT16_ID), (None, 0)],
-                         ids=["given_k", "default_k"])
-def test_oversized_k_fails_before_slic(tmp_path, monkeypatch, runner, k, limit):
+@pytest.mark.parametrize("k", [40000], ids=["given_k"])  # no default k exceeds the voxel count
+def test_oversized_k_fails_before_slic(tmp_path, monkeypatch, runner, k):
     img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
 
     def no_compute(*args, **kwargs):
@@ -376,17 +379,17 @@ def test_oversized_k_fails_before_slic(tmp_path, monkeypatch, runner, k, limit):
 
     monkeypatch.setattr(supervoxel, "slic3d", no_compute)
     monkeypatch.setattr(scribble_sim, "simulate_foreground_scribbles", no_compute)
-    # the default k of a 1024-voxel image is 1, so a limit of 0 stands in for a huge volume
-    monkeypatch.setattr(cli, "_MAX_INT16_ID", limit)
-    args = ["slic", "--input", str(img_path), "--output", str(tmp_path / "sv.nii")]
-    result = runner.invoke(main, args + (["--k", str(k)] if k else []))
+    result = runner.invoke(main, ["slic", "--input", str(img_path), "--k", str(k),
+                                  "--output", str(tmp_path / "sv.nii")])
     assert result.exit_code == 1
-    assert "error in stage 'slic'" in result.output and "int16 NIfTI limit" in result.output
+    assert "error in stage 'slic'" in result.output
+    assert f"k={k} exceeds voxel count 1024" in result.output
+    assert not (tmp_path / "sv.nii").exists()
     with pytest.raises(PipelineStageError) as info:
         run_pipeline({"image": str(img_path), "gt": str(gt_path), "slic": {"k": k},
                       "output_dir": str(tmp_path / "out")}, echo=lambda *_: None)
     assert info.value.stage == "read"
-    assert "int16 NIfTI limit" in str(info.value)
+    assert f"k={k} exceeds voxel count 1024" in str(info.value)
 
 
 @pytest.mark.parametrize("slic", [
@@ -589,6 +592,26 @@ def test_propagate_refuses_a_negative_class_count(tmp_path, runner):
                                   "--output-conf", str(tmp_path / "c.nii")])
     assert result.exit_code == 1
     assert "error in stage 'propagate'" in result.output and "num_classes" in result.output
+    assert str(scrib) not in result.output  # the setting is refused, not the file
+    assert not (tmp_path / "m.nii").exists()
+
+
+def _scribbles_with_class_3(path, shape=(8, 8, 2), spacing=(1.0, 1.0, 4.0)):
+    labels = np.full(shape, 255, dtype=np.uint16)
+    labels[2, 2, 0], labels[6, 6, 1], labels[4, 4, 1] = 0, 1, 3
+    write_nifti(LabelVolume(labels, spacing, 256), path)
+
+
+def test_propagate_names_a_scribble_file_above_the_class_count(tmp_path, runner):
+    scrib, sv = tmp_path / "scrib.nii", tmp_path / "sv.nii"
+    _scribbles_with_class_3(scrib)
+    write_nifti(LabelVolume(np.zeros((8, 8, 2), dtype=np.uint16), (1.0, 1.0, 4.0), 2), sv)
+    result = runner.invoke(main, ["propagate", "--scribbles", str(scrib), "--supervoxels", str(sv),
+                                  "--classes", "2", "--output-mask", str(tmp_path / "m.nii"),
+                                  "--output-conf", str(tmp_path / "c.nii")])
+    assert result.exit_code == 1
+    assert "error in stage 'propagate'" in result.output and str(scrib) in result.output
+    assert "scribble classes must be below 2" in result.output
     assert not (tmp_path / "m.nii").exists()
 
 
@@ -770,6 +793,30 @@ def test_k_above_the_voxel_count_fails_in_read_before_any_compute(tmp_path, monk
     assert info.value.stage == "read"
     assert isinstance(info.value.cause, KTooLargeError)
     assert "k=2000 exceeds voxel count 1024" in str(info.value)
+    assert calls == []
+
+
+@pytest.mark.parametrize("key, stage, message", [
+    ("gt", "read", "labels must be below 2"),
+    ("scribbles", "scribbles", "scribble classes must be below 2"),
+], ids=["gt", "scribbles"])
+def test_a_label_file_above_num_classes_is_named_before_any_compute(
+        tmp_path, monkeypatch, key, stage, message):
+    shape, spacing = (16, 16, 4), (1.0, 1.0, 4.0)
+    img_path, gt_path = _phantom(tmp_path, shape=shape, spacing=spacing)
+    path = tmp_path / "class3.nii"
+    if key == "gt":
+        gt = read_nifti(gt_path, kind="labels").data.copy()
+        gt[0, 0, 0] = 3
+        write_nifti(LabelVolume(gt, spacing, 4), path)
+    else:
+        _scribbles_with_class_3(path, shape, spacing)
+    calls = _record_compute(monkeypatch)
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline({"image": str(img_path), key: str(path), "num_classes": 2,
+                      "output_dir": str(tmp_path / "out")}, echo=lambda *_: None)
+    assert info.value.stage == stage
+    assert str(path) in str(info.value) and message in str(info.value)
     assert calls == []
 
 

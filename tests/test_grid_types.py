@@ -1,20 +1,20 @@
 """Every grid type lives in ``volume_io``: the stage modules import only it and
 ``errors`` from the package, the value and spacing helpers stay private to it,
-and the writer stores a supervoxel ID map as int16 by itself."""
+and the writer stores a supervoxel ID map as int16, or as int32 above 32,768 IDs, by itself."""
 
 import ast
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import scribsup
 from conftest import sphere_labels
 from scribsup import label_propagation, losses, scribble_sim, supervoxel, volume_io
-from scribsup.cli import PipelineStageError, run_pipeline
-from scribsup.errors import UnsupportedDatatypeError
+from scribsup.cli import main, run_pipeline
 from scribsup.volume_io import (
-    DT_INT16, LabelVolume, SupervoxelMap, Volume, read_nifti, write_nifti,
+    DT_INT16, DT_INT32, LabelVolume, SupervoxelMap, Volume, read_nifti, write_nifti,
 )
 
 SRC = Path(scribsup.__file__).parent
@@ -129,22 +129,38 @@ def test_id_map_with_largest_id_32767_writes(tmp_path):
     assert int(back.data.max()) == 32767 and np.array_equal(back.data, sv.ids)
 
 
-def test_id_map_above_int16_fails_before_any_byte_is_written(tmp_path):
-    with pytest.raises(UnsupportedDatatypeError, match="32768"):
-        write_nifti(_id_map((64, 64, 9), 32769), tmp_path / "sv.nii")
-    assert list(tmp_path.iterdir()) == []
+def _datatype_and_bitpix(path):
+    """The header's ``datatype`` and ``bitpix`` fields (bytes 70-73)."""
+    return tuple(int(v) for v in np.frombuffer(path.read_bytes(), "<i2", count=2, offset=70))
 
 
-def test_pipeline_with_id_32768_fails_in_slic_and_writes_no_map(tmp_path, monkeypatch):
+@pytest.mark.parametrize("count", [32769, 70000])  # one above int16, one above uint16
+def test_id_map_above_int16_round_trips_as_int32(tmp_path, count):
+    sv = _id_map((64, 64, 18), count)
+    write_nifti(sv, tmp_path / "sv.nii")
+    assert _datatype_and_bitpix(tmp_path / "sv.nii") == (DT_INT32, 32)
+    assert (tmp_path / "sv.nii").stat().st_size == 352 + 4 * sv.ids.size
+    back = read_nifti(tmp_path / "sv.nii", kind="supervoxels")
+    assert isinstance(back, SupervoxelMap) and back.count == count
+    assert np.array_equal(back.ids, sv.ids) and back.spacing == sv.spacing
+
+
+def test_pipeline_with_id_32768_writes_an_int32_map_that_propagate_reads(tmp_path, monkeypatch):
     shape, spacing = (64, 64, 9), (1.0, 1.0, 2.5)
     gt = sphere_labels(shape, (32, 32, 4), 8.0, spacing)
     img_path, gt_path, out = tmp_path / "image.nii", tmp_path / "gt.nii", tmp_path / "out"
     write_nifti(Volume(gt.astype(np.float32), spacing), img_path)
     write_nifti(LabelVolume(gt, spacing, 2), gt_path)
     monkeypatch.setattr(supervoxel, "slic3d", lambda image, params: _id_map(shape, 32769))
-    with pytest.raises(PipelineStageError) as info:
-        run_pipeline({"image": str(img_path), "gt": str(gt_path), "output_dir": str(out)},
-                     echo=lambda *_: None)
-    assert info.value.stage == "slic"
-    assert isinstance(info.value.cause, UnsupportedDatatypeError)
-    assert sorted(p.name for p in out.iterdir()) == ["scribbles.nii"]
+    run_pipeline({"image": str(img_path), "gt": str(gt_path), "output_dir": str(out)},
+                 echo=lambda *_: None)
+    assert _datatype_and_bitpix(out / "supervoxels.nii") == (DT_INT32, 32)
+    assert read_nifti(out / "supervoxels.nii", kind="supervoxels").count == 32769
+    mask, conf = tmp_path / "mask.nii", tmp_path / "conf.nii"
+    result = CliRunner().invoke(main, [
+        "propagate", "--scribbles", str(out / "scribbles.nii"),
+        "--supervoxels", str(out / "supervoxels.nii"),
+        "--output-mask", str(mask), "--output-conf", str(conf)])
+    assert result.exit_code == 0, result.output
+    assert mask.read_bytes() == (out / "pseudo_mask.nii").read_bytes()
+    assert conf.read_bytes() == (out / "confidence.nii").read_bytes()

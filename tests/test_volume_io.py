@@ -16,6 +16,7 @@ from scribsup.errors import (
 from scribsup.volume_io import (
     DT_FLOAT32,
     DT_INT16,
+    DT_INT32,
     DT_UINT8,
     BinaryVolume,
     LabelVolume,
@@ -51,13 +52,13 @@ def test_read_zero_volume_with_anisotropic_spacing(tmp_path):
     assert np.array_equal(back.data, vol.data)
 
 
-@pytest.mark.parametrize("code", [DT_UINT8, DT_INT16, DT_FLOAT32])
+@pytest.mark.parametrize("code", [DT_UINT8, DT_INT16, DT_INT32, DT_FLOAT32])
 def test_read_write_data_section_byte_identical(tmp_path, rng, code):
     shape = (5, 3, 4)
     if code == DT_UINT8:
         data = rng.integers(0, 200, size=shape).astype("<u1")
-    elif code == DT_INT16:
-        data = rng.integers(0, 3000, size=shape).astype("<i2")
+    elif code in (DT_INT16, DT_INT32):
+        data = rng.integers(0, 3000, size=shape).astype("<i2" if code == DT_INT16 else "<i4")
     else:
         data = rng.random(shape).astype("<f4")
     src = tmp_path / "src.nii"
@@ -407,7 +408,7 @@ def test_write_read_roundtrip_bit_exact(tmp_path_factory, seed):
 # scl_inter, xyzt_units, magic
 _HEADER_FIELDS = [0, 40, 42, 48, 70, 72, 80, 84, 88, 108, 112, 116, 123, 344]
 _SPECIAL_VALUES = [np.float32(v).tobytes() for v in (np.nan, np.inf, -np.inf, -1, 0, 1, 351, 1e30)]
-_SPECIAL_VALUES += [np.int16(v).tobytes() for v in (-1, 0, 1, 2, 3, 4, 5, 16, 32767)]
+_SPECIAL_VALUES += [np.int16(v).tobytes() for v in (-1, 0, 1, 2, 3, 4, 5, 8, 16, 32767)]
 _NAN, _INF = np.float32(np.nan).tobytes(), np.float32(np.inf).tobytes()
 
 
@@ -436,10 +437,11 @@ def test_fuzzed_file_reads_as_a_volume_or_raises_a_toolkit_error(
     if value is not None:
         raw[352 + 4 * index : 356 + 4 * index] = np.float32(value).tobytes()
     path.write_bytes(bytes(raw))
-    for kind in ("auto", "image", "labels", "binary"):
+    for kind in ("auto", "image", "labels", "binary", "supervoxels"):
         try:
             vol = read_nifti(path, kind=kind)
         except ScribsupError:
             continue
-        assert isinstance(vol, (Volume, LabelVolume, BinaryVolume)) and vol.data.ndim == 3
-        assert not vol.data.flags.writeable
+        assert isinstance(vol, (Volume, LabelVolume, BinaryVolume, SupervoxelMap))
+        data = vol.ids if isinstance(vol, SupervoxelMap) else vol.data
+        assert data.ndim == 3 and not data.flags.writeable
