@@ -54,8 +54,6 @@ def stage(name: str):
     """Re-raise any failure in the block as a PipelineStageError tagged ``name``."""
     try:
         yield
-    except PipelineStageError:
-        raise
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
 
@@ -165,7 +163,9 @@ def slic_cmd(input_path, k, compactness, iters, output):
 def simulate_scribbles_cmd(gt_path, margin, output):
     """Generate foreground skeleton + background ring scribbles from a mask."""
     with stage("simulate-scribbles"):
-        merged = _simulate_scribbles(read_nifti(gt_path, kind="labels"), margin)
+        gt = read_nifti(gt_path, kind="labels")
+        scribble_sim._check_class_count(gt.num_classes, f"{gt_path}: class count")
+        merged = _simulate_scribbles(gt, margin)
         write_nifti(scribble_sim.scribbles_to_label_volume(merged), output)
         click.echo(f"wrote {len(merged)} scribble voxels to {output}")
 
@@ -331,6 +331,8 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
         check_setting("margin_vox", cfg["margin_vox"], 1, integer=True)
         # only an integer 0 is inferred from the scribbles later; any other count is checked here
         check_setting("num_classes (0 infers it)", cfg["num_classes"], 0, integer=True)
+        if not cfg["scribbles"]:  # the simulated scribbles are written below the sentinel
+            scribble_sim._check_class_count(cfg["num_classes"], "num_classes")
         if not isinstance(cfg["forward"], bool):  # a string "false" would read as on
             raise InvalidConfigError(f"forward must be true or false, got {cfg['forward']!r}")
         net_cfg = refnet.NetConfig(2 if cfg["num_classes"] == 0 else cfg["num_classes"],
@@ -360,6 +362,8 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
         if gt is not None and cfg["num_classes"]:  # a class above the count fails before compute
             with _refusal_names(cfg["gt"]):
                 gt = LabelVolume(gt.data, gt.spacing, cfg["num_classes"])
+        if scribble_vol is None:  # an inferred class count fails here too, naming the file
+            scribble_sim._check_class_count(gt.num_classes, f"{cfg['gt']}: class count")
         edges_in = (_read_edge_probs(cfg["edges_input"], image, cfg["image"])
                     if cfg["edges_input"] else None)
 

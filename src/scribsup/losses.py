@@ -234,11 +234,14 @@ def total_loss(
     Gradients compose by linearity: the boundary gradient is scaled by
     beta1; the final-mask gradient is the partial CE gradient plus beta2
     times the active-boundary gradient. The per-term breakdown echoes the
-    weights in effect. Every input must lie on ``image``'s grid.
+    weights in effect. Grids and channel counts are checked before any term runs.
     """
+    channels = {"boundary": 1, "probs_init": pl.mask.num_classes, "probs_final": pl.mask.num_classes}
     for name, vol in zip(("boundary", "static_edges", "probs_init", "probs_final", "pl.mask"),
                          (boundary, static_edges, probs_init, probs_final, pl.mask)):
         _check_same_grid(vol, image, f"{name} and image")
+        if name in channels and vol.channels != channels[name]:
+            raise ShapeMismatchError(f"{name} has {vol.channels} channels, needs {channels[name]}")
     # the largest transient first, while no other gradient is held; the final-mask
     # gradient is summed into its buffer before the boundary and initial-mask terms run
     abl = active_boundary_loss(probs_final, image, ab)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import binary_dilation, binary_erosion, generate_binary_structure
 
-from .errors import EmptyForegroundError, check_setting
+from .errors import EmptyForegroundError, InvalidConfigError, check_setting
 from .volume_io import LabelVolume, ScribbleSet, _check_same_grid
 
 __all__ = [
@@ -28,8 +28,14 @@ __all__ = [
     "SCRIBBLE_SENTINEL",
 ]
 
-# Unannotated voxels in a scribble label file carry this value.
+# Unannotated voxels in a scribble label file carry this value, so its classes lie below it.
 SCRIBBLE_SENTINEL = 255
+
+
+def _check_class_count(n: int, what: str = "class count") -> None:
+    if n > SCRIBBLE_SENTINEL:  # ``what`` names the count ``n`` in the refusal
+        raise InvalidConfigError(f"{what} {n} collides with the sentinel value {SCRIBBLE_SENTINEL}")
+
 
 _SQUARE3 = np.ones((3, 3), dtype=bool)
 
@@ -235,8 +241,7 @@ def merge_scribbles(a: ScribbleSet, b: ScribbleSet) -> ScribbleSet:
 
 def scribbles_to_label_volume(scribbles: ScribbleSet) -> LabelVolume:
     """Render scribbles as labels; unannotated voxels get the 255 sentinel."""
-    if scribbles.num_classes > SCRIBBLE_SENTINEL:
-        raise ValueError("class count collides with the sentinel value")
+    _check_class_count(scribbles.num_classes)
     data = np.full(scribbles.shape, SCRIBBLE_SENTINEL, dtype=np.uint16)
     idx = scribbles.indices
     data[idx[:, 0], idx[:, 1], idx[:, 2]] = scribbles.classes

@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -215,22 +215,15 @@ class Volume(_Grid):
 class LabelVolume(_Grid):
     """Integer class-ID grid sharing a Volume's geometry.
 
-    Values live in ``{0, ..., num_classes - 1}``; class 0 is background.
-    ``storage_datatype`` optionally pins the on-disk NIfTI datatype code so
-    a read/write round-trip preserves the source byte layout.
+    Values live in ``{0, ..., num_classes - 1}`` as uint16 (at most 65,535); class 0 is background.
     """
 
     data: np.ndarray
     spacing: Tuple[float, float, float]
     num_classes: int
-    storage_datatype: Optional[int] = field(default=None, compare=False)
 
     def _values(self, data: np.ndarray) -> np.ndarray:
         check_setting("num_classes", self.num_classes, 2, integer=True)
-        if self.storage_datatype not in (None, DT_UINT8, DT_INT16, DT_INT32):
-            raise UnsupportedDatatypeError(
-                f"labels cannot be stored as datatype code {self.storage_datatype}"
-            )
         return _check_integers(data, self.num_classes, "labels", np.uint16)
 
 
@@ -448,9 +441,7 @@ def read_nifti(path, kind: str = "auto") -> AnyVolume:
         if kind == "supervoxels":
             return SupervoxelMap(data, spacing)
         if kind == "labels" or (kind == "auto" and code != DT_FLOAT32):
-            # float labels have no integer width to keep; the writer picks one
-            storage = None if code == DT_FLOAT32 else code
-            return LabelVolume(data, spacing, max(2, int(data.max()) + 1), storage)
+            return LabelVolume(data, spacing, max(2, int(data.max()) + 1))
         return Volume(data, spacing)
 
 
@@ -459,27 +450,23 @@ def _storage_code(vol) -> int:
         return DT_FLOAT32
     if isinstance(vol, BinaryVolume):
         return DT_UINT8
-    if isinstance(vol, SupervoxelMap):  # IDs 0..count-1; int16 where it fits keeps old maps' bytes
-        return DT_INT16 if vol.count <= 32768 else DT_INT32
-    if not isinstance(vol, LabelVolume):
+    if isinstance(vol, SupervoxelMap):  # IDs 0..count-1; never uint8, so old maps keep their bytes
+        peak, codes = vol.count - 1, (DT_INT16, DT_INT32)
+    elif isinstance(vol, LabelVolume):  # labels stop at 65,535, IDs below 2**31: int32 holds both
+        peak, codes = int(vol.data.max(initial=0)), (DT_UINT8, DT_INT16, DT_INT32)
+    else:
         raise TypeError(f"cannot write object of type {type(vol).__name__}")
-    peak = int(vol.data.max()) if vol.data.size else 0
-    code = vol.storage_datatype or (DT_UINT8 if peak <= 255 else DT_INT16)
-    if peak > np.iinfo(_DTYPES[code]).max:
-        raise UnsupportedDatatypeError(f"label value {peak} does not fit datatype code {code}")
-    return code
+    return next(c for c in codes if peak <= np.iinfo(_DTYPES[c]).max)  # the narrowest that fits
 
 
 def write_nifti(vol: Union[AnyVolume, SupervoxelMap], path) -> None:
     """Write a volume as uncompressed NIfTI-1 (352-byte header + raw voxels).
 
-    Volume data is stored as float32, BinaryVolume as uint8, LabelVolume as
-    its ``storage_datatype`` or else uint8 or int16 (a label that does not fit
-    fails before any byte is written), and SupervoxelMap IDs as int16, or as
-    int32 above 32,768 IDs. Output is little-endian with x varying fastest.
+    Volume data is stored as float32 and BinaryVolume as uint8; a LabelVolume takes the narrowest
+    of uint8, int16 and int32 that holds its largest label, and SupervoxelMap IDs int16, or int32
+    above 32,768 IDs. Widths come from the values alone. Little-endian, x varying fastest.
     """
     code = _storage_code(vol)
-    data = vol.ids if isinstance(vol, SupervoxelMap) else vol.data
     dtype = _DTYPES[code]
     hdr = np.zeros((), dtype=_HEADER_DTYPE)
     hdr["sizeof_hdr"] = _HEADER_SIZE
@@ -491,7 +478,7 @@ def write_nifti(vol: Union[AnyVolume, SupervoxelMap], path) -> None:
     hdr["scl_slope"] = 1.0
     hdr["xyzt_units"] = 2  # millimeters
     hdr["magic"] = _MAGIC
-    payload = np.asarray(data, dtype=dtype).tobytes(order="F")
+    payload = np.asarray(getattr(vol, vol._array), dtype=dtype).tobytes(order="F")
     tmp = f"{path}.tmp{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write(hdr.tobytes())

@@ -32,6 +32,11 @@ def random_softmax(rng, shape, channels):
     return probs
 
 
+def datatype_and_bitpix(path):
+    """The NIfTI header's ``datatype`` and ``bitpix`` fields (bytes 70-73) of the file at ``path``."""
+    return tuple(int(v) for v in np.frombuffer(Path(path).read_bytes(), "<i2", count=2, offset=70))
+
+
 def sphere_labels(shape, center, radius, spacing=(1.0, 1.0, 1.0)) -> np.ndarray:
     grid = np.stack(np.meshgrid(*[np.arange(s) for s in shape], indexing="ij"), axis=-1)
     d2 = (((grid - np.asarray(center)) * np.asarray(spacing)) ** 2).sum(axis=-1)

@@ -716,6 +716,33 @@ def test_loss_inputs_must_lie_on_the_image_grid(tmp_path, runner, off):
         assert "error in stage 'loss'" in result.output and str(paths[off]) in result.output
 
 
+def test_loss_refuses_unequal_init_and_final_channel_counts(tmp_path, runner):
+    shape, spacing = (8, 8, 2), (1.0, 1.0, 4.0)
+    img_path, _ = _phantom(tmp_path, shape=shape)
+    pseudo = np.zeros(shape, dtype=np.uint16)
+    pseudo[:4] = 1
+    vols = {
+        "half": Volume(np.full(shape, 0.5, dtype=np.float32), spacing),
+        "third": Volume(np.full(shape, 1 / 3, dtype=np.float32), spacing),
+        "boundary": Volume(np.full(shape, 0.25, dtype=np.float32), spacing),
+        "pseudo": LabelVolume(pseudo, spacing, 2),
+        "conf": BinaryVolume(np.ones(shape, dtype=np.uint8), spacing),
+        "edges": BinaryVolume(np.zeros(shape, dtype=np.uint8), spacing),
+    }
+    paths = {name: tmp_path / f"{name}.nii" for name in vols}
+    for name, vol in vols.items():
+        write_nifti(vol, paths[name])
+    args = ["loss", "--boundary-pred", paths["boundary"], "--pseudo", paths["pseudo"],
+            "--conf", paths["conf"], "--edges", paths["edges"], "--image", img_path,
+            "--report", tmp_path / "loss.json"]
+    args += ["--pred-init", paths["half"]] * 2 + ["--pred-final", paths["third"]] * 3
+    result = runner.invoke(main, [str(a) for a in args])
+    assert result.exit_code == 1
+    assert "error in stage 'loss'" in result.output
+    assert "probs_final has 3 channels, needs 2" in result.output
+    assert not (tmp_path / "loss.json").exists()
+
+
 def test_loss_refuses_nan_prediction_at_an_unsupervised_voxel(tmp_path, runner):
     shape, spacing = (8, 8, 2), (1.0, 1.0, 4.0)
     img_path, _ = _phantom(tmp_path, shape=shape)
@@ -818,6 +845,59 @@ def test_a_label_file_above_num_classes_is_named_before_any_compute(
     assert info.value.stage == stage
     assert str(path) in str(info.value) and message in str(info.value)
     assert calls == []
+
+
+def test_a_num_classes_above_the_scribble_sentinel_fails_in_config_when_simulating(
+        tmp_path, monkeypatch):
+    img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
+    calls = _record_compute(monkeypatch)
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline({"image": str(img_path), "gt": str(gt_path), "num_classes": 300,
+                      "output_dir": str(tmp_path / "out")}, echo=lambda *_: None)
+    assert info.value.stage == "config"
+    assert isinstance(info.value.cause, InvalidConfigError)
+    assert "num_classes 300 collides with the sentinel value 255" in str(info.value)
+    assert calls == []
+    # given scribbles are not simulated, so the same class count runs
+    scrib = tmp_path / "scrib.nii"
+    _scribbles_with_class_3(scrib, (16, 16, 4))
+    manifest = run_pipeline({"image": str(img_path), "scribbles": str(scrib), "num_classes": 300,
+                             "slic": {"k": 4}, "output_dir": str(tmp_path / "given")},
+                            echo=lambda *_: None)
+    assert manifest["config"]["num_classes"] == 300
+    assert "pseudo_mask" in [a["name"] for a in manifest["artifacts"]]
+
+
+def _gt_with_class_300(tmp_path, spacing=(1.0, 1.0, 4.0)):
+    """A 32x32x4 image and a gt whose foreground is class 300, which no scribble file holds."""
+    img_path, gt_path = _phantom(tmp_path, shape=(32, 32, 4), spacing=spacing)
+    gt = read_nifti(gt_path, kind="labels").data * 300
+    path = tmp_path / "gt300.nii"
+    write_nifti(LabelVolume(gt, spacing, 301), path)
+    return img_path, path
+
+
+def test_a_gt_with_more_classes_than_a_scribble_file_holds_is_named_in_read(tmp_path, monkeypatch):
+    img_path, gt_path = _gt_with_class_300(tmp_path)
+    calls = _record_compute(monkeypatch)
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline({"image": str(img_path), "gt": str(gt_path),
+                      "output_dir": str(tmp_path / "out")}, echo=lambda *_: None)
+    assert info.value.stage == "read"
+    assert f"{gt_path}: class count 301 collides with the sentinel value 255" in str(info.value)
+    assert calls == [] and not (tmp_path / "out" / "scribbles.nii").exists()
+
+
+def test_simulate_scribbles_refuses_a_gt_above_the_sentinel_before_simulating(
+        tmp_path, monkeypatch, runner):
+    _, gt_path = _gt_with_class_300(tmp_path)
+    calls = _record_compute(monkeypatch)
+    out = tmp_path / "s.nii"
+    result = runner.invoke(main, ["simulate-scribbles", "--gt", str(gt_path), "--output", str(out)])
+    assert result.exit_code == 1
+    assert "error in stage 'simulate-scribbles'" in result.output
+    assert f"{gt_path}: class count 301 collides with the sentinel value 255" in result.output
+    assert calls == [] and not out.exists()
 
 
 def test_no_confident_voxel_in_the_patch_fails_in_propagate_before_any_compute(tmp_path, monkeypatch):

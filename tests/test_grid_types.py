@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import scribsup
-from conftest import sphere_labels
+from conftest import datatype_and_bitpix, sphere_labels
 from scribsup import label_propagation, losses, scribble_sim, supervoxel, volume_io
 from scribsup.cli import main, run_pipeline
 from scribsup.volume_io import (
@@ -114,12 +114,14 @@ def _id_map(shape, count):
 @pytest.mark.parametrize("count", [1, 2, 200, 255])
 def test_small_id_map_is_written_as_int16(tmp_path, count):
     sv = _id_map((16, 16, 4), count)
-    write_nifti(sv, tmp_path / "sv.nii")
-    write_nifti(LabelVolume(sv.ids, sv.spacing, max(2, count), DT_INT16), tmp_path / "labels.nii")
-    assert (tmp_path / "sv.nii").read_bytes() == (tmp_path / "labels.nii").read_bytes()
-    back = read_nifti(tmp_path / "sv.nii", kind="labels")
-    assert back.storage_datatype == DT_INT16
-    assert np.array_equal(back.data, sv.ids)
+    path = tmp_path / "sv.nii"
+    write_nifti(sv, path)
+    assert datatype_and_bitpix(path) == (DT_INT16, 16)  # never uint8, however few the IDs
+    assert path.stat().st_size == 352 + 2 * sv.ids.size
+    payload = np.frombuffer(path.read_bytes(), "<i2", offset=352)
+    assert np.array_equal(payload, sv.ids.ravel(order="F"))
+    back = read_nifti(path, kind="supervoxels")
+    assert back.count == count and np.array_equal(back.ids, sv.ids)
 
 
 def test_id_map_with_largest_id_32767_writes(tmp_path):
@@ -129,16 +131,11 @@ def test_id_map_with_largest_id_32767_writes(tmp_path):
     assert int(back.data.max()) == 32767 and np.array_equal(back.data, sv.ids)
 
 
-def _datatype_and_bitpix(path):
-    """The header's ``datatype`` and ``bitpix`` fields (bytes 70-73)."""
-    return tuple(int(v) for v in np.frombuffer(path.read_bytes(), "<i2", count=2, offset=70))
-
-
 @pytest.mark.parametrize("count", [32769, 70000])  # one above int16, one above uint16
 def test_id_map_above_int16_round_trips_as_int32(tmp_path, count):
     sv = _id_map((64, 64, 18), count)
     write_nifti(sv, tmp_path / "sv.nii")
-    assert _datatype_and_bitpix(tmp_path / "sv.nii") == (DT_INT32, 32)
+    assert datatype_and_bitpix(tmp_path / "sv.nii") == (DT_INT32, 32)
     assert (tmp_path / "sv.nii").stat().st_size == 352 + 4 * sv.ids.size
     back = read_nifti(tmp_path / "sv.nii", kind="supervoxels")
     assert isinstance(back, SupervoxelMap) and back.count == count
@@ -154,7 +151,7 @@ def test_pipeline_with_id_32768_writes_an_int32_map_that_propagate_reads(tmp_pat
     monkeypatch.setattr(supervoxel, "slic3d", lambda image, params: _id_map(shape, 32769))
     run_pipeline({"image": str(img_path), "gt": str(gt_path), "output_dir": str(out)},
                  echo=lambda *_: None)
-    assert _datatype_and_bitpix(out / "supervoxels.nii") == (DT_INT32, 32)
+    assert datatype_and_bitpix(out / "supervoxels.nii") == (DT_INT32, 32)
     assert read_nifti(out / "supervoxels.nii", kind="supervoxels").count == 32769
     mask, conf = tmp_path / "mask.nii", tmp_path / "conf.nii"
     result = CliRunner().invoke(main, [

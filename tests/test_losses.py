@@ -10,6 +10,7 @@ from oracles import (
 )
 from scribsup.errors import NoConfidentVoxelsError, ShapeMismatchError
 from scribsup.label_propagation import PseudoLabels
+from scribsup import losses
 from scribsup.losses import (
     AbParams,
     LossReport,
@@ -292,6 +293,24 @@ def _total_fixture(rng, n=3):
     edges = _random_binary(rng)
     image = make_volume(rng.random(SHAPE), SPACING)
     return boundary, edges, probs_init, probs_final, pl, image
+
+
+@pytest.mark.parametrize("off, channels, message", [
+    ("boundary", 2, "boundary has 2 channels, needs 1"),
+    ("probs_init", 3, "probs_init has 3 channels, needs 2"),
+    ("probs_final", 3, "probs_final has 3 channels, needs 2"),
+], ids=["boundary", "probs_init", "probs_final"])
+def test_total_loss_refuses_a_channel_count_before_any_term_runs(rng, monkeypatch, off, channels,
+                                                                 message):
+    boundary, edges, probs_init, probs_final, pl, image = _total_fixture(rng, n=2)
+    inputs = {"boundary": boundary, "probs_init": probs_init, "probs_final": probs_final}
+    inputs[off] = ProbVolume(random_softmax(rng, SHAPE, channels), SPACING)
+    calls = []
+    for name in ("active_boundary_loss", "partial_ce", "boundary_loss"):
+        monkeypatch.setattr(losses, name, lambda *a, _name=name, **k: calls.append(_name))
+    with pytest.raises(ShapeMismatchError, match=message):
+        total_loss(inputs["boundary"], edges, inputs["probs_init"], inputs["probs_final"], pl, image)
+    assert calls == []
 
 
 def test_total_weights_zero_leaves_only_seg_terms(rng):

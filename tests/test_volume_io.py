@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import datatype_and_bitpix
 from scribsup.errors import (
     MalformedHeaderError,
     ScribsupError,
@@ -52,23 +53,51 @@ def test_read_zero_volume_with_anisotropic_spacing(tmp_path):
     assert np.array_equal(back.data, vol.data)
 
 
+# the labels each integer width holds that the next narrower one does not
+_WIDTH_VALUES = {DT_UINT8: (0, 256), DT_INT16: (256, 32768), DT_INT32: (32768, 65536)}
+
+
 @pytest.mark.parametrize("code", [DT_UINT8, DT_INT16, DT_INT32, DT_FLOAT32])
 def test_read_write_data_section_byte_identical(tmp_path, rng, code):
     shape = (5, 3, 4)
-    if code == DT_UINT8:
-        data = rng.integers(0, 200, size=shape).astype("<u1")
-    elif code in (DT_INT16, DT_INT32):
-        data = rng.integers(0, 3000, size=shape).astype("<i2" if code == DT_INT16 else "<i4")
-    else:
-        data = rng.random(shape).astype("<f4")
     src = tmp_path / "src.nii"
     if code == DT_FLOAT32:
-        write_nifti(Volume(data, (1, 1, 1)), src)
-    else:
-        write_nifti(LabelVolume(data, (1, 1, 1), 4000, code), src)
+        write_nifti(Volume(rng.random(shape).astype("<f4"), (1, 1, 1)), src)
+    else:  # values that need this width, which the writer picks from them
+        low, high = _WIDTH_VALUES[code]
+        write_nifti(LabelVolume(rng.integers(low, high, size=shape), (1, 1, 1), high), src)
+    assert datatype_and_bitpix(src)[0] == code
     round_tripped = tmp_path / "round.nii"
     write_nifti(read_nifti(src), round_tripped)
     assert src.read_bytes()[352:] == round_tripped.read_bytes()[352:]
+
+
+@pytest.mark.parametrize("peak, code, bitpix", [
+    (255, DT_UINT8, 8), (256, DT_INT16, 16), (300, DT_INT16, 16), (32767, DT_INT16, 16),
+    (32768, DT_INT32, 32), (40000, DT_INT32, 32), (65535, DT_INT32, 32),
+])
+def test_large_labels_use_the_narrowest_width_that_holds_the_largest(tmp_path, peak, code, bitpix):
+    data = np.arange(24).reshape((2, 3, 4)) * (peak // 23)
+    data[1, 2, 3] = peak
+    path = tmp_path / "labels.nii"
+    write_nifti(LabelVolume(data, (1.0, 2.0, 3.0), peak + 1), path)
+    assert datatype_and_bitpix(path) == (code, bitpix)
+    assert path.stat().st_size == 352 + bitpix // 8 * data.size
+    back = read_nifti(path, kind="labels")
+    assert np.array_equal(back.data, data) and back.num_classes == peak + 1
+    assert back.spacing == (1.0, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("code, stored", [(DT_INT16, "<i2"), (DT_INT32, "<i4")])
+def test_a_wide_label_file_is_rewritten_in_the_narrowest_width(tmp_path, code, stored):
+    labels = (np.arange(8) * 30).astype(stored)  # 0..210, all below 256
+    header = np.array([code, 8 * np.dtype(stored).itemsize], "<i2").tobytes()  # datatype, bitpix
+    path = _patched_file(tmp_path, {70: header, 352: labels.tobytes()})
+    back = read_nifti(path, kind="labels")
+    assert np.array_equal(back.data, labels.reshape((2, 2, 2), order="F"))
+    write_nifti(back, tmp_path / "narrow.nii")
+    assert datatype_and_bitpix(tmp_path / "narrow.nii") == (DT_UINT8, 8)
+    assert np.array_equal(read_nifti(tmp_path / "narrow.nii", kind="labels").data, back.data)
 
 
 def test_dim0_not_3_is_malformed(tmp_path):
@@ -200,17 +229,6 @@ def test_binary_roundtrip(tmp_path, rng):
     assert np.array_equal(back.data, mask.data)
 
 
-def test_large_labels_use_int16_and_overflow_errors(tmp_path):
-    data = np.zeros((2, 2, 2), dtype=np.uint16)
-    data[0, 0, 0] = 300
-    path = tmp_path / "big.nii"
-    write_nifti(LabelVolume(data, (1, 1, 1), 301), path)
-    assert read_nifti(path, kind="labels").data[0, 0, 0] == 300
-    data[0, 0, 0] = 40000
-    with pytest.raises(UnsupportedDatatypeError):
-        write_nifti(LabelVolume(data, (1, 1, 1), 40001), tmp_path / "huge.nii")
-
-
 def test_labels_range_checked_before_uint16_narrowing(tmp_path):
     data = np.zeros((2, 2, 2), dtype=np.int64)
     data[0, 0, 0] = 70000
@@ -274,8 +292,6 @@ def test_volume_invariants():
     for bad in (256, 0.7, np.nan):  # checked before the uint8 cast, so none wraps
         with pytest.raises(ValueError):
             BinaryVolume(np.full((2, 2, 2), bad), (1, 1, 1))
-    with pytest.raises(UnsupportedDatatypeError, match="datatype code 16"):
-        LabelVolume(np.zeros((2, 2, 2), dtype=np.uint16), (1, 1, 1), 2, DT_FLOAT32)
 
 
 _CONTAINERS = pytest.mark.parametrize("make", [
