@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -28,15 +29,15 @@ from .volume_io import (
 )
 
 # Every default of the pipeline config; the subcommands' options read theirs
-# from here too.
+# from here too. Those of the SLIC, loss and network settings are the library's.
 _DEFAULTS = {
     "image": None, "scribbles": None, "gt": None, "edges_input": None, "output_dir": None,
-    "slic": {"k": None, "compactness": 10.0, "iterations": 10},
+    "slic": {"k": None, "compactness": supervoxel.SlicParams.compactness,
+             "iterations": supervoxel.SlicParams.iterations},
     "edge_threshold": 0.2,
-    "ab": {"lambda1": 1.0, "lambda2": 0.1, "epsilon": 1e-6},
-    "weights": {"beta1": 0.3, "beta2": 0.3},
-    "patch_shape": [224, 224, 32], "margin_vox": 10, "seed": 0, "forward": False,
-    "forward_base_filters": 8, "num_classes": 0,
+    "ab": asdict(losses.AbParams()), "weights": asdict(losses.TotalLossWeights()),
+    "patch_shape": [224, 224, 32], "margin_vox": 10, "seed": refnet.NetConfig.seed,
+    "forward": False, "forward_base_filters": refnet.NetConfig.base_filters, "num_classes": 0,
 }
 
 
@@ -216,7 +217,10 @@ def edges_cmd(input_path, threshold, output, precomputed):
 def forward_cmd(input_path, classes, seed, base_filters, patch, out_prefix):
     """Run the deterministic reference network and write its outputs."""
     with stage("forward"):
-        patch_shape = tuple(int(t) for t in patch.split(",")) if patch else None
+        try:
+            patch_shape = tuple(int(t) for t in patch.split(",")) if patch else None
+        except ValueError:
+            raise InvalidConfigError(f"--patch must be X,Y,Z integers, got {patch!r}") from None
         image = read_nifti(input_path, kind="image")
         vol, net, out = _forward(image, classes, seed, base_filters, patch_shape)
         summary = {"input_shape": list(vol.shape), "num_classes": classes, "seed": seed,
@@ -246,7 +250,7 @@ def loss_cmd(pred_init, pred_final, boundary_pred, pseudo, conf, edges_path, ima
              beta1, beta2, lambda1, lambda2, literal_bry, grad_prefix, report_path):
     """Evaluate all loss terms on saved predictions; emit a JSON breakdown."""
     with stage("loss"):
-        ab = losses.AbParams(lambda1, lambda2, _DEFAULTS["ab"]["epsilon"])
+        ab = losses.AbParams(lambda1, lambda2)
         weights = losses.TotalLossWeights(beta1, beta2)
         image = read_nifti(image_path, kind="image")
 
@@ -320,6 +324,9 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
     """
     with stage("config"):
         cfg = _merge_config(cfg)
+        for key in ("image", "scribbles", "gt", "edges_input", "output_dir"):
+            if cfg[key] is not None and not (isinstance(cfg[key], str) and cfg[key]):
+                raise InvalidConfigError(f"{key} must be a non-empty path or null, got {cfg[key]!r}")
         if not cfg["image"] or not cfg["output_dir"]:
             raise ScribsupError("config must set 'image' and 'output_dir'")
         for key in ("image", "scribbles", "gt", "edges_input"):
@@ -338,8 +345,8 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
         net_cfg = refnet.NetConfig(2 if cfg["num_classes"] == 0 else cfg["num_classes"],
                                    cfg["forward_base_filters"], seed=cfg["seed"])
         if cfg["forward"]:
+            net_cfg.check_patch_shape(cfg["patch_shape"])
             patch_shape = tuple(cfg["patch_shape"])
-            net_cfg.check_patch_shape(patch_shape)
             ab, weights = losses.AbParams(**cfg["ab"]), losses.TotalLossWeights(**cfg["weights"])
         out_dir = Path(cfg["output_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)

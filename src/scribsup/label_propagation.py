@@ -83,7 +83,7 @@ def _check_edge_threshold(threshold: float) -> None:
     check_setting("edge_threshold", threshold, 0.0, 1.0, open_low=True)
 
 
-def static_boundary(vol: Volume, edge_threshold: float = 0.2) -> BinaryVolume:
+def static_boundary(vol: Volume, edge_threshold: float) -> BinaryVolume:
     """Stack per-slice 2D edge maps into a static boundary volume.
 
     Args:

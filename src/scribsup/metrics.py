@@ -57,8 +57,8 @@ class MetricsReport:
             "undefined": self.undefined,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def dice(pred: LabelVolume, gt: LabelVolume, c: int) -> float:

@@ -20,11 +20,11 @@ activations bounded; it is a non-architectural stabilizer and always on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import ClassVar, Dict, List, Tuple
 
 import numpy as np
 
-from .errors import BadPatchShapeError, check_setting
+from .errors import BadPatchShapeError, InvalidConfigError, check_setting
 from .volume_io import ProbVolume, Volume
 
 __all__ = [
@@ -49,28 +49,25 @@ _IM2COL_BUDGET = 2 << 20
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Architecture hyper-parameters; all non-obvious values are exposed.
+    """Architecture hyper-parameters: the class count, the width and the weight seed.
 
-    ``depth``, ``levels_2d``, ``base_filters`` and ``aspp_rates`` are
-    choices of this reference (the backbone/bottleneck designs leave them
-    open), documented here rather than hard-coded. Inputs are single-channel,
-    and each ASPP branch adds ``growth`` = 2 * ``base_filters`` channels.
+    The shape is fixed: ``depth``, ``levels_2d`` and ``aspp_rates`` are
+    constants, choices of this reference (the backbone/bottleneck designs
+    leave them open) named here rather than settable. Inputs are
+    single-channel, and each ASPP branch adds ``growth`` = 2 * ``base_filters`` channels.
     """
+
+    depth: ClassVar[int] = 5
+    levels_2d: ClassVar[int] = 2
+    aspp_rates: ClassVar[Tuple[int, ...]] = (3, 6, 12, 18)
 
     num_classes: int
     base_filters: int = 8
-    depth: int = 5
-    levels_2d: int = 2
     seed: int = 0
-    aspp_rates: Tuple[int, ...] = (3, 6, 12, 18)
 
     def __post_init__(self):
-        for name, low in (("num_classes", 2), ("base_filters", 1), ("seed", 0), ("levels_2d", 0)):
+        for name, low in (("num_classes", 2), ("base_filters", 1), ("seed", 0)):
             check_setting(name, getattr(self, name), low, integer=True)
-        check_setting("depth", self.depth, self.levels_2d + 1, integer=True)
-        check_setting("number of aspp_rates", len(self.aspp_rates), 1, integer=True)
-        for rate in self.aspp_rates:
-            check_setting("aspp_rates", rate, 1, integer=True)
 
     @property
     def growth(self) -> int:
@@ -93,9 +90,14 @@ class NetConfig:
         return (2 ** n_xy, 2 ** n_xy, 2 ** n_z)
 
     def check_patch_shape(self, shape) -> None:
-        """Raise BadPatchShapeError unless ``shape`` divides through the ladder."""
+        """Raise InvalidConfigError unless ``shape`` is three integers >= 1, then
+        BadPatchShapeError unless it divides through the ladder."""
+        if not isinstance(shape, (list, tuple)) or len(shape) != 3:
+            raise InvalidConfigError(f"patch_shape must be three integers >= 1, got {shape!r}")
+        for s in shape:
+            check_setting(f"each entry of patch_shape {list(shape)}", s, 1, integer=True)
         div = self.divisors
-        if len(shape) != 3 or any(s % d != 0 or s < d for s, d in zip(shape, div)):
+        if any(s % d != 0 or s < d for s, d in zip(shape, div)):
             raise BadPatchShapeError(f"patch {tuple(shape)} must be divisible by {div} (x, y, z)")
 
 

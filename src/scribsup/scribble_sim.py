@@ -205,7 +205,7 @@ def simulate_foreground_scribbles(gt: LabelVolume) -> ScribbleSet:
     return ScribbleSet(indices, present[ci], gt.num_classes, gt.shape, gt.spacing)
 
 
-def simulate_background_scribble(gt: LabelVolume, margin_vox: int = 10) -> ScribbleSet:
+def simulate_background_scribble(gt: LabelVolume, margin_vox: int) -> ScribbleSet:
     """Draw a 1-voxel background curve at a Chebyshev margin from foreground.
 
     Per axial slice with foreground: the foreground union is dilated by

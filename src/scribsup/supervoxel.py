@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -303,16 +303,14 @@ def _equal_id_components(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return rank[comp], firsts[order]
 
 
-def enforce_connectivity(
-    svmap: SupervoxelMap, min_size_voxels: Optional[float] = None
-) -> SupervoxelMap:
+def enforce_connectivity(svmap: SupervoxelMap, min_size_voxels: float) -> SupervoxelMap:
     """Split disconnected IDs and absorb small orphan fragments.
 
     For each ID, the largest 6-connected component keeps it (ties: earliest
     first voxel in scan order). Remaining fragments of at least
-    ``min_size_voxels`` (default: voxel_count / (4 * count), the physical
-    S^3/4 equivalent) become new supervoxels; cores and these are numbered
-    by first voxel in scan order. Smaller fragments merge in passes: each
+    ``min_size_voxels`` become new supervoxels (``slic3d`` passes S^3/4 mm^3
+    in voxels, S its grid step); cores and these are numbered by first voxel
+    in scan order. Smaller fragments merge in passes: each
     pass visits the unresolved fragments in component order (the scan order
     of their first voxels), and a fragment with a resolved face neighbour
     joins the largest adjacent supervoxel (ties: the lowest ID), whose size
@@ -320,8 +318,6 @@ def enforce_connectivity(
     by first scan-order occurrence: at its lowest-numbered component.
     """
     ids = svmap.ids
-    if min_size_voxels is None:
-        min_size_voxels = ids.size / (4.0 * svmap.count)
     comp, first_voxel = _equal_id_components(ids)
     ncomp = len(first_voxel)
     flat_comp = comp.ravel()

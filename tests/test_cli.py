@@ -350,9 +350,15 @@ def test_precomputed_edges_are_thresholded_as_float32(tmp_path, runner):
     ({"weights": {"beta1": float("inf")}}, InvalidConfigError),
     ({"forward_base_filters": 2.5}, InvalidConfigError),
     ({"forward_base_filters": True}, InvalidConfigError),
+    ({"patch_shape": "abc"}, InvalidConfigError),
+    ({"patch_shape": [16, 16, 4.0]}, InvalidConfigError),
+    ({"patch_shape": [True, 32, 8]}, InvalidConfigError),
+    ({"patch_shape": [16, 16]}, InvalidConfigError),
+    ({"patch_shape": 16}, InvalidConfigError),
 ], ids=["patch_shape", "base_filters", "edge_threshold", "ab_lambda1", "weights_beta2",
         "nan_lambda1", "inf_epsilon", "bool_lambda2", "inf_beta1", "fractional_base_filters",
-        "bool_base_filters"])
+        "bool_base_filters", "string_patch_shape", "float_patch_shape", "bool_patch_shape",
+        "two_entry_patch_shape", "int_patch_shape"])
 def test_forward_and_edge_settings_fail_in_config_before_any_compute(
         tmp_path, monkeypatch, setting, cause):
     img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
@@ -427,8 +433,12 @@ def test_config_section_must_be_an_object(tmp_path):
 @pytest.mark.parametrize("setting", [
     {"seed": -1}, {"seed": 1.5}, {"margin_vox": 0}, {"num_classes": 1}, {"num_classes": -2},
     {"margin_vox": True}, {"margin_vox": 2.5}, {"forward": "false"}, {"forward": 1},
+    {"scribbles": 0}, {"scribbles": []}, {"scribbles": False}, {"scribbles": ""}, {"gt": 5},
+    {"output_dir": ["x"]}, {"image": 1.5}, {"edges_input": {}},
 ], ids=["negative_seed", "fractional_seed", "margin_vox", "num_classes_1", "num_classes_-2",
-        "bool_margin_vox", "fractional_margin_vox", "string_forward", "int_forward"])
+        "bool_margin_vox", "fractional_margin_vox", "string_forward", "int_forward",
+        "zero_scribbles", "list_scribbles", "false_scribbles", "empty_scribbles", "int_gt",
+        "list_output_dir", "float_image", "object_edges_input"])
 def test_run_settings_fail_in_config_before_any_compute(tmp_path, monkeypatch, setting):
     img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
 
@@ -920,3 +930,36 @@ def test_no_confident_voxel_in_the_patch_fails_in_propagate_before_any_compute(t
     assert "centre patch (32, 32, 8)" in str(info.value)
     assert calls == ["slic3d"]
     assert read_nifti(out / "confidence.nii", kind="binary").data.any()  # confident elsewhere
+
+
+def test_the_default_config_is_echoed_whole_in_the_manifest(tmp_path):
+    """Every top-level key and every nested SLIC, loss and weight default, with its JSON type."""
+    img_path, gt_path = _phantom(tmp_path)
+    out = tmp_path / "out"
+    manifest = run_pipeline({"image": str(img_path), "gt": str(gt_path), "output_dir": str(out)},
+                            echo=lambda *_: None)
+    want = {
+        "image": str(img_path), "scribbles": None, "gt": str(gt_path), "edges_input": None,
+        "output_dir": str(out),
+        "slic": {"k": None, "compactness": 10.0, "iterations": 10},
+        "edge_threshold": 0.2,
+        "ab": {"lambda1": 1.0, "lambda2": 0.1, "epsilon": 1e-6},
+        "weights": {"beta1": 0.3, "beta2": 0.3},
+        "patch_shape": [224, 224, 32], "margin_vox": 10, "seed": 0, "forward": False,
+        "forward_base_filters": 8, "num_classes": 0,
+    }
+    assert len(want) == 15
+    written = json.loads((out / "manifest.json").read_text())["config"]
+    for cfg in (manifest["config"], written):  # 10.0 and 10 differ in JSON, not under ==
+        assert json.dumps(cfg, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_forward_names_a_patch_option_that_is_not_three_integers(tmp_path, monkeypatch, runner):
+    img_path, _ = _phantom(tmp_path, shape=(16, 16, 4))
+    calls = _record_compute(monkeypatch)
+    prefix = tmp_path / "fwd"
+    result = runner.invoke(main, ["forward", "--input", str(img_path), "--classes", "2",
+                                  "--patch", "16,16,x", "--out-prefix", str(prefix)])
+    assert result.exit_code == 1
+    assert "error in stage 'forward': --patch must be X,Y,Z integers, got '16,16,x'" in result.output
+    assert calls == [] and list(tmp_path.glob("fwd*")) == []

@@ -114,7 +114,7 @@ def test_shape_mismatch():
 
 def test_constant_volume_has_no_edges():
     vol = make_volume(np.full((8, 8, 3), 7.0))
-    assert not static_boundary(vol).data.any()
+    assert not static_boundary(vol, 0.2).data.any()
 
 
 def test_vertical_step_gives_single_column():

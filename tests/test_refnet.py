@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -76,40 +77,39 @@ def test_weight_init_statistics():
 
 
 def test_hand_counted_parameter_total():
-    # depth 3, levels_2d 1, base 2, classes 2, growth 4, rates (3,6,12,18)
-    cfg = NetConfig(num_classes=2, base_filters=2, depth=3, levels_2d=1, seed=0)
-    # encoder: (2*1*9+2) + (2*2*9+2) + (4*2*27+4) + (4*4*27+4)
-    #        + (8*4*27+8) + (8*8*27+8)
-    encoder = 20 + 38 + 220 + 436 + 872 + 1736
-    # aspp branches on 8, 12, 16, 20 input channels -> growth 4, then fuse 24->8
-    aspp = (4 * 8 * 27 + 4) + (4 * 12 * 27 + 4) + (4 * 16 * 27 + 4) + (4 * 20 * 27 + 4)
-    aspp += 8 * 24 + 8
-    # decoder level 1: gates (4x12 + 4, 1x4 + 1), convs (4*12*27+4, 4*4*27+4)
-    dec1 = (48 + 4) + (4 + 1) + (1296 + 4) + (432 + 4)
-    # decoder level 0 (2D kernels): gates (2x6+2, 1x2+1), convs (2*6*9+2, 2*2*9+2)
+    # depth 5, levels_2d 2, base 2, classes 2, growth 4, rates (3,6,12,18);
+    # channels 2, 4, 8, 16, 32; levels 0-1 use 3x3x1 kernels, levels 2-4 3x3x3
+    cfg = NetConfig(num_classes=2, base_filters=2, seed=0)
+    # encoder: (2*1*9+2) + (2*2*9+2) + (4*2*9+4) + (4*4*9+4) + (8*4*27+8) + (8*8*27+8)
+    #        + (16*8*27+16) + (16*16*27+16) + (32*16*27+32) + (32*32*27+32)
+    encoder = 20 + 38 + 76 + 148 + 872 + 1736 + 3472 + 6928 + 13856 + 27680
+    # aspp branches on 32, 36, 40, 44 input channels -> growth 4, then fuse 48->32
+    aspp = (4 * 32 * 27 + 4) + (4 * 36 * 27 + 4) + (4 * 40 * 27 + 4) + (4 * 44 * 27 + 4)
+    aspp += 32 * 48 + 32
+    # decoder level 3: gates (16x48 + 16, 1x16 + 1), convs (16*48*27+16, 16*16*27+16)
+    dec3 = (768 + 16) + (16 + 1) + (20736 + 16) + (6912 + 16)
+    # decoder level 2: gates (8x24 + 8, 1x8 + 1), convs (8*24*27+8, 8*8*27+8)
+    dec2 = (192 + 8) + (8 + 1) + (5184 + 8) + (1728 + 8)
+    # decoder level 1 (2D kernels): gates (4x12 + 4, 1x4 + 1), convs (4*12*9+4, 4*4*9+4)
+    dec1 = (48 + 4) + (4 + 1) + (432 + 4) + (144 + 4)
+    # decoder level 0 (2D kernels): gates (2x6 + 2, 1x2 + 1), convs (2*6*9+2, 2*2*9+2)
     dec0 = (12 + 2) + (2 + 1) + (108 + 2) + (36 + 2)
-    # sbpm: projections (2x4+2, 2x2+2), rcab (2x4+2, 4x2+4), out (1x4+1)
-    sbpm = (8 + 2) + (4 + 2) + (8 + 2) + (8 + 4) + (4 + 1)
-    # init head: two 8->8 3x3x3 convs plus 8->2 1x1x1
-    init = (1728 + 8) + (1728 + 8) + (16 + 2)
-    # final head: rcab on 6 channels (3x6+3, 6x3+6) plus 6->2 1x1x1
-    final = (18 + 3) + (18 + 6) + (12 + 2)
-    expected = encoder + aspp + dec1 + dec0 + sbpm + init + final
+    # sbpm: projections (2x16+2, 2x8+2, 2x4+2, 2x2+2), rcab on 8 channels (4x8+4, 8x4+8),
+    # out (1x8+1)
+    sbpm = (32 + 2) + (16 + 2) + (8 + 2) + (4 + 2) + (32 + 4) + (32 + 8) + (8 + 1)
+    # init head: two 32->32 3x3x3 convs plus 32->2 1x1x1
+    init = (27648 + 32) + (27648 + 32) + (64 + 2)
+    # final head: rcab on 10 channels (5x10+5, 10x5+10) plus 10->2 1x1x1
+    final = (50 + 5) + (50 + 10) + (20 + 2)
+    expected = encoder + aspp + dec3 + dec2 + dec1 + dec0 + sbpm + init + final
     assert count_params(build(cfg)) == expected
 
 
 def test_param_count_monotone_in_width_and_depth():
+    # the depth is fixed, so only the width varies
     base = count_params(build(NetConfig(num_classes=2, base_filters=2, seed=0)))
     wider = count_params(build(NetConfig(num_classes=2, base_filters=4, seed=0)))
-    deeper = count_params(
-        build(NetConfig(num_classes=2, base_filters=2, depth=6, seed=0))
-    )
-    shallower = count_params(
-        build(NetConfig(num_classes=2, base_filters=2, depth=4, seed=0))
-    )
     assert wider > base
-    assert deeper > base
-    assert shallower != base
 
 
 def test_forward_shapes_softmax_attention(rng):
@@ -173,15 +173,24 @@ def test_bad_patch_shapes(rng):
             forward(net, _patch(rng, bad))
 
 
+@pytest.mark.parametrize("shape", ["abc", [16, 16, 4.0], [True, 32, 8], (16, 16), 16, (16, 16, 0)],
+                         ids=["string", "float_entry", "bool_entry", "two_entries", "int", "zero"])
+def test_a_patch_shape_that_is_not_three_integers_is_refused_before_the_ladder(shape):
+    with pytest.raises(InvalidConfigError, match="patch_shape"):
+        NetConfig(num_classes=2).check_patch_shape(shape)
+
+
 def test_invalid_configs():
     with pytest.raises(InvalidConfigError):
         NetConfig(num_classes=1)
     with pytest.raises(InvalidConfigError):
-        NetConfig(num_classes=2, depth=2, levels_2d=2)
-    with pytest.raises(InvalidConfigError):
         NetConfig(num_classes=2, base_filters=0)
-    with pytest.raises(InvalidConfigError):
-        NetConfig(num_classes=2, aspp_rates=())
+    # the shape is constant: only these three can be set
+    fields = [f.name for f in dataclasses.fields(NetConfig)]
+    assert fields == ["num_classes", "base_filters", "seed"]
+    cfg = NetConfig(num_classes=2)
+    assert (cfg.depth, cfg.levels_2d, cfg.aspp_rates) == (5, 2, (3, 6, 12, 18))
+    assert cfg.divisors == (16, 16, 4)
 
 
 @pytest.mark.parametrize("shape", GOLDEN_SHAPES, ids=lambda s: "x".join(map(str, s)))

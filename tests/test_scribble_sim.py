@@ -133,7 +133,7 @@ def test_empty_foreground_raises():
     with pytest.raises(EmptyForegroundError):
         simulate_foreground_scribbles(make_labels(gt, 2))
     with pytest.raises(EmptyForegroundError):
-        simulate_background_scribble(make_labels(gt, 2))
+        simulate_background_scribble(make_labels(gt, 2), 10)
 
 
 def test_background_ring_matches_chebyshev_oracle():

@@ -117,7 +117,7 @@ def test_enforce_connectivity_fixpoint():
     ids = np.zeros((6, 6, 6), dtype=np.int32)
     ids[3:] = 1
     svmap = SupervoxelMap(ids, (1, 1, 1))
-    out = enforce_connectivity(svmap)
+    out = enforce_connectivity(svmap, min_size_voxels=ids.size / (4 * svmap.count))
     assert out.count == 2
     assert np.array_equal(out.ids, ids)
 
@@ -128,7 +128,7 @@ def test_enforce_connectivity_absorbs_small_island():
     ids[1, 1, 1] = 1  # 1-voxel island of ID 1 inside ID 0 territory
     ids[1, 1, 2] = 1
     svmap = SupervoxelMap(ids, (1, 1, 1))
-    out = enforce_connectivity(svmap)
+    out = enforce_connectivity(svmap, min_size_voxels=ids.size / (4 * svmap.count))
     assert out.count == 2
     # island absorbed by its host
     assert out.ids[1, 1, 1] == out.ids[0, 0, 0]
@@ -142,7 +142,7 @@ def test_enforce_connectivity_checkerboard():
     grid = np.indices(shape).sum(axis=0)
     ids = (grid % 2).astype(np.int32)
     svmap = SupervoxelMap(ids, (1, 1, 1))
-    out = enforce_connectivity(svmap)
+    out = enforce_connectivity(svmap, min_size_voxels=ids.size / (4 * svmap.count))
     assert all_ids_connected_6(out.ids)
     counts = np.bincount(out.ids.ravel(), minlength=out.count)
     assert counts.sum() == np.prod(shape) and (counts > 0).all()
@@ -275,13 +275,13 @@ def _fragmented_map(rng, kind):
 _MAP_KINDS = ["random", "checkerboard", "noisy_blocks"]
 
 
-@pytest.mark.parametrize("min_size", ["default", "explicit"])
+@pytest.mark.parametrize("min_size", ["explicit"])  # the bound has no default
 @pytest.mark.parametrize("kind", _MAP_KINDS)
 def test_enforce_connectivity_matches_oracle(kind, min_size):
-    rng = np.random.default_rng([7007, _MAP_KINDS.index(kind), int(min_size == "explicit")])
+    rng = np.random.default_rng([7007, _MAP_KINDS.index(kind), 1])
     for _ in range(40):
         svmap = _fragmented_map(rng, kind)
-        bound = None if min_size == "default" else float(rng.uniform(1.0, 6.0))
+        bound = float(rng.uniform(1.0, 6.0))
         want = brute_enforce_connectivity(np.asarray(svmap.ids), svmap.count, bound)
         got = enforce_connectivity(svmap, min_size_voxels=bound)
         assert np.array_equal(got.ids, want)
