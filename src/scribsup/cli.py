@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -113,10 +113,11 @@ def _edges(image: Volume, threshold: float, precomputed: Volume | None = None) -
     return BinaryVolume((precomputed.data >= threshold).astype(np.uint8), precomputed.spacing)
 
 
-def _forward(image: Volume, num_classes: int, seed: int, base_filters: int, patch_shape=None):
-    """Center-crop/pad to ``patch_shape`` (if given), build the network, run it."""
+def _forward(image: Volume, net_cfg: refnet.NetConfig, patch_shape=None):
+    """Center-crop/pad to ``patch_shape`` (if given), build the network of ``net_cfg``, run it;
+    both settings were checked before any file was read."""
     patch = crop_or_pad(image, patch_shape) if patch_shape else image
-    net = refnet.build(refnet.NetConfig(num_classes, base_filters=base_filters, seed=seed))
+    net = refnet.build(net_cfg)
     return patch, net, refnet.forward(net, patch)
 
 
@@ -217,14 +218,17 @@ def edges_cmd(input_path, threshold, output, precomputed):
 def forward_cmd(input_path, classes, seed, base_filters, patch, out_prefix):
     """Run the deterministic reference network and write its outputs."""
     with stage("forward"):
+        net_cfg = refnet.NetConfig(classes, base_filters, seed)
         try:
             patch_shape = tuple(int(t) for t in patch.split(",")) if patch else None
         except ValueError:
             raise InvalidConfigError(f"--patch must be X,Y,Z integers, got {patch!r}") from None
+        if patch_shape:
+            net_cfg.check_patch_shape(patch_shape)
         image = read_nifti(input_path, kind="image")
-        vol, net, out = _forward(image, classes, seed, base_filters, patch_shape)
-        summary = {"input_shape": list(vol.shape), "num_classes": classes, "seed": seed,
-                   "base_filters": base_filters, "param_count": refnet.count_params(net),
+        vol, net, out = _forward(image, net_cfg, patch_shape)
+        summary = {"input_shape": list(vol.shape), **asdict(net_cfg),
+                   "param_count": refnet.count_params(net),
                    **_write_heads(vol.spacing, f"{out_prefix}_boundary.nii", out_prefix,
                                   out.boundary.data, out.mask_init.data, out.mask_final.data)}
         _write_json(summary, f"{out_prefix}_summary.json")
@@ -243,11 +247,10 @@ def forward_cmd(input_path, classes, seed, base_filters, patch, out_prefix):
 @click.option("--beta2", type=float, default=_DEFAULTS["weights"]["beta2"], show_default=True)
 @click.option("--lambda1", type=float, default=_DEFAULTS["ab"]["lambda1"], show_default=True)
 @click.option("--lambda2", type=float, default=_DEFAULTS["ab"]["lambda2"], show_default=True)
-@click.option("--literal-bry", is_flag=True, help="Use the one-sided boundary CE form.")
 @click.option("--grad-prefix", default=None, help="Also write gradient volumes with this prefix.")
 @click.option("--report", "report_path", required=True, type=click.Path())
 def loss_cmd(pred_init, pred_final, boundary_pred, pseudo, conf, edges_path, image_path,
-             beta1, beta2, lambda1, lambda2, literal_bry, grad_prefix, report_path):
+             beta1, beta2, lambda1, lambda2, grad_prefix, report_path):
     """Evaluate all loss terms on saved predictions; emit a JSON breakdown."""
     with stage("loss"):
         ab = losses.AbParams(lambda1, lambda2)
@@ -269,10 +272,8 @@ def loss_cmd(pred_init, pred_final, boundary_pred, pseudo, conf, edges_path, ima
                 mask = LabelVolume(mask.data, mask.spacing, probs_init.channels)
         pl = PseudoLabels(mask, on_grid(conf, "binary"))
         static_edges = on_grid(edges_path, "binary")
-        report = losses.total_loss(
-            boundary, static_edges, probs_init, probs_final, pl, image,
-            ab=ab, weights=weights, literal_boundary=literal_bry,
-        )
+        report = losses.total_loss(boundary, static_edges, probs_init, probs_final, pl, image,
+                                   ab=ab, weights=weights)
         _write_json(report.terms, report_path)
         if grad_prefix:
             _write_heads(image.spacing, f"{grad_prefix}_grad_boundary.nii", f"{grad_prefix}_grad",
@@ -342,6 +343,7 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
             scribble_sim._check_class_count(cfg["num_classes"], "num_classes")
         if not isinstance(cfg["forward"], bool):  # a string "false" would read as on
             raise InvalidConfigError(f"forward must be true or false, got {cfg['forward']!r}")
+        # the forward stage runs this config with the scribbles' class count
         net_cfg = refnet.NetConfig(2 if cfg["num_classes"] == 0 else cfg["num_classes"],
                                    cfg["forward_base_filters"], seed=cfg["seed"])
         if cfg["forward"]:
@@ -401,8 +403,8 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
 
     if cfg["forward"]:
         with stage("forward"):
-            patch, _, outputs = _forward(image, scribbles.num_classes, cfg["seed"],
-                                         cfg["forward_base_filters"], patch_shape)
+            patch, _, outputs = _forward(
+                image, replace(net_cfg, num_classes=scribbles.num_classes), patch_shape)
             written = _write_heads(patch.spacing, out_dir / "boundary_pred.nii", out_dir / "mask",
                                    outputs.boundary.data, outputs.mask_init.data,
                                    outputs.mask_final.data)

@@ -2,9 +2,8 @@
 
 Three signals, each returning value plus exact gradient:
 
-* boundary cross-entropy between a predicted edge probability map and the
-  static boundary volume (two-sided by default; the one-sided literal form
-  is available behind a flag),
+* two-sided boundary cross-entropy between a predicted edge probability
+  map and the static boundary volume,
 * partial cross-entropy restricted to confident pseudo-label voxels,
 * an active-boundary functional: a smoothed total-variation surface term
   plus Chan-Vese inside/outside intensity-variance volume terms, applied
@@ -92,18 +91,13 @@ class TotalLossReport:
     grad_final: np.ndarray
 
 
-def boundary_loss(b: ProbVolume, target: BinaryVolume, literal: bool = False) -> LossReport:
-    """Cross-entropy between the boundary probability map and static edges.
-
-    The default is the mean two-sided form
+def boundary_loss(b: ProbVolume, target: BinaryVolume) -> LossReport:
+    """Mean two-sided cross-entropy between the boundary probability map and static edges,
 
         -(1/V) * sum_x [B log b + (1 - B) log(1 - b)],
 
-    whose minimum is b = B. ``literal=True`` computes the one-sided
-    ``-(1/V) * sum_x B log b`` instead (useful for comparisons; note it is
-    minimized by b = 1 everywhere). Probabilities are clamped to
-    [1e-7, 1 - 1e-7]; the gradient is exactly zero where the clamp is
-    active.
+    whose minimum is b = B. Probabilities are clamped to [1e-7, 1 - 1e-7];
+    the gradient is exactly zero where the clamp is active.
     """
     if b.channels != 1:
         raise ShapeMismatchError("boundary prediction must have one channel")
@@ -112,12 +106,8 @@ def boundary_loss(b: ProbVolume, target: BinaryVolume, literal: bool = False) ->
     x = np.clip(raw, _CLAMP_LO, _CLAMP_HI)
     t = target.data.astype(np.float64)
     n = x.size
-    if literal:
-        value = -float(np.sum(t * np.log(x))) / n
-        grad = -(t / x) / n
-    else:
-        value = -float(np.sum(t * np.log(x) + (1.0 - t) * np.log(1.0 - x))) / n
-        grad = -(t / x - (1.0 - t) / (1.0 - x)) / n
+    value = -float(np.sum(t * np.log(x) + (1.0 - t) * np.log(1.0 - x))) / n
+    grad = -(t / x - (1.0 - t) / (1.0 - x)) / n
     grad = np.where((raw > _CLAMP_LO) & (raw < _CLAMP_HI), grad, 0.0)
     return LossReport(value, grad[..., None])
 
@@ -225,13 +215,12 @@ def total_loss(
     image: Volume,
     ab: AbParams = AbParams(),
     weights: TotalLossWeights = TotalLossWeights(),
-    literal_boundary: bool = False,
 ) -> TotalLossReport:
     """Weighted sum of all supervision terms.
 
         total = beta1 * L_bry + L_seg(init) + L_seg(final) + beta2 * L_AB(final)
 
-    Gradients compose by linearity: the boundary gradient is scaled by
+    with L_bry the two-sided :func:`boundary_loss`. Gradients compose by linearity: the boundary gradient is scaled by
     beta1; the final-mask gradient is the partial CE gradient plus beta2
     times the active-boundary gradient. The per-term breakdown echoes the
     weights in effect. Grids and channel counts are checked before any term runs.
@@ -251,7 +240,7 @@ def total_loss(
     grad_final += seg_final.grad
     l_seg_final = seg_final.value
     del seg_final
-    bry = boundary_loss(boundary, static_edges, literal=literal_boundary)
+    bry = boundary_loss(boundary, static_edges)
     seg_init = partial_ce(probs_init, pl)
     value = (
         weights.beta1 * bry.value

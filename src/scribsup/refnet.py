@@ -97,7 +97,7 @@ class NetConfig:
         for s in shape:
             check_setting(f"each entry of patch_shape {list(shape)}", s, 1, integer=True)
         div = self.divisors
-        if any(s % d != 0 or s < d for s, d in zip(shape, div)):
+        if any(s % d != 0 for s, d in zip(shape, div)):
             raise BadPatchShapeError(f"patch {tuple(shape)} must be divisible by {div} (x, y, z)")
 
 
@@ -157,8 +157,8 @@ def _param_specs(cfg: NetConfig) -> List[Tuple[str, Tuple[int, ...]]]:
     for i in range(cfg.depth - 2, -1, -1):
         dense(f"sbpm.proj{i}", cfg.base_filters, cfg.channels(i))
     c_sb = (cfg.depth - 1) * cfg.base_filters
-    dense("sbpm.rcab.fc1", max(1, c_sb // 2), c_sb)
-    dense("sbpm.rcab.fc2", c_sb, max(1, c_sb // 2))
+    dense("sbpm.rcab.fc1", c_sb // 2, c_sb)
+    dense("sbpm.rcab.fc2", c_sb, c_sb // 2)
     dense("sbpm.out", 1, c_sb)
 
     conv("init.conv1", bottom, bottom, (3, 3, 3))
@@ -166,8 +166,8 @@ def _param_specs(cfg: NetConfig) -> List[Tuple[str, Tuple[int, ...]]]:
     dense("init.head", cfg.num_classes, bottom)
 
     c_final = c_sb + cfg.num_classes
-    dense("final.rcab.fc1", max(1, c_final // 2), c_final)
-    dense("final.rcab.fc2", c_final, max(1, c_final // 2))
+    dense("final.rcab.fc1", c_final // 2, c_final)
+    dense("final.rcab.fc2", c_final, c_final // 2)
     dense("final.head", cfg.num_classes, c_final)
     return specs
 

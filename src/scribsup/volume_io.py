@@ -501,8 +501,8 @@ def crop_or_pad(vol: AnyVolume, target_shape) -> AnyVolume:
     src = vol.data
     origin = tuple(int((t - s) / 2) for t, s in zip(target_shape, src.shape))  # toward zero
     out = np.zeros(target_shape, dtype=src.dtype)
-    # the overlap in source indices; an axis without overlap gives an empty slice
-    src_box = tuple(slice(max(0, -o), max(0, -o, min(s, t - o)))
+    # the overlap in source indices; centring leaves at least min(s, t) voxels per axis
+    src_box = tuple(slice(max(0, -o), min(s, t - o))
                     for s, t, o in zip(src.shape, target_shape, origin))
     out[tuple(slice(b.start + o, b.stop + o) for b, o in zip(src_box, origin))] = src[src_box]
     return replace(vol, data=out)

@@ -45,10 +45,26 @@ def test_summarise_counts_strict_pair_wins_in_each_direction():
     assert rec["parent"]["runs"] is by_side["parent"]
 
 
+def test_summarise_lists_each_metric_outside_its_bound_in_its_better_direction():
+    by_side = {
+        "parent": _runs(latency_s_p50=[2.0, 2.0, 2.0], volumes_per_s=[1.0, 1.0, 1.0],
+                        peak_rss_mib=[100.0] * 3, pseudo_dice=[0.8] * 3),
+        "change": _runs(latency_s_p50=[2.49, 2.49, 2.49], volumes_per_s=[0.74, 0.74, 0.74],
+                        peak_rss_mib=[50.0] * 3, pseudo_dice=[0.9] * 3),
+    }
+    better = {"latency_s_p50": "lower", "volumes_per_s": "higher", "peak_rss_mib": "lower",
+              "pseudo_dice": "higher"}
+    bound = {"latency_s_p50": 0.25, "volumes_per_s": 0.25, "peak_rss_mib": 0.1, "pseudo_dice": 0.1}
+    # latency is 24.5 % worse (inside 25 %), volumes_per_s 26 % worse (outside); the
+    # other two moved by more than their bounds, but in their better direction
+    assert bench_record.summarise(by_side, better, bound)["outside_bound"] == ["volumes_per_s"]
+    assert bench_record.summarise(by_side, better)["outside_bound"] == []
+
+
 def test_main_records_then_fails_on_incorrect_or_failed_runs(tmp_path, monkeypatch, capsys):
     metrics = ["latency_s_p50", "peak_rss_mib"]
     spec = {"run_seconds": 1, "workloads": [{"name": "a"}, {"name": "b"}],
-            "end_to_end": [{"name": n, "better": "lower"} for n in metrics]}
+            "end_to_end": [{"name": n, "better": "lower", "bound": 0.25} for n in metrics]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
     monkeypatch.chdir(tmp_path)
     bad = {("a", "change", 1): {"correct": False}, ("b", "parent", 0): {"failed": 2}}
@@ -71,5 +87,6 @@ def test_main_records_then_fails_on_incorrect_or_failed_runs(tmp_path, monkeypat
     record = json.loads(out.read_text())
     assert record["workloads"]["a"]["change"]["runs"][1]["correct"] is False
     assert record["workloads"]["b"]["parent"]["runs"][0]["failed"] == 2
+    assert record["workloads"]["a"]["outside_bound"] == record["workloads"]["b"]["outside_bound"] == []
     named = [line for line in capsys.readouterr().err.splitlines() if line.startswith("pair ")]
     assert named == ["pair 0 b parent: correct True, failed 2 of 3", "pair 1 a change: correct False, failed 0 of 3"]

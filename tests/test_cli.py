@@ -75,8 +75,7 @@ def test_simulate_propagate_edges_eval_chain(tmp_path, runner):
     assert 0.0 <= payload["classes"][0]["dice"] <= 1.0
 
 
-@pytest.mark.parametrize("literal", [False, True], ids=["two_sided_bry", "literal_bry"])
-def test_forward_and_loss_commands(tmp_path, runner, literal):
+def test_forward_and_loss_commands(tmp_path, runner):
     img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
     prefix = str(tmp_path / "run")
     result = runner.invoke(
@@ -111,7 +110,7 @@ def test_forward_and_loss_commands(tmp_path, runner, literal):
         args += ["--pred-init", f"{prefix}_init_c{c}.nii"]
         args += ["--pred-final", f"{prefix}_final_c{c}.nii"]
     grad_prefix = str(tmp_path / "g")
-    args += ["--grad-prefix", grad_prefix] + (["--literal-bry"] if literal else [])
+    args += ["--grad-prefix", grad_prefix]
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     payload = json.loads(report.read_text())
@@ -129,7 +128,6 @@ def test_forward_and_loss_commands(tmp_path, runner, literal):
         probs([f"{prefix}_init_c{c}.nii" for c in range(2)]),
         probs([f"{prefix}_final_c{c}.nii" for c in range(2)]),
         PseudoLabels(read_nifti(mask, kind="labels"), read_nifti(conf, kind="binary")), image,
-        literal_boundary=literal,
     )
     assert payload == want.terms
     expected = {f"{grad_prefix}_grad_boundary.nii": want.grad_boundary[..., 0]}
@@ -784,11 +782,12 @@ def test_loss_refuses_nan_prediction_at_an_unsupervised_voxel(tmp_path, runner):
     assert not (tmp_path / "loss.json").exists()
 
 
-def _record_compute(monkeypatch):
-    """Record calls to the four expensive steps; each still runs."""
+def _record_compute(monkeypatch, *also):
+    """Record calls to the four expensive steps and to each ``(module, name)`` in ``also``;
+    each still runs."""
     calls = []
     for module, name in ((scribble_sim, "simulate_foreground_scribbles"), (supervoxel, "slic3d"),
-                         (refnet, "forward"), (losses, "total_loss")):
+                         (refnet, "forward"), (losses, "total_loss"), *also):
         def recorded(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
@@ -955,11 +954,53 @@ def test_the_default_config_is_echoed_whole_in_the_manifest(tmp_path):
 
 
 def test_forward_names_a_patch_option_that_is_not_three_integers(tmp_path, monkeypatch, runner):
+    """Each network and patch setting is refused, named, before the image is read or a network built."""
     img_path, _ = _phantom(tmp_path, shape=(16, 16, 4))
-    calls = _record_compute(monkeypatch)
+    calls = _record_compute(monkeypatch, (cli, "read_nifti"), (refnet, "build"))
     prefix = tmp_path / "fwd"
-    result = runner.invoke(main, ["forward", "--input", str(img_path), "--classes", "2",
-                                  "--patch", "16,16,x", "--out-prefix", str(prefix)])
-    assert result.exit_code == 1
-    assert "error in stage 'forward': --patch must be X,Y,Z integers, got '16,16,x'" in result.output
-    assert calls == [] and list(tmp_path.glob("fwd*")) == []
+    for option, value, message in (
+        ("--patch", "16,16,x", "--patch must be X,Y,Z integers, got '16,16,x'"),
+        ("--patch", "16,16,0", "each entry of patch_shape [16, 16, 0] must be an integer >= 1, got 0"),
+        ("--patch", "16,16", "patch_shape must be three integers >= 1, got (16, 16)"),
+        ("--patch", "24,16,4", "patch (24, 16, 4) must be divisible by (16, 16, 4) (x, y, z)"),
+        ("--classes", "1", "num_classes must be an integer >= 2, got 1"),
+        ("--base-filters", "0", "base_filters must be an integer >= 1, got 0"),
+        ("--seed", "-1", "seed must be an integer >= 0, got -1"),
+    ):
+        options = {"--input": str(img_path), "--classes": "2", "--out-prefix": str(prefix), option: value}
+        result = runner.invoke(main, ["forward", *(t for kv in options.items() for t in kv)])
+        assert result.exit_code == 1, (option, value, result.output)
+        assert f"error in stage 'forward': {message}" in result.output, (option, value)
+        assert calls == [] and list(tmp_path.glob("fwd*")) == [], (option, value)
+
+
+def test_forward_summary_keeps_its_bytes(tmp_path, runner):
+    """The summary JSON, with the run directory replaced, is pinned byte for byte."""
+    img_path, _ = _phantom(tmp_path, shape=(16, 16, 4))
+    result = runner.invoke(main, ["forward", "--input", str(img_path), "--classes", "3", "--seed", "5",
+                                  "--base-filters", "2", "--patch", "32,16,4",
+                                  "--out-prefix", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    got = (tmp_path / "run_summary.json").read_text().replace(str(tmp_path), "DIR")
+    assert got == """{
+  "base_filters": 2,
+  "boundary": "DIR/run_boundary.nii",
+  "input_shape": [
+    32,
+    16,
+    4
+  ],
+  "mask_final": [
+    "DIR/run_final_c0.nii",
+    "DIR/run_final_c1.nii",
+    "DIR/run_final_c2.nii"
+  ],
+  "mask_init": [
+    "DIR/run_init_c0.nii",
+    "DIR/run_init_c1.nii",
+    "DIR/run_init_c2.nii"
+  ],
+  "num_classes": 3,
+  "param_count": 165024,
+  "seed": 5
+}"""

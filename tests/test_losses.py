@@ -70,17 +70,6 @@ def test_boundary_grad_matches_fd(rng):
         assert rel_err(grad[coord + (0,)], fd) < 1e-4
 
 
-def test_boundary_literal_form(rng):
-    target = _random_binary(rng)
-    base = rng.uniform(0.1, 0.9, SHAPE)
-    b = ProbVolume(base[..., None], SPACING)
-    lit = boundary_loss(b, target, literal=True)
-    expected = -np.mean(target.data * np.log(base))
-    assert lit.value == pytest.approx(expected, rel=1e-12)
-    # one-sided form is minimized by b -> 1: gradient nonpositive everywhere
-    assert (lit.grad <= 0).all()
-
-
 def test_boundary_shape_checks(rng):
     target = _random_binary(rng)
     with pytest.raises(ShapeMismatchError):

@@ -12,8 +12,9 @@ pair, so host drift falls on both. The file keeps every run's
 ``correct``/``failed`` flags and end-to-end metrics, the per-side medians and
 interquartile ranges, the change/parent ratio of those medians, the number of
 pairs in which the change did better on each metric (in the direction
-``BENCHMARK.json`` names), each side's commit, ``src/`` digest and ``src/`` line
-count, and the host note that ``perfbench`` writes to ``.perfbench_out/``. A run
+``BENCHMARK.json`` names), the metrics whose change median is worse than the
+parent's by more than their ``bound`` (``outside_bound``, also printed), each
+side's commit, ``src/`` digest and ``src/`` line count, and the host note that ``perfbench`` writes to ``.perfbench_out/``. A run
 that reports ``correct: false`` or ``failed > 0`` is still recorded, but the
 script names each such run (pair, workload, side) and exits non-zero, since
 ``perfbench/run.py`` itself exits 0 then. Needs only the standard library;
@@ -75,21 +76,27 @@ def iqr(values) -> float:
     return q3 - q1
 
 
-def summarise(by_side: dict, better: dict) -> dict:
+def summarise(by_side: dict, better: dict, bound: dict | None = None) -> dict:
     """One workload's record from its ``{"parent": runs, "change": runs}``.
 
     Run ``i`` of each side makes pair ``i``. ``better`` maps a metric to
     ``"lower"`` or ``"higher"``; ``change_wins`` counts the pairs in which the
-    change was strictly better, so a tie is no win.
+    change was strictly better, so a tie is no win. ``bound`` maps a metric to
+    the fraction of the parent median by which the change median may be worse;
+    ``outside_bound`` lists each metric worse by more, in the runs' metric order.
     """
+    bound = bound or {}
     values = {side: {name: [r["metrics"][name] for r in runs] for name in runs[0]["metrics"]}
               for side, runs in by_side.items()}
     median = {side: {name: statistics.median(v) for name, v in m.items()}
               for side, m in values.items()}
-    wins = {}
+    wins, outside = {}, []
     for name, sign in ((n, 1 if better.get(n) == "higher" else -1) for n in values["change"]):
         pairs = zip(values["parent"][name], values["change"][name])
         wins[name] = sum(sign * (c - p) > 0 for p, c in pairs)
+        parent = median["parent"][name]
+        if name in bound and sign * (parent - median["change"][name]) > bound[name] * abs(parent):
+            outside.append(name)
     return {
         **{side: {"runs": runs, "median": median[side],
                   "iqr": {name: iqr(v) for name, v in values[side].items()}}
@@ -97,6 +104,7 @@ def summarise(by_side: dict, better: dict) -> dict:
         "change_over_parent": {name: v / median["parent"][name] if median["parent"][name] else None
                                for name, v in median["change"].items()},
         "change_wins": wins,
+        "outside_bound": outside,
     }
 
 
@@ -133,8 +141,9 @@ def main(argv=None):
         "workloads": {},
     }
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     for workload, by_side in runs.items():
-        record["workloads"][workload] = summarise(by_side, better)
+        record["workloads"][workload] = summarise(by_side, better, bound)
     args.output.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     for workload, rec in record["workloads"].items():
         for name in better:
@@ -142,6 +151,7 @@ def main(argv=None):
                   f"(IQR {rec['parent']['iqr'][name]:.3g}), change {rec['change']['median'][name]:.4g} "
                   f"(IQR {rec['change']['iqr'][name]:.3g}), change better in "
                   f"{rec['change_wins'][name]}/{args.pairs} pairs")
+        print(f"{workload} outside bound: {', '.join(rec['outside_bound']) or 'none'}")
     print(f"wrote {args.output}")
     if incorrect:
         print("\n".join(incorrect), file=sys.stderr)
