@@ -220,10 +220,10 @@ def total_loss(
 
         total = beta1 * L_bry + L_seg(init) + L_seg(final) + beta2 * L_AB(final)
 
-    with L_bry the two-sided :func:`boundary_loss`. Gradients compose by linearity: the boundary gradient is scaled by
-    beta1; the final-mask gradient is the partial CE gradient plus beta2
-    times the active-boundary gradient. The per-term breakdown echoes the
-    weights in effect. Grids and channel counts are checked before any term runs.
+    with L_bry the two-sided :func:`boundary_loss`. Gradients compose by linearity: the
+    boundary gradient is scaled by beta1; the final-mask gradient is the partial CE
+    gradient plus beta2 times the active-boundary gradient. The per-term breakdown echoes
+    the weights in effect. Grids and channel counts are checked before any term runs.
     """
     channels = {"boundary": 1, "probs_init": pl.mask.num_classes, "probs_final": pl.mask.num_classes}
     for name, vol in zip(("boundary", "static_edges", "probs_init", "probs_final", "pl.mask"),

@@ -87,6 +87,6 @@ def test_main_records_then_fails_on_incorrect_or_failed_runs(tmp_path, monkeypat
     record = json.loads(out.read_text())
     assert record["workloads"]["a"]["change"]["runs"][1]["correct"] is False
     assert record["workloads"]["b"]["parent"]["runs"][0]["failed"] == 2
-    assert record["workloads"]["a"]["outside_bound"] == record["workloads"]["b"]["outside_bound"] == []
+    assert [record["workloads"][w]["outside_bound"] for w in "ab"] == [[], []]
     named = [line for line in capsys.readouterr().err.splitlines() if line.startswith("pair ")]
     assert named == ["pair 0 b parent: correct True, failed 2 of 3", "pair 1 a change: correct False, failed 0 of 3"]

@@ -954,20 +954,23 @@ def test_the_default_config_is_echoed_whole_in_the_manifest(tmp_path):
 
 
 def test_forward_names_a_patch_option_that_is_not_three_integers(tmp_path, monkeypatch, runner):
-    """Each network and patch setting is refused, named, before the image is read or a network built."""
+    """Each network and patch setting is refused, named, before the image is read or the
+    network built."""
     img_path, _ = _phantom(tmp_path, shape=(16, 16, 4))
     calls = _record_compute(monkeypatch, (cli, "read_nifti"), (refnet, "build"))
     prefix = tmp_path / "fwd"
     for option, value, message in (
         ("--patch", "16,16,x", "--patch must be X,Y,Z integers, got '16,16,x'"),
-        ("--patch", "16,16,0", "each entry of patch_shape [16, 16, 0] must be an integer >= 1, got 0"),
+        ("--patch", "16,16,0",
+         "each entry of patch_shape [16, 16, 0] must be an integer >= 1, got 0"),
         ("--patch", "16,16", "patch_shape must be three integers >= 1, got (16, 16)"),
         ("--patch", "24,16,4", "patch (24, 16, 4) must be divisible by (16, 16, 4) (x, y, z)"),
         ("--classes", "1", "num_classes must be an integer >= 2, got 1"),
         ("--base-filters", "0", "base_filters must be an integer >= 1, got 0"),
         ("--seed", "-1", "seed must be an integer >= 0, got -1"),
     ):
-        options = {"--input": str(img_path), "--classes": "2", "--out-prefix": str(prefix), option: value}
+        options = {"--input": str(img_path), "--classes": "2", "--out-prefix": str(prefix),
+                   option: value}
         result = runner.invoke(main, ["forward", *(t for kv in options.items() for t in kv)])
         assert result.exit_code == 1, (option, value, result.output)
         assert f"error in stage 'forward': {message}" in result.output, (option, value)
@@ -977,8 +980,8 @@ def test_forward_names_a_patch_option_that_is_not_three_integers(tmp_path, monke
 def test_forward_summary_keeps_its_bytes(tmp_path, runner):
     """The summary JSON, with the run directory replaced, is pinned byte for byte."""
     img_path, _ = _phantom(tmp_path, shape=(16, 16, 4))
-    result = runner.invoke(main, ["forward", "--input", str(img_path), "--classes", "3", "--seed", "5",
-                                  "--base-filters", "2", "--patch", "32,16,4",
+    result = runner.invoke(main, ["forward", "--input", str(img_path), "--classes", "3",
+                                  "--seed", "5", "--base-filters", "2", "--patch", "32,16,4",
                                   "--out-prefix", str(tmp_path / "run")])
     assert result.exit_code == 0, result.output
     got = (tmp_path / "run_summary.json").read_text().replace(str(tmp_path), "DIR")

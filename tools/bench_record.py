@@ -14,10 +14,11 @@ interquartile ranges, the change/parent ratio of those medians, the number of
 pairs in which the change did better on each metric (in the direction
 ``BENCHMARK.json`` names), the metrics whose change median is worse than the
 parent's by more than their ``bound`` (``outside_bound``, also printed), each
-side's commit, ``src/`` digest and ``src/`` line count, and the host note that ``perfbench`` writes to ``.perfbench_out/``. A run
-that reports ``correct: false`` or ``failed > 0`` is still recorded, but the
-script names each such run (pair, workload, side) and exits non-zero, since
-``perfbench/run.py`` itself exits 0 then. Needs only the standard library;
+side's commit, ``src/`` digest and ``src/`` line count, and the host note that
+``perfbench`` writes to ``.perfbench_out/``. A run that reports ``correct:
+false`` or ``failed > 0`` is still recorded, but the script names each such
+run (pair, workload, side) and exits non-zero, since ``perfbench/run.py``
+itself exits 0 then. Needs only the standard library;
 ``perfbench`` itself needs numpy, scipy and click.
 """
 
