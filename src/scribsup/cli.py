@@ -226,6 +226,9 @@ def forward_cmd(input_path, classes, seed, base_filters, patch, out_prefix):
         if patch_shape:
             net_cfg.check_patch_shape(patch_shape)
         image = read_nifti(input_path, kind="image")
+        if not patch_shape:  # the image itself is the patch: refuse it before the build
+            with _refusal_names(input_path):
+                net_cfg.check_patch_shape(image.shape)
         vol, net, out = _forward(image, net_cfg, patch_shape)
         summary = {"input_shape": list(vol.shape), **asdict(net_cfg),
                    "param_count": refnet.count_params(net),

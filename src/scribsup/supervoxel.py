@@ -15,13 +15,16 @@ axis) covers it, and takes the nearest (lowest ID on ties). A sweep gets
 that result exactly from ±S windows first: a centre outside a voxel's ±S
 window is more than S away on some axis, so its D² is at least m², and a
 voxel whose best D² is already below m² needs no wider window. Only the
-remaining voxels are rechecked against the ±2S windows, which at the
-default compactness is almost none; voxels outside every ±2S window are
-compared with all centres.
+remaining voxels are rechecked against the ±2S windows clipped to their
+bounding box, which at the default compactness is almost nothing; voxels
+outside every ±2S window are compared with all centres.
 
 Sweeps run on z-major ``(z, x, y)`` arrays, so window rows run along y, not
-along the few z voxels of an anisotropic volume; the Lloyd update sums the
-voxels in ``[x, y, z]`` flat order, so no float result depends on the layout.
+along the few z voxels of an anisotropic volume. The Lloyd update sums the
+voxels in ``[x, y, z]`` flat order, one x-slab at a time with ``np.add.at``
+(which adds into each cluster in index order, as one whole-volume weighted
+``bincount`` would), so no float result depends on the layout and no
+whole-volume weight or copy is made.
 
 No side pass sorts or pads the whole volume: the seed gradient is taken only
 at the seeds' candidates, and final IDs are ranked by first voxel on
@@ -117,13 +120,22 @@ def _sweep(intensity, coords_mm, centers_pos, centers_int, m2_over_s2, half, lab
     ``(z, x, y)`` arrays; ``coords_mm`` and the centres are ``[x, y, z]``. The
     spatial term is summed as ``(dx² + dy²) + dz²`` in any layout, since float
     addition does not associate. Centres go in ID order and a voxel moves only
-    to a strictly smaller D², so ties keep the lowest ID. With ``only``, a
-    centre whose window holds no ``only`` voxel is skipped.
+    to a strictly smaller D², so ties keep the lowest ID. With ``only``, every
+    window is clipped to the bounding box of the ``only`` voxels, and a centre
+    whose clipped window holds none of them is skipped. ``only`` must hold a
+    voxel, and the voxels outside it must be certified, as ``_assign`` leaves
+    them: then none of them can change, and the box bounds the scratch buffers
+    instead of the widest window.
     """
     lo = np.stack([np.searchsorted(coords_mm[a], centers_pos[:, a] - half, side="left")
                    for a in range(3)], axis=1)
     hi = np.stack([np.searchsorted(coords_mm[a], centers_pos[:, a] + half, side="right")
                    for a in range(3)], axis=1)
+    if only is not None:  # clip every window to the bounding box of the ``only`` voxels
+        for a, other in enumerate(((0, 2), (0, 1), (1, 2))):  # x, y, z of the (z, x, y) layout
+            on = np.flatnonzero(only.any(axis=other))
+            lo[:, a] = np.maximum(lo[:, a], on[0])
+            hi[:, a] = np.minimum(hi[:, a], on[-1] + 1)
     extent = hi - lo
     live = np.flatnonzero((extent > 0).all(axis=1))
     size = int(extent[live].prod(axis=1).max(initial=0))
@@ -157,7 +169,9 @@ def _assign(intensity, coords_mm, centers_pos, centers_int, step, compactness):
     outside v's ±S window lies more than S from v on some axis, so its D² is
     at least m². Every voxel whose best D² is already below m² (less a
     margin for rounding) therefore holds its ±2S winner; only the others are
-    reset and rerun through the ±2S windows.
+    reset and rerun through the ±2S windows, clipped to their bounding box. A
+    certified voxel inside the box cannot change either: a centre outside its
+    ±S window gives D² >= m², and one inside gives the D² it already lost to.
 
     ``intensity`` and the results are indexed ``[x, y, z]``; the transpose to
     the sweeps' ``(z, x, y)`` layout copies nothing when ``intensity`` is a view
@@ -191,6 +205,28 @@ def _assign(intensity, coords_mm, centers_pos, centers_int, step, compactness):
     return labels, best_d2
 
 
+def _cluster_sums(labels, intensity, coords_mm, n: int):
+    """Voxel counts and x, y, z and intensity sums of clusters ``0..n-1``, in float64.
+
+    ``labels`` and ``intensity`` are indexed ``[x, y, z]``. Every sum adds its
+    voxels in ``[x, y, z]`` flat order, as one whole-volume weighted
+    ``bincount`` would, but one x-slab at a time: ``np.add.at`` adds into each
+    bin in index order, so no whole-volume copy or weight is made. Returns
+    ``(counts, sums, int_sums)`` with ``sums`` of shape ``(n, 3)``.
+    """
+    ny, nz = labels.shape[1:]
+    yz = (np.repeat(coords_mm[1], nz), np.tile(coords_mm[2], ny))  # a slab's weights, [y, z] order
+    counts = np.zeros(n, dtype=np.int64)
+    sums, int_sums = np.zeros((3, n)), np.zeros(n)
+    for i in range(labels.shape[0]):
+        ids = labels[i].ravel()
+        counts += np.bincount(ids, minlength=n)
+        for total, weight in zip(sums, (coords_mm[0][i], *yz)):
+            np.add.at(total, ids, weight)
+        np.add.at(int_sums, ids, intensity[i].ravel())
+    return counts.astype(np.float64), sums.T, int_sums
+
+
 def _slic_state(vol: Volume, params: SlicParams):
     """Run seeding plus Lloyd rounds; returns the pre-connectivity state.
 
@@ -211,18 +247,11 @@ def _slic_state(vol: Volume, params: SlicParams):
     # [x, y, z] view of a z-major copy: every sweep runs on it without a transpose
     intensity = np.ascontiguousarray(intensity.transpose(2, 0, 1)).transpose(1, 2, 0)
 
-    axis_mm = np.meshgrid(*coords_mm, indexing="ij", sparse=True)  # centre-sum weights
     n = len(centers_pos)
     for _ in range(params.iterations):
-        # bincount sums in flat order, so every centre sum walks the voxels in
-        # [x, y, z] order; each ravel copies its operand into that order.
-        flat = _assign(intensity, coords_mm, centers_pos, centers_int, step,
-                       params.compactness)[0].ravel()
-        counts = np.bincount(flat, minlength=n).astype(np.float64)
-        sums = np.stack([np.bincount(flat, weights=np.broadcast_to(w, shape).ravel(), minlength=n)
-                         for w in axis_mm], axis=1)
-        int_sums = np.bincount(flat, weights=intensity.ravel(), minlength=n)
-        del flat
+        labels = _assign(intensity, coords_mm, centers_pos, centers_int, step, params.compactness)[0]
+        counts, sums, int_sums = _cluster_sums(labels, intensity, coords_mm, n)
+        del labels  # not alive through the next round's sweeps
         nonempty = counts > 0
         new_pos = centers_pos.copy()
         new_int = centers_int.copy()
@@ -254,9 +283,11 @@ def slic3d(vol: Volume, params: SlicParams) -> SupervoxelMap:
     """
     labels, _, _, step = _slic_state(vol, params)
     min_size = (step ** 3) / 4.0 / vol.voxel_volume_mm3
-    present = np.bincount(labels.ravel()) > 0
-    raw = (np.cumsum(present, dtype=np.int32) - 1)[labels]
-    return enforce_connectivity(SupervoxelMap(raw, vol.spacing), min_size_voxels=min_size)
+    present = np.zeros(int(labels.max()) + 1, dtype=bool)
+    present[labels] = True
+    svmap = SupervoxelMap((np.cumsum(present, dtype=np.int32) - 1)[labels], vol.spacing)
+    del labels  # connectivity runs with the owned ID map alone
+    return enforce_connectivity(svmap, min_size_voxels=min_size)
 
 
 def _face_pairs(arr: np.ndarray):
@@ -320,8 +351,7 @@ def enforce_connectivity(svmap: SupervoxelMap, min_size_voxels: float) -> Superv
     ids = svmap.ids
     comp, first_voxel = _equal_id_components(ids)
     ncomp = len(first_voxel)
-    flat_comp = comp.ravel()
-    comp_sizes = np.bincount(flat_comp, minlength=ncomp)
+    comp_sizes = sum(np.bincount(plane.ravel(), minlength=ncomp) for plane in comp)  # per x-plane
 
     # Largest component per original ID keeps it (ties: the lowest, first in scan order).
     order = np.argsort(-comp_sizes, kind="stable")

@@ -28,6 +28,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from .errors import (
+    BadPatchShapeError,
     InvalidConfigError,
     MalformedHeaderError,
     ShapeMismatchError,
@@ -235,7 +236,7 @@ class BinaryVolume(_Grid):
     spacing: Tuple[float, float, float]
 
     def _values(self, data: np.ndarray) -> np.ndarray:
-        if not np.isin(data, (0, 1)).all():
+        if not ((data == 0) | (data == 1)).all():  # np.isin would cast to a float64 copy
             raise ValueError("binary volume values must be 0 or 1")
         return data.astype(np.uint8, copy=False)
 
@@ -291,9 +292,10 @@ class SupervoxelMap(_Grid):
     _array = "ids"
 
     def _values(self, ids: np.ndarray) -> np.ndarray:
-        # every ID below count occurs, so each is below the voxel count (which bounds the bincount)
+        # every ID below count occurs, so each is below the voxel count (which bounds ``occurs``)
         ids = _check_integers(ids, ids.size, "supervoxel ids", np.int32)
-        occurs = np.bincount(ids.ravel())
+        occurs = np.zeros(int(ids.max(initial=-1)) + 1, dtype=bool)
+        occurs[ids] = True  # a scatter: no flat or int64 copy of the IDs
         if not occurs.all():
             raise ValueError("every supervoxel id must occur at least once")
         object.__setattr__(self, "count", len(occurs))
@@ -351,13 +353,16 @@ class PseudoLabels:
 
 @contextmanager
 def _refusal_names(path):
-    """Re-raise a container's refusal of the values read from ``path`` as an error naming it."""
+    """Re-raise a container's refusal of the values read from ``path``, or the network's
+    refusal of its shape, as an error naming it."""
     try:
         yield
     except InvalidConfigError:  # a refused setting, such as a class count, is not the file's
         raise
     except (ValueError, OverflowError) as exc:
         raise UnsupportedDatatypeError(f"{path}: {exc}") from exc
+    except BadPatchShapeError as exc:
+        raise BadPatchShapeError(f"{path}: {exc}") from exc
 
 
 def _parse_header(raw: bytes, path: str):

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,20 @@ def random_softmax(rng, shape, channels):
 def datatype_and_bitpix(path):
     """The NIfTI header's ``datatype`` and ``bitpix`` fields (bytes 70-73) of the file at ``path``."""
     return tuple(int(v) for v in np.frombuffer(Path(path).read_bytes(), "<i2", count=2, offset=70))
+
+
+def traced_peak_volumes(fn, shape) -> float:
+    """The traced allocation peak of ``fn()`` above what was live before it, in float64
+    volumes of a grid of ``shape``."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (int(np.prod(shape)) * np.dtype(np.float64).itemsize)
 
 
 def sphere_labels(shape, center, radius, spacing=(1.0, 1.0, 1.0)) -> np.ndarray:

@@ -412,6 +412,23 @@ def brute_assign(intensity, coords_mm, centers_pos, centers_int, step, compactne
     return labels, best_d2
 
 
+def reference_cluster_sums(labels, intensity, coords_mm, n):
+    """``supervoxel._slic_state``'s Lloyd sums as whole-volume ``bincount`` calls.
+
+    Counts, the x, y and z sums (one ``(n, 3)`` array) and the intensity sums
+    of clusters ``0..n-1``, each from one weighted ``bincount`` over the
+    raveled ``[x, y, z]`` labels, so every cluster's float64 sum adds its
+    voxels in ``[x, y, z]`` flat order.
+    """
+    flat = labels.ravel()
+    axis_mm = np.meshgrid(*coords_mm, indexing="ij", sparse=True)
+    counts = np.bincount(flat, minlength=n).astype(np.float64)
+    sums = np.stack([np.bincount(flat, weights=np.broadcast_to(w, labels.shape).ravel(),
+                                 minlength=n) for w in axis_mm], axis=1)
+    int_sums = np.bincount(flat, weights=intensity.ravel(), minlength=n)
+    return counts, sums, int_sums
+
+
 def reference_perturb_seeds(seeds_mm, intensity, spacing) -> np.ndarray:
     """``supervoxel._perturb_seeds`` as it was on a full-volume gradient.
 

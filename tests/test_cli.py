@@ -977,6 +977,19 @@ def test_forward_names_a_patch_option_that_is_not_three_integers(tmp_path, monke
         assert calls == [] and list(tmp_path.glob("fwd*")) == [], (option, value)
 
 
+def test_forward_refuses_an_image_off_the_ladder_before_the_build(tmp_path, monkeypatch, runner):
+    """Without ``--patch`` the image is the patch: a shape the network cannot take is refused
+    right after the read, naming the file, before the network is built or run."""
+    img_path, _ = _phantom(tmp_path, shape=(20, 16, 4))
+    calls = _record_compute(monkeypatch, (refnet, "build"))
+    result = runner.invoke(main, ["forward", "--input", str(img_path), "--classes", "2",
+                                  "--out-prefix", str(tmp_path / "fwd")])
+    assert result.exit_code == 1, result.output
+    assert (f"error in stage 'forward': {img_path}: patch (20, 16, 4) must be divisible by "
+            "(16, 16, 4) (x, y, z)") in result.output
+    assert calls == [] and list(tmp_path.glob("fwd*")) == []
+
+
 def test_forward_summary_keeps_its_bytes(tmp_path, runner):
     """The summary JSON, with the run directory replaced, is pinned byte for byte."""
     img_path, _ = _phantom(tmp_path, shape=(16, 16, 4))

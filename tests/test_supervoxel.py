@@ -1,7 +1,6 @@
 import hashlib
 import json
 import time
-import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -9,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.ndimage import uniform_filter
 
-from conftest import sphere_labels
+from conftest import sphere_labels, traced_peak_volumes
 from oracles import (
     all_ids_connected_6, brute_assign, brute_enforce_connectivity, compact_ids, flood_components_6,
-    reference_perturb_seeds,
+    reference_cluster_sums, reference_perturb_seeds,
 )
 from scribsup import supervoxel
 from scribsup.errors import KTooLargeError
@@ -22,10 +21,12 @@ from scribsup.supervoxel import (
     enforce_connectivity,
     slic3d,
     _assign,
+    _cluster_sums,
     _equal_id_components,
     _perturb_seeds,
     _seed_grid,
     _slic_state,
+    _sweep,
 )
 from scribsup.volume_io import Volume
 
@@ -368,16 +369,19 @@ def test_enforce_connectivity_on_fragment_heavy_noise_is_fast():
     assert elapsed < 1.5, f"enforce_connectivity took {elapsed:.2f}s"
 
 
-def test_slic3d_traced_peak_stays_below_four_and_a_half_volumes():
-    """Each sweep runs in place on z-major buffers, the Lloyd update builds one
-    axis weight at a time, connectivity labels each ID on its own box, the
-    seed gradient is taken at the candidates only, and IDs are renumbered on
-    component-sized arrays, so ``slic3d`` holds a few float64 volumes at once.
-    Measured peaks on this input, in float64 volumes of its grid: 16.0 with a
-    full-volume face graph for the equal-ID components and the three axis
-    weights held across the Lloyd rounds; 6.3 without them, with full-volume
-    ID sorts and a padded gradient volume; 3.6 without those (3.5 on the
-    224x224x32 benchmark phantom).
+def test_slic3d_traced_peak_stays_within_three_volumes():
+    """Each sweep runs in place on z-major buffers, the Lloyd update sums slab
+    by slab, connectivity labels each ID on its own box, the seed gradient is
+    taken at the candidates only, and IDs are renumbered on component-sized
+    arrays, so ``slic3d`` holds a few float64 volumes at once. Measured peaks
+    on this input, in float64 volumes of its grid: 16.0 with a full-volume
+    face graph for the equal-ID components and the three axis weights held
+    across the Lloyd rounds; 6.3 without them, with full-volume ID sorts and
+    a padded gradient volume; 3.6 without those (3.5 on the 224x224x32
+    benchmark phantom), set by whole-volume weighted ``bincount`` calls in the
+    Lloyd update; 2.8 with slab-wise sums, ID checks by a bool scatter and the
+    cluster labels freed before connectivity (2.8 on the phantom too), set by
+    ``_assign``'s two result volumes and its ±S sweep.
     """
     shape, spacing = (96, 96, 16), (1.25, 1.25, 5.0)
     centre = tuple(n / 2 for n in shape)
@@ -385,16 +389,27 @@ def test_slic3d_traced_peak_stays_below_four_and_a_half_volumes():
     rng = np.random.default_rng(0)
     image = (0.2 + 0.3 * classes + 0.05 * rng.standard_normal(shape)).astype(np.float32)
     vol, params = Volume(image, spacing), SlicParams(k=int(np.prod(shape)) // 1000)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        slic3d(vol, params)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    unit = int(np.prod(shape)) * np.dtype(np.float64).itemsize
-    assert peak <= 4.5 * unit, f"traced peak is {peak / unit:.1f} float64 volumes"
+    peak = traced_peak_volumes(lambda: slic3d(vol, params), shape)
+    assert peak <= 3.0, f"traced peak is {peak:.2f} float64 volumes"
+
+
+@pytest.mark.parametrize("spacing", [(0.7, 0.9, 3.3), (1.25, 1.25, 5.0)], ids=str)
+def test_cluster_sums_match_whole_volume_bincount(spacing):
+    """The slab-wise Lloyd sums equal one whole-volume weighted ``bincount`` byte for byte."""
+    rng = np.random.default_rng([7012, int(10 * spacing[0])])
+    for shape in ((13, 11, 5), (31, 24, 7)):
+        n = 60
+        used = rng.choice(n, size=40, replace=False)  # 20 clusters stay empty
+        # z-major labels and intensity in their [x, y, z] view, as ``_slic_state`` holds them
+        labels, intensity = (np.ascontiguousarray(a.transpose(2, 0, 1)).transpose(1, 2, 0) for a in
+                             (used[rng.integers(0, len(used), size=shape)].astype(np.int32),
+                              rng.random(shape)))
+        coords_mm = tuple(np.arange(k) * s for k, s in zip(shape, spacing))
+        got = _cluster_sums(labels, intensity, coords_mm, n)
+        want = reference_cluster_sums(labels, intensity, coords_mm, n)
+        assert (got[0] == 0).sum() == n - len(used)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def _assign_inputs(seed, spacing, quantised, jitter, shape=(20, 18, 8), k=24):
@@ -444,6 +459,30 @@ def test_assign_rechecks_voxels_the_short_windows_cannot_settle():
     got_labels, got_d2 = _assign(*args, compactness)
     assert np.array_equal(got_labels, want_labels)
     assert np.array_equal(got_d2, want_d2)
+
+
+@pytest.mark.parametrize("corners", [((0, 0, 0),), ((-1, -1, -1),), ((0, 0, 0), (-1, -1, -1))],
+                         ids=["first", "last", "both"])
+def test_recheck_box_reaches_a_lone_voxel_and_opposite_corners(corners):
+    """The ±2S recheck is clipped to the bounding box of its voxels: one voxel at
+    either end of the grid, or two in opposite corners (a box of the whole grid)."""
+    compactness = 10.0
+    intensity, coords_mm, centers_pos, centers_int, step = _assign_inputs(
+        11, (1.25, 1.25, 5.0), quantised=False, jitter=False)
+    want_labels, want_d2 = brute_assign(intensity, coords_mm, centers_pos, centers_int, step,
+                                        compactness)
+    zxy = np.ascontiguousarray(intensity.transpose(2, 0, 1))
+    labels, best_d2 = np.full(zxy.shape, -1, dtype=np.int32), np.full(zxy.shape, np.inf)
+    args = (zxy, coords_mm, centers_pos, centers_int, (compactness / step) ** 2)
+    _sweep(*args, step, labels, best_d2)
+    assert (best_d2 < compactness ** 2 * (1.0 - 1e-9)).all()  # every voxel is certified
+    only = np.zeros(zxy.shape, dtype=bool)
+    for x, y, z in corners:
+        only[z, x, y] = True
+    labels[only], best_d2[only] = -1, np.inf
+    _sweep(*args, 2.0 * step, labels, best_d2, only=only)
+    assert np.array_equal(labels.transpose(1, 2, 0), want_labels)
+    assert np.array_equal(best_d2.transpose(1, 2, 0), want_d2)
 
 
 def test_assign_falls_back_to_all_centres_outside_every_window():

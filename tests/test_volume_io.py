@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import datatype_and_bitpix
+from conftest import datatype_and_bitpix, traced_peak_volumes
 from scribsup.errors import (
     MalformedHeaderError,
     ScribsupError,
@@ -292,6 +292,16 @@ def test_volume_invariants():
     for bad in (256, 0.7, np.nan):  # checked before the uint8 cast, so none wraps
         with pytest.raises(ValueError):
             BinaryVolume(np.full((2, 2, 2), bad), (1, 1, 1))
+
+
+def test_binary_volume_checks_a_uint8_map_within_half_a_volume(rng):
+    """The value check compares in place: ``np.isin`` cast the map to float64
+    and sorted it, 1.50 float64 volumes in all; two bool comparisons and the
+    owned copy take 0.38."""
+    shape = (96, 96, 16)
+    data = (rng.random(shape) < 0.3).astype(np.uint8)
+    peak = traced_peak_volumes(lambda: BinaryVolume(data, (1.25, 1.25, 5.0)), shape)
+    assert peak <= 0.5, f"traced peak is {peak:.2f} float64 volumes"
 
 
 _CONTAINERS = pytest.mark.parametrize("make", [

@@ -1,0 +1,81 @@
+"""The console-script checks as one table: ``python3 tools/console_checks.py`` exits 1 if a row
+fails. A row runs in a fresh directory ``{d}``; its commands run until one exits non-zero. Stdlib
+only: the set-ups import numpy and ``scribsup``, which the console script needs anyway."""
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def _block(d, shape, name="image", value=0, classes=0):  # an image, or labels for classes > 0
+    import numpy as np
+    from scribsup.volume_io import LabelVolume, Volume, write_nifti
+    data = np.zeros(shape, dtype=np.uint16)
+    data[8:24, 8:24, :] = value
+    vol = LabelVolume(data, (1, 1, 4), classes) if classes else Volume(data.astype("f4"), (1, 1, 4))
+    write_nifti(vol, d / f"{name}.nii")
+
+
+def _phantom(d):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from phantom import NUM_CLASSES, make_phantom
+    from scribsup.volume_io import LabelVolume, Volume, write_nifti
+    p = make_phantom((128, 128, 32), (1.0, 1.0, 2.5), seed=0)
+    write_nifti(Volume(p.image, p.spacing), d / "image.nii")
+    write_nifti(LabelVolume(p.labels, p.spacing, NUM_CLASSES), d / "gt.nii")
+
+
+def _int32_map(d):
+    raw = (d / "sv.nii").read_bytes()
+    types = (int.from_bytes(raw[70:72], "little"), int.from_bytes(raw[72:74], "little"))
+    count = max(memoryview(raw[352:]).cast("i")) + 1 if types == (8, 32) else 0
+    return None if count > 32767 else f"datatype, bitpix {types}; {count} supervoxel IDs"
+
+
+def _path_config(d):
+    _block(d, (32, 32, 4), "gt", 1, 2)
+    _block(d, (32, 32, 4), "image", 1)
+    (d / "config.json").write_text(json.dumps({"image": f"{d}/image.nii", "gt": f"{d}/gt.nii",
+                                               "scribbles": 0, "output_dir": f"{d}/out"}))
+
+
+SIM = "scribsup simulate-scribbles --gt {d}/gt.nii --output {d}/scribbles.nii"
+FWD = "scribsup forward --input {d}/image.nii --classes 2 --out-prefix {d}/o"
+ROWS = [  # name, set-up, commands, the last one's exit code and stderr, globs of no path[, check]
+    ("console entry points", lambda d: None, ["scribsup --help", "scribsup pipeline --help",
+                                              "{py} -m scribsup.cli --help"], 0, "", []),
+    ("a real supervoxel map above 32,767 IDs, written as int32", _phantom, [
+        SIM, "scribsup slic --input {d}/image.nii --k 32767 --output {d}/sv.nii",
+        "scribsup propagate --scribbles {d}/scribbles.nii --supervoxels {d}/sv.nii --output-mask "
+        "{d}/mask.nii --output-conf {d}/conf.nii"], 0, "", [], _int32_map),
+    ("a gt class at the scribble sentinel is refused before simulation",
+     lambda d: _block(d, (32, 32, 4), "gt", 255, 256), [SIM], 1, "{d}/gt.nii", ["scribbles.nii"]),
+    ("a path setting that is not a string is refused before any output", _path_config,
+     ["scribsup pipeline --config {d}/config.json"], 1, "scribbles", ["out"]),
+    ("a zero --patch entry is refused, naming patch_shape", lambda d: _block(d, (16, 16, 4)),
+     [FWD + " --patch 16,16,0"], 1, "patch_shape", ["o*"]),
+    ("an image off the ladder is refused, naming the file", lambda d: _block(d, (20, 16, 4)),
+     [FWD], 1, "{d}/image.nii: patch (20, 16, 4)", ["o*"]),
+]
+
+
+def run(name, setup, commands, status, stderr, absent, check=None) -> bool:
+    with tempfile.TemporaryDirectory() as tmp:
+        d, stderr = Path(tmp), stderr.format(d=tmp)
+        setup(d)
+        for cmd in (c.format(d=d, py=sys.executable) for c in commands):
+            proc = subprocess.run(cmd.split(), capture_output=True, text=True)
+            if proc.returncode:
+                break
+        errors = [f"exit {proc.returncode}, not {status}"] * (proc.returncode != status)
+        errors += [f"stderr lacks {stderr!r}: {proc.stderr.strip()}"] * (stderr not in proc.stderr)
+        errors += [f"{p} exists" for pattern in absent for p in d.glob(pattern)]
+        errors += [e for e in [check and not errors and check(d)] if e]
+    print(f"{'FAIL' if errors else 'ok'}: {name}" + "".join(f"\n  {e}" for e in errors))
+    return not errors
+
+
+if __name__ == "__main__":
+    sys.exit(0 if all([run(*row) for row in ROWS]) else 1)
