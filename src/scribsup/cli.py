@@ -113,10 +113,10 @@ def _edges(image: Volume, threshold: float, precomputed: Volume | None = None) -
     return BinaryVolume((precomputed.data >= threshold).astype(np.uint8), precomputed.spacing)
 
 
-def _forward(image: Volume, net_cfg: refnet.NetConfig, patch_shape=None):
-    """Center-crop/pad to ``patch_shape`` (if given), build the network of ``net_cfg``, run it;
-    both settings were checked before any file was read."""
-    patch = crop_or_pad(image, patch_shape) if patch_shape else image
+def _forward(image: Volume, net_cfg: refnet.NetConfig, patch_shape):
+    """Center-crop/pad to ``patch_shape``, build the network of ``net_cfg``, run it. Both were
+    checked before: a given patch before any file is read, an image's own shape after its read."""
+    patch = crop_or_pad(image, patch_shape)
     net = refnet.build(net_cfg)
     return patch, net, refnet.forward(net, patch)
 
@@ -223,13 +223,12 @@ def forward_cmd(input_path, classes, seed, base_filters, patch, out_prefix):
             patch_shape = tuple(int(t) for t in patch.split(",")) if patch else None
         except ValueError:
             raise InvalidConfigError(f"--patch must be X,Y,Z integers, got {patch!r}") from None
-        if patch_shape:
+        if patch_shape:  # a given patch is refused before the read
             net_cfg.check_patch_shape(patch_shape)
         image = read_nifti(input_path, kind="image")
-        if not patch_shape:  # the image itself is the patch: refuse it before the build
-            with _refusal_names(input_path):
-                net_cfg.check_patch_shape(image.shape)
-        vol, net, out = _forward(image, net_cfg, patch_shape)
+        with _refusal_names(input_path):  # without --patch the image itself is the patch
+            net_cfg.check_patch_shape(patch_shape or image.shape)
+        vol, net, out = _forward(image, net_cfg, patch_shape or image.shape)
         summary = {"input_shape": list(vol.shape), **asdict(net_cfg),
                    "param_count": refnet.count_params(net),
                    **_write_heads(vol.spacing, f"{out_prefix}_boundary.nii", out_prefix,
@@ -270,9 +269,8 @@ def loss_cmd(pred_init, pred_final, boundary_pred, pseudo, conf, edges_path, ima
 
         probs_init, probs_final, boundary = map(probs, (pred_init, pred_final, (boundary_pred,)))
         mask = on_grid(pseudo, "labels")
-        if mask.num_classes != probs_init.channels:
-            with _refusal_names(pseudo):
-                mask = LabelVolume(mask.data, mask.spacing, probs_init.channels)
+        with _refusal_names(pseudo):
+            mask = LabelVolume(mask.data, mask.spacing, probs_init.channels)
         pl = PseudoLabels(mask, on_grid(conf, "binary"))
         static_edges = on_grid(edges_path, "binary")
         report = losses.total_loss(boundary, static_edges, probs_init, probs_final, pl, image,
@@ -349,10 +347,9 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
         # the forward stage runs this config with the scribbles' class count
         net_cfg = refnet.NetConfig(2 if cfg["num_classes"] == 0 else cfg["num_classes"],
                                    cfg["forward_base_filters"], seed=cfg["seed"])
-        if cfg["forward"]:
-            net_cfg.check_patch_shape(cfg["patch_shape"])
-            patch_shape = tuple(cfg["patch_shape"])
-            ab, weights = losses.AbParams(**cfg["ab"]), losses.TotalLossWeights(**cfg["weights"])
+        net_cfg.check_patch_shape(cfg["patch_shape"])
+        patch_shape = tuple(cfg["patch_shape"])
+        ab, weights = losses.AbParams(**cfg["ab"]), losses.TotalLossWeights(**cfg["weights"])
         out_dir = Path(cfg["output_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []

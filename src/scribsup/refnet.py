@@ -378,7 +378,7 @@ def forward(net: Network, patch: Volume) -> NetworkOutputs:
     cfg = net.config
     cfg.check_patch_shape(patch.shape)
     full_shape = patch.shape
-    x = patch.data.astype(np.float32)[None]
+    x = patch.data[None]
 
     skips = []  # the decoder reads every level but the bottom one
     for i in range(cfg.depth - 1):

@@ -21,7 +21,7 @@ The reader passes the payload straight to the requested container; ``_refusal_na
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from typing import Tuple, Union
 
@@ -485,11 +485,16 @@ def write_nifti(vol: Union[AnyVolume, SupervoxelMap], path) -> None:
     hdr["magic"] = _MAGIC
     payload = np.asarray(getattr(vol, vol._array), dtype=dtype).tobytes(order="F")
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(hdr.tobytes())
-        fh.write(b"\x00" * (_VOX_OFFSET - _HEADER_SIZE))
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(hdr.tobytes())
+            fh.write(b"\x00" * (_VOX_OFFSET - _HEADER_SIZE))
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:  # a failed write leaves no temp file behind
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def crop_or_pad(vol: AnyVolume, target_shape) -> AnyVolume:

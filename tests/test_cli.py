@@ -336,7 +336,7 @@ def test_precomputed_edges_are_thresholded_as_float32(tmp_path, runner):
     assert np.array_equal(read_nifti(out, kind="binary").data, (probs == probs[3, 0, 0]))
 
 
-@pytest.mark.parametrize("setting, cause", [
+_FORWARD_SETTINGS = [
     ({"patch_shape": [24, 16, 4]}, BadPatchShapeError),
     ({"forward_base_filters": 0}, InvalidConfigError),
     ({"edge_threshold": 0.0}, ValueError),
@@ -353,12 +353,24 @@ def test_precomputed_edges_are_thresholded_as_float32(tmp_path, runner):
     ({"patch_shape": [True, 32, 8]}, InvalidConfigError),
     ({"patch_shape": [16, 16]}, InvalidConfigError),
     ({"patch_shape": 16}, InvalidConfigError),
-], ids=["patch_shape", "base_filters", "edge_threshold", "ab_lambda1", "weights_beta2",
-        "nan_lambda1", "inf_epsilon", "bool_lambda2", "inf_beta1", "fractional_base_filters",
-        "bool_base_filters", "string_patch_shape", "float_patch_shape", "bool_patch_shape",
-        "two_entry_patch_shape", "int_patch_shape"])
+    ({"weights": {"beta1": float("nan")}}, InvalidConfigError),
+    ({"ab": {"lambda2": float("inf")}}, InvalidConfigError),
+]
+_FORWARD_SETTING_IDS = [
+    "patch_shape", "base_filters", "edge_threshold", "ab_lambda1", "weights_beta2", "nan_lambda1",
+    "inf_epsilon", "bool_lambda2", "inf_beta1", "fractional_base_filters", "bool_base_filters",
+    "string_patch_shape", "float_patch_shape", "bool_patch_shape", "two_entry_patch_shape",
+    "int_patch_shape", "nan_beta1", "inf_lambda2"]
+
+
+@pytest.mark.parametrize("forward, setting, cause", [
+    pytest.param(forward, setting, cause, id=prefix + name)
+    for forward, prefix in ((True, ""), (False, "forward_off-"))
+    for (setting, cause), name in zip(_FORWARD_SETTINGS, _FORWARD_SETTING_IDS)
+])
 def test_forward_and_edge_settings_fail_in_config_before_any_compute(
-        tmp_path, monkeypatch, setting, cause):
+        tmp_path, monkeypatch, forward, setting, cause):
+    """Every setting is checked in stage ``config``, whether or not the forward runs."""
     img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
 
     def no_compute(*args, **kwargs):
@@ -367,7 +379,7 @@ def test_forward_and_edge_settings_fail_in_config_before_any_compute(
     monkeypatch.setattr(supervoxel, "slic3d", no_compute)
     monkeypatch.setattr(scribble_sim, "simulate_foreground_scribbles", no_compute)
     cfg = {"image": str(img_path), "gt": str(gt_path), "output_dir": str(tmp_path / "out"),
-           "forward": True, "patch_shape": [16, 16, 4], **setting}
+           "forward": forward, "patch_shape": [16, 16, 4], **setting}
     with pytest.raises(PipelineStageError) as info:
         run_pipeline(cfg, echo=lambda *_: None)
     assert info.value.stage == "config"
@@ -948,7 +960,10 @@ def test_the_default_config_is_echoed_whole_in_the_manifest(tmp_path):
         "forward_base_filters": 8, "num_classes": 0,
     }
     assert len(want) == 15
-    written = json.loads((out / "manifest.json").read_text())["config"]
+    def strict(name):
+        raise AssertionError(f"manifest.json holds the non-JSON constant {name}")
+
+    written = json.loads((out / "manifest.json").read_text(), parse_constant=strict)["config"]
     for cfg in (manifest["config"], written):  # 10.0 and 10 differ in JSON, not under ==
         assert json.dumps(cfg, sort_keys=True) == json.dumps(want, sort_keys=True)
 

@@ -100,6 +100,16 @@ def test_a_wide_label_file_is_rewritten_in_the_narrowest_width(tmp_path, code, s
     assert np.array_equal(read_nifti(tmp_path / "narrow.nii", kind="labels").data, back.data)
 
 
+def test_a_failed_write_raises_and_leaves_no_temp_file(tmp_path):
+    """The temp file is written beside the target; replacing a directory with it fails."""
+    target = tmp_path / "out.nii"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_nifti(Volume(np.zeros((2, 2, 2), dtype=np.float32), (1, 1, 1)), target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.nii"]
+    assert target.is_dir() and not any(target.iterdir())
+
+
 def test_dim0_not_3_is_malformed(tmp_path):
     path = tmp_path / "ok.nii"
     write_nifti(Volume(np.zeros((2, 2, 2), dtype=np.float32), (1, 1, 1)), path)

@@ -34,14 +34,17 @@ def _int32_map(d):
     return None if count > 32767 else f"datatype, bitpix {types}; {count} supervoxel IDs"
 
 
-def _path_config(d):
-    _block(d, (32, 32, 4), "gt", 1, 2)
-    _block(d, (32, 32, 4), "image", 1)
-    (d / "config.json").write_text(json.dumps({"image": f"{d}/image.nii", "gt": f"{d}/gt.nii",
-                                               "scribbles": 0, "output_dir": f"{d}/out"}))
+def _config(**settings):  # a set-up: a 32x32x4 image and gt, and a config that adds ``settings``
+    def setup(d):
+        _block(d, (32, 32, 4), "gt", 1, 2)
+        _block(d, (32, 32, 4), "image", 1)
+        (d / "config.json").write_text(json.dumps({
+            "image": f"{d}/image.nii", "gt": f"{d}/gt.nii", "output_dir": f"{d}/out", **settings}))
+    return setup
 
 
 SIM = "scribsup simulate-scribbles --gt {d}/gt.nii --output {d}/scribbles.nii"
+PIPE = "scribsup pipeline --config {d}/config.json"
 FWD = "scribsup forward --input {d}/image.nii --classes 2 --out-prefix {d}/o"
 ROWS = [  # name, set-up, commands, the last one's exit code and stderr, globs of no path[, check]
     ("console entry points", lambda d: None, ["scribsup --help", "scribsup pipeline --help",
@@ -52,8 +55,10 @@ ROWS = [  # name, set-up, commands, the last one's exit code and stderr, globs o
         "{d}/mask.nii --output-conf {d}/conf.nii"], 0, "", [], _int32_map),
     ("a gt class at the scribble sentinel is refused before simulation",
      lambda d: _block(d, (32, 32, 4), "gt", 255, 256), [SIM], 1, "{d}/gt.nii", ["scribbles.nii"]),
-    ("a path setting that is not a string is refused before any output", _path_config,
-     ["scribsup pipeline --config {d}/config.json"], 1, "scribbles", ["out"]),
+    ("a path setting that is not a string is refused before any output", _config(scribbles=0),
+     [PIPE], 1, "scribbles", ["out"]),
+    ("a forward-off config with a NaN loss weight is refused before any output",
+     _config(forward=False, weights={"beta1": float("nan")}), [PIPE], 1, "beta1", ["out"]),
     ("a zero --patch entry is refused, naming patch_shape", lambda d: _block(d, (16, 16, 4)),
      [FWD + " --patch 16,16,0"], 1, "patch_shape", ["o*"]),
     ("an image off the ladder is refused, naming the file", lambda d: _block(d, (20, 16, 4)),
