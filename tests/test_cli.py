@@ -960,6 +960,7 @@ def test_the_default_config_is_echoed_whole_in_the_manifest(tmp_path):
         "forward_base_filters": 8, "num_classes": 0,
     }
     assert len(want) == 15
+
     def strict(name):
         raise AssertionError(f"manifest.json holds the non-JSON constant {name}")
 
