@@ -97,28 +97,14 @@ def _slic_params(image: Volume, k, compactness: float, iterations: int) -> super
     return params
 
 
-def _read_edge_probs(path, image: Volume, image_path) -> Volume:
-    """A precomputed edge volume on the image grid, held to ProbVolume's value rule."""
+def _read_edge_probs(path, image: Volume, image_path, threshold: float) -> BinaryVolume:
+    """The static boundary from a precomputed edge-probability volume on the image grid: its
+    values held to ProbVolume's rule, kept where they reach ``threshold``."""
+    label_propagation._check_edge_threshold(threshold)
     edges = _read_on_grid(path, "image", image, image_path)
     with _refusal_names(path):
         ProbVolume(edges.data[..., None], edges.spacing)
-    return edges
-
-
-def _edges(image: Volume, threshold: float, precomputed: Volume | None = None) -> BinaryVolume:
-    """Static boundary: the built-in detector, or ``precomputed`` probabilities thresholded."""
-    if precomputed is None:
-        return label_propagation.static_boundary(image, threshold)
-    label_propagation._check_edge_threshold(threshold)
-    return BinaryVolume((precomputed.data >= threshold).astype(np.uint8), precomputed.spacing)
-
-
-def _forward(image: Volume, net_cfg: refnet.NetConfig, patch_shape):
-    """Center-crop/pad to ``patch_shape``, build the network of ``net_cfg``, run it. Both were
-    checked before: a given patch before any file is read, an image's own shape after its read."""
-    patch = crop_or_pad(image, patch_shape)
-    net = refnet.build(net_cfg)
-    return patch, net, refnet.forward(net, patch)
+    return BinaryVolume((edges.data >= threshold).astype(np.uint8), edges.spacing)
 
 
 def _write_heads(spacing, boundary_path, prefix, boundary, init, final) -> dict:
@@ -202,8 +188,8 @@ def edges_cmd(input_path, threshold, output, precomputed):
     """Compute the static boundary volume (stacked per-slice 2D edges)."""
     with stage("edges"):
         image = read_nifti(input_path, kind="image")
-        pre = _read_edge_probs(precomputed, image, input_path) if precomputed else None
-        edge_vol = _edges(image, threshold, pre)
+        edge_vol = (_read_edge_probs(precomputed, image, input_path, threshold) if precomputed
+                    else label_propagation.static_boundary(image, threshold))
         write_nifti(edge_vol, output)
         click.echo(f"edge voxels: {int(edge_vol.data.sum())}")
 
@@ -228,7 +214,9 @@ def forward_cmd(input_path, classes, seed, base_filters, patch, out_prefix):
         image = read_nifti(input_path, kind="image")
         with _refusal_names(input_path):  # without --patch the image itself is the patch
             net_cfg.check_patch_shape(patch_shape or image.shape)
-        vol, net, out = _forward(image, net_cfg, patch_shape or image.shape)
+        vol = crop_or_pad(image, patch_shape or image.shape)
+        net = refnet.build(net_cfg)
+        out = refnet.forward(net, vol)
         summary = {"input_shape": list(vol.shape), **asdict(net_cfg),
                    "param_count": refnet.count_params(net),
                    **_write_heads(vol.spacing, f"{out_prefix}_boundary.nii", out_prefix,
@@ -291,7 +279,7 @@ def eval_cmd(pred_path, gt_path, report_path):
     with stage("eval"):
         gt = read_nifti(gt_path, kind="labels")
         report = metrics.evaluate(_read_on_grid(pred_path, "labels", gt, gt_path), gt)
-        Path(report_path).write_text(report.to_json())
+        _write_json(report.to_dict(), report_path)
         click.echo(f"mean dice: {report.mean_dice}")
 
 
@@ -351,6 +339,16 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
         patch_shape = tuple(cfg["patch_shape"])
         ab, weights = losses.AbParams(**cfg["ab"]), losses.TotalLossWeights(**cfg["weights"])
         out_dir = Path(cfg["output_dir"])
+        # the files this run writes: an input at one would be overwritten, yet named as the input
+        writes = {"supervoxels.nii", "pseudo_mask.nii", "confidence.nii", "edges.nii", "manifest.json",
+                  *["scribbles.nii"] * (not cfg["scribbles"]), *["eval.json"] * bool(cfg["gt"])}
+        if cfg["forward"]:  # an inferred class count stays below the scribble sentinel, 255
+            writes |= {"boundary_pred.nii", "loss.json", *(f"mask_{t}_c{c}.nii" for t in (
+                "init", "final") for c in range(cfg["num_classes"] or 255))}
+        for key in ("image", "scribbles", "gt", "edges_input"):
+            path = cfg[key] and Path(cfg[key]).resolve()
+            if path and path.parent == out_dir.resolve() and path.name in writes:
+                raise InvalidConfigError(f"input path for {key!r} is written by this run: {cfg[key]}")
         out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
 
@@ -373,7 +371,7 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
                 gt = LabelVolume(gt.data, gt.spacing, cfg["num_classes"])
         if scribble_vol is None:  # an inferred class count fails here too, naming the file
             scribble_sim._check_class_count(gt.num_classes, f"{cfg['gt']}: class count")
-        edges_in = (_read_edge_probs(cfg["edges_input"], image, cfg["image"])
+        edges_in = (_read_edge_probs(cfg["edges_input"], image, cfg["image"], cfg["edge_threshold"])
                     if cfg["edges_input"] else None)
 
     with stage("scribbles"):
@@ -398,13 +396,14 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
                 raise NoConfidentVoxelsError(f"no confident voxels in the centre patch {patch_shape}")
 
     with stage("edges"):
-        edge_vol = _edges(image, cfg["edge_threshold"], edges_in)
+        edge_vol = edges_in or label_propagation.static_boundary(image, cfg["edge_threshold"])
         write(edge_vol, "edges")
 
     if cfg["forward"]:
         with stage("forward"):
-            patch, _, outputs = _forward(
-                image, replace(net_cfg, num_classes=scribbles.num_classes), patch_shape)
+            patch = crop_or_pad(image, patch_shape)
+            net = refnet.build(replace(net_cfg, num_classes=scribbles.num_classes))
+            outputs = refnet.forward(net, patch)
             written = _write_heads(patch.spacing, out_dir / "boundary_pred.nii", out_dir / "mask",
                                    outputs.boundary.data, outputs.mask_init.data,
                                    outputs.mask_final.data)
@@ -421,7 +420,7 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
 
     if gt is not None:
         with stage("eval"):
-            (out_dir / "eval.json").write_text(metrics.evaluate(pl.mask, gt).to_json())
+            _write_json(metrics.evaluate(pl.mask, gt).to_dict(), out_dir / "eval.json")
             emit("eval", out_dir / "eval.json")
 
     with stage("manifest"):

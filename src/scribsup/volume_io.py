@@ -2,20 +2,22 @@
 
 All grids are indexed ``[x, y, z]`` with x varying fastest in the serialized
 byte stream, matching the NIfTI voxel order. Spacing is physical, in
-millimeters, one value per axis. The reader/writer supports uncompressed
-single-file ``.nii`` only, with datatype codes 2 (uint8), 4 (int16), 8 (int32)
-and 16 (float32); qform/sform orientation is ignored and spacing is ``pixdim``
-scaled to mm by the spatial unit in ``xyzt_units``. Intensity scaling, a
-``bitpix`` that does not match ``datatype``, a length unit other than m, mm or
-micron and a fractional ``vox_offset`` are rejected rather than ignored. A
-header with ``dim[0]=4`` and a singleton fourth dimension is read as 3D.
+millimeters, one value per axis, positive and finite in float32 as every header
+stores it. The reader/writer supports uncompressed single-file ``.nii`` only,
+with datatype codes 2 (uint8), 4 (int16), 8 (int32) and 16 (float32);
+qform/sform orientation is ignored and spacing is ``pixdim`` scaled to mm by
+the spatial unit in ``xyzt_units``. Intensity scaling, a ``bitpix`` that does
+not match ``datatype``, a length unit other than m, mm or micron and a
+fractional ``vox_offset`` or one below 352 (bytes 348-351 hold the extension
+flag) are rejected rather than ignored. A header with ``dim[0]=4`` and a
+singleton fourth dimension is read as 3D.
 
 Every grid container lives here and states only the values its grid may
 hold; ``_own_array`` checks the array's ndim, stores a read-only copy the
 container owns and checks the spacing for all of them, and
 ``_check_same_grid`` is the one place that decides whether two grids match.
-The reader passes the payload straight to the requested container; ``_refusal_names``
-(the CLI's too) turns a refusal into an ``UnsupportedDatatypeError`` naming the file.
+A writable container lists its NIfTI datatypes for the writer (``_codes``); the reader makes the
+container ``_KINDS`` names, and ``_refusal_names`` (the CLI's too) names the file in a refusal.
 """
 
 from __future__ import annotations
@@ -116,10 +118,14 @@ _HEADER_DTYPE = np.dtype(
 assert _HEADER_DTYPE.itemsize == _HEADER_SIZE
 
 
+# every header stores spacing as float32; as Python floats, comparing with these casts nothing
+_F32_LOW, _F32_HIGH = float(np.finfo(np.float32).smallest_subnormal), float(np.finfo(np.float32).max)
+
+
 def _check_spacing(spacing) -> Tuple[float, float, float]:
     spacing = tuple(float(s) for s in spacing)
-    if len(spacing) != 3 or not all(np.isfinite(s) and s > 0 for s in spacing):
-        raise ValueError(f"spacing must be three finite positive values, got {spacing}")
+    if len(spacing) != 3 or not all(_F32_LOW <= s <= _F32_HIGH for s in spacing):  # NaN fails
+        raise ValueError(f"spacing must be three positive values finite in float32, got {spacing}")
     return spacing
 
 
@@ -199,6 +205,7 @@ class Volume(_Grid):
 
     data: np.ndarray
     spacing: Tuple[float, float, float]
+    _codes = (DT_FLOAT32,)
 
     def _values(self, data: np.ndarray) -> np.ndarray:
         data = data.astype(np.float32, copy=False)
@@ -222,6 +229,7 @@ class LabelVolume(_Grid):
     data: np.ndarray
     spacing: Tuple[float, float, float]
     num_classes: int
+    _codes = (DT_UINT8, DT_INT16, DT_INT32)  # labels stop at 65,535, so int32 holds them all
 
     def _values(self, data: np.ndarray) -> np.ndarray:
         check_setting("num_classes", self.num_classes, 2, integer=True)
@@ -234,6 +242,7 @@ class BinaryVolume(_Grid):
 
     data: np.ndarray
     spacing: Tuple[float, float, float]
+    _codes = (DT_UINT8,)
 
     def _values(self, data: np.ndarray) -> np.ndarray:
         if not ((data == 0) | (data == 1)).all():  # np.isin would cast to a float64 copy
@@ -290,6 +299,7 @@ class SupervoxelMap(_Grid):
     spacing: Tuple[float, float, float]
     count: int = field(init=False)
     _array = "ids"
+    _codes = (DT_INT16, DT_INT32)  # never uint8, so old maps keep their bytes; IDs stay below 2**31
 
     def _values(self, ids: np.ndarray) -> np.ndarray:
         # every ID below count occurs, so each is below the voxel count (which bounds ``occurs``)
@@ -398,8 +408,9 @@ def _parse_header(raw: bytes, path: str):
         raise MalformedHeaderError(f"{path}: xyzt_units spatial code {units} is not a length unit")
     spacing = tuple(s * 1000.0 if units == 1 else s / 1000.0 if units == 3 else s for s in spacing)
     vox_offset = float(hdr["vox_offset"])
-    if not (vox_offset.is_integer() and vox_offset >= _HEADER_SIZE):  # also refuses NaN and +-inf
-        raise MalformedHeaderError(f"{path}: vox_offset {vox_offset} is not a whole number >= 348")
+    # bytes 348-351 hold the extension flag, so the payload starts at 352 or later
+    if not (vox_offset.is_integer() and vox_offset >= _VOX_OFFSET):  # also refuses NaN and +-inf
+        raise MalformedHeaderError(f"{path}: vox_offset {vox_offset} is not a whole number >= 352")
     # NIfTI-1: scl_slope 0 means unscaled; any other slope scales every voxel.
     slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
     if slope != 0.0 and (slope != 1.0 or inter != 0.0):
@@ -409,27 +420,32 @@ def _parse_header(raw: bytes, path: str):
     return shape, spacing, code, int(vox_offset)
 
 
+# each ``kind`` of ``read_nifti`` and its container; a label file's class count is its top label's
+_KINDS = {"image": Volume, "binary": BinaryVolume, "supervoxels": SupervoxelMap,
+          "labels": lambda data, spacing: LabelVolume(data, spacing, max(2, int(data.max()) + 1))}
+
+
 def read_nifti(path, kind: str = "auto") -> AnyVolume:
     """Read an uncompressed single-file NIfTI-1 volume.
 
     Args:
         path: Path to a ``.nii`` file.
-        kind: ``"auto"``, ``"image"``, ``"labels"``, ``"binary"`` or ``"supervoxels"``;
-            ``auto`` maps float32 files to :class:`Volume` and integer files
-            to :class:`LabelVolume`, the explicit kinds force a container.
+        kind: ``"auto"`` or a key of ``_KINDS`` (``"image"``, ``"labels"``, ``"binary"``,
+            ``"supervoxels"``), which forces its container; ``auto`` reads a float file
+            as ``"image"`` and an integer file as ``"labels"``.
 
     Returns:
         Volume, LabelVolume, BinaryVolume or SupervoxelMap; spacing in mm (``xyzt_units``).
 
     Raises:
         MalformedHeaderError: bad magic, size, dims, bitpix, pixdim, spatial
-            unit (``xyzt_units``), or a vox_offset that is not a whole number >= 348.
+            unit (``xyzt_units``), or a vox_offset that is not a whole number >= 352.
         UnsupportedDatatypeError: datatype outside {uint8, int16, int32, float32},
-            or a payload the requested container refuses.
+            or a payload or spacing the requested container refuses.
         UnsupportedScalingError: scl_slope/scl_inter other than unscaled.
         TruncatedDataError: payload shorter than the header declares.
     """
-    if kind not in ("auto", "image", "labels", "binary", "supervoxels"):
+    if kind != "auto" and kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -440,36 +456,26 @@ def read_nifti(path, kind: str = "auto") -> AnyVolume:
         raise TruncatedDataError(f"{path}: expected {end} bytes, file has {len(raw)}")
     # a view of the file's bytes: the payload is not copied before a container owns it
     data = np.frombuffer(raw, dtype, count=n, offset=vox_offset).reshape(shape, order="F")
+    if kind == "auto":
+        kind = "image" if dtype.kind == "f" else "labels"
     with _refusal_names(path):
-        if kind == "binary":
-            return BinaryVolume(data, spacing)
-        if kind == "supervoxels":
-            return SupervoxelMap(data, spacing)
-        if kind == "labels" or (kind == "auto" and code != DT_FLOAT32):
-            return LabelVolume(data, spacing, max(2, int(data.max()) + 1))
-        return Volume(data, spacing)
+        return _KINDS[kind](data, spacing)
 
 
 def _storage_code(vol) -> int:
-    if isinstance(vol, Volume):
-        return DT_FLOAT32
-    if isinstance(vol, BinaryVolume):
-        return DT_UINT8
-    if isinstance(vol, SupervoxelMap):  # IDs 0..count-1; never uint8, so old maps keep their bytes
-        peak, codes = vol.count - 1, (DT_INT16, DT_INT32)
-    elif isinstance(vol, LabelVolume):  # labels stop at 65,535, IDs below 2**31: int32 holds both
-        peak, codes = int(vol.data.max(initial=0)), (DT_UINT8, DT_INT16, DT_INT32)
-    else:
+    """The first of the container's datatypes, narrowest first, that holds its largest value."""
+    if not getattr(vol, "_codes", ()):
         raise TypeError(f"cannot write object of type {type(vol).__name__}")
-    return next(c for c in codes if peak <= np.iinfo(_DTYPES[c]).max)  # the narrowest that fits
+    *narrow, widest = vol._codes
+    peak = int(getattr(vol, vol._array).max(initial=0)) if narrow else 0
+    return next((c for c in narrow if peak <= np.iinfo(_DTYPES[c]).max), widest)
 
 
 def write_nifti(vol: Union[AnyVolume, SupervoxelMap], path) -> None:
     """Write a volume as uncompressed NIfTI-1 (352-byte header + raw voxels).
 
-    Volume data is stored as float32 and BinaryVolume as uint8; a LabelVolume takes the narrowest
-    of uint8, int16 and int32 that holds its largest label, and SupervoxelMap IDs int16, or int32
-    above 32,768 IDs. Widths come from the values alone. Little-endian, x varying fastest.
+    The datatype is the first of the container's ``_codes`` (narrowest first) that holds its
+    largest value, so widths come from the values alone. Little-endian, x varying fastest.
     """
     code = _storage_code(vol)
     dtype = _DTYPES[code]

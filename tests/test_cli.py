@@ -832,6 +832,50 @@ def test_only_an_integer_zero_infers_num_classes_before_any_compute(tmp_path, mo
     assert calls == [] and not (tmp_path / "out" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("inputs, settings, key", [
+    ({"image": "out/edges.nii", "gt": "out/pseudo_mask.nii"}, {}, "image"),
+    ({"gt": "out/scribbles.nii"}, {}, "gt"),  # the simulated scribbles would land on the gt
+    ({"gt": "out/eval.json"}, {}, "gt"),
+    ({"scribbles": "out/boundary_pred.nii"}, {"forward": True, "patch_shape": [16, 16, 4]},
+     "scribbles"),
+    ({"edges_input": "out/mask_final_c1.nii"}, {"forward": True, "patch_shape": [16, 16, 4]},
+     "edges_input"),
+    ({"edges_input": "out/mask_init_c2.nii"},
+     {"forward": True, "patch_shape": [16, 16, 4], "num_classes": 3}, "edges_input"),
+], ids=["image_and_gt", "gt_at_scribbles", "gt_at_eval", "scribbles_at_boundary",
+        "edges_at_mask_head", "edges_at_mask_head_of_a_given_count"])
+def test_an_input_at_an_artifact_path_fails_in_config_before_any_compute(
+        tmp_path, monkeypatch, inputs, settings, key):
+    img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
+    (tmp_path / "out").mkdir()
+    kept = {}
+    for name, rel in inputs.items():  # relative paths, against an absolute output_dir
+        kept[rel] = (img_path if name in ("image", "edges_input") else gt_path).read_bytes()
+        (tmp_path / rel).write_bytes(kept[rel])
+    monkeypatch.chdir(tmp_path)
+    calls = _record_compute(monkeypatch)
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline({"image": str(img_path), "gt": str(gt_path), "output_dir": str(tmp_path / "out"),
+                      **settings, **inputs}, echo=lambda *_: None)
+    assert info.value.stage == "config"
+    assert isinstance(info.value.cause, InvalidConfigError)
+    assert f"input path for {key!r} is written by this run: {inputs[key]}" in str(info.value)
+    assert calls == [] and {p.name for p in (tmp_path / "out").iterdir()} == {
+        Path(rel).name for rel in inputs.values()}
+    assert all((tmp_path / rel).read_bytes() == raw for rel, raw in kept.items())
+
+
+def test_scribbles_an_earlier_run_wrote_to_the_output_dir_are_read_again(tmp_path):
+    img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))
+    cfg = {"image": str(img_path), "gt": str(gt_path), "output_dir": str(tmp_path / "out")}
+    run_pipeline(cfg, echo=lambda *_: None)
+    scribbles = tmp_path / "out" / "scribbles.nii"
+    raw = scribbles.read_bytes()
+    manifest = run_pipeline({**cfg, "scribbles": str(scribbles)}, echo=lambda *_: None)
+    assert scribbles.read_bytes() == raw  # given, so this run does not write it
+    assert "scribbles" not in [a["name"] for a in manifest["artifacts"]]
+
+
 def test_k_above_the_voxel_count_fails_in_read_before_any_compute(tmp_path, monkeypatch):
     img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))  # 1,024 voxels
     calls = _record_compute(monkeypatch)

@@ -130,7 +130,8 @@ def test_singleton_fourth_dim_reads_as_3d(tmp_path):
             read_nifti(_patched_file(tmp_path, patch))
 
 
-@pytest.mark.parametrize("offset", [float("nan"), float("inf"), float("-inf")])
+# 348-351 would read the extension flag (bytes 348-351) as the first voxel
+@pytest.mark.parametrize("offset", [float("nan"), float("inf"), float("-inf"), 348.0, 351.0])
 def test_non_finite_vox_offset_is_malformed(tmp_path, offset):
     path = _patched_file(tmp_path, {108: np.float32(offset).tobytes()})
     with pytest.raises(MalformedHeaderError, match=re.escape(str(path))):
@@ -164,6 +165,15 @@ def test_spatial_unit_other_than_a_length_is_malformed(tmp_path, units):
     path = _patched_file(tmp_path, {123: bytes([units])})
     with pytest.raises(MalformedHeaderError, match=re.escape(str(path))):
         read_nifti(path)
+
+
+@pytest.mark.parametrize("units, pixdim", [(1, 1e36), (3, 1e-44)], ids=["metre", "micron"])
+def test_spacing_float32_cannot_hold_after_unit_scaling_is_refused(tmp_path, units, pixdim):
+    # 1e36 m is 1e39 mm, and 1e-44 micron 1e-47 mm: neither is writable back as a float32 pixdim
+    path = _patched_file(tmp_path, {80: np.float32(pixdim).tobytes(), 123: bytes([units])})
+    for kind in ("auto", "image", "labels", "binary", "supervoxels"):
+        with pytest.raises(UnsupportedDatatypeError, match=re.escape(f"{path}: spacing")):
+            read_nifti(path, kind=kind)
 
 
 def test_bad_magic_and_bad_size(tmp_path):
@@ -327,7 +337,8 @@ _CONTAINERS = pytest.mark.parametrize("make", [
 @_CONTAINERS
 def test_every_container_checks_its_spacing(make):
     assert make((1.0, 2.0, 3.0)).spacing == (1.0, 2.0, 3.0)
-    for bad in ((1.0, np.nan, 1.0), (1.0, -1.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0)):
+    for bad in ((1.0, np.nan, 1.0), (1.0, -1.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0),
+                (1e39, 1, 1), (1e-46, 1, 1)):  # a header's float32 pixdim holds neither
         with pytest.raises(ValueError, match="spacing"):
             make(bad)
 

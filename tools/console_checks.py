@@ -3,6 +3,8 @@ fails. A row runs in a fresh directory ``{d}``; its commands run until one exits
 only: the set-ups import numpy and ``scribsup``, which the console script needs anyway."""
 
 import json
+import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -43,6 +45,28 @@ def _config(**settings):  # a set-up: a 32x32x4 image and gt, and a config that 
     return setup
 
 
+def _metre_image(d):  # pixdim[1] 1e36 in metres: 1e39 mm, beyond float32
+    _block(d, (32, 32, 4))
+    raw = bytearray((d / "image.nii").read_bytes())
+    raw[80:84], raw[123] = struct.pack("<f", 1e36), 1  # pixdim[1], xyzt_units
+    (d / "image.nii").write_bytes(raw)
+
+
+_AT_ARTIFACTS = (("image", "edges"), ("gt", "pseudo_mask"))  # each input at the artifact's path
+
+
+def _inputs_at_artifacts(d):
+    _config(**{key: f"{d}/out/{name}.nii" for key, name in _AT_ARTIFACTS})(d)
+    (d / "out").mkdir()
+    for key, name in _AT_ARTIFACTS:
+        shutil.copy(d / f"{key}.nii", d / "out" / f"{name}.nii")
+
+
+def _inputs_kept(d):
+    return next((f"out/{name}.nii changed" for key, name in _AT_ARTIFACTS
+                 if (d / "out" / f"{name}.nii").read_bytes() != (d / f"{key}.nii").read_bytes()), None)
+
+
 SIM = "scribsup simulate-scribbles --gt {d}/gt.nii --output {d}/scribbles.nii"
 PIPE = "scribsup pipeline --config {d}/config.json"
 FWD = "scribsup forward --input {d}/image.nii --classes 2 --out-prefix {d}/o"
@@ -63,6 +87,10 @@ ROWS = [  # name, set-up, commands, the last one's exit code and stderr, globs o
      [FWD + " --patch 16,16,0"], 1, "patch_shape", ["o*"]),
     ("an image off the ladder is refused, naming the file", lambda d: _block(d, (20, 16, 4)),
      [FWD], 1, "{d}/image.nii: patch (20, 16, 4)", ["o*"]),
+    ("a spacing float32 cannot hold is refused, naming the file", _metre_image,
+     ["scribsup edges --input {d}/image.nii --output {d}/edges.nii"], 1, "{d}/image.nii", ["edges*"]),
+    ("an input at an artifact path is refused before any output", _inputs_at_artifacts, [PIPE], 1,
+     "'image'", ["out/*.json", "out/s*", "out/c*"], _inputs_kept),
 ]
 
 
