@@ -124,8 +124,7 @@ def _sweep(intensity, coords_mm, centers_pos, centers_int, m2_over_s2, half, lab
     window is clipped to the bounding box of the ``only`` voxels, and a centre
     whose clipped window holds none of them is skipped. ``only`` must hold a
     voxel, and the voxels outside it must be certified, as ``_assign`` leaves
-    them: then none of them can change, and the box bounds the scratch buffers
-    instead of the widest window.
+    them: then none of them can change, and the clip only skips work.
     """
     lo = np.stack([np.searchsorted(coords_mm[a], centers_pos[:, a] - half, side="left")
                    for a in range(3)], axis=1)
@@ -136,29 +135,22 @@ def _sweep(intensity, coords_mm, centers_pos, centers_int, m2_over_s2, half, lab
             on = np.flatnonzero(only.any(axis=other))
             lo[:, a] = np.maximum(lo[:, a], on[0])
             hi[:, a] = np.minimum(hi[:, a], on[-1] + 1)
-    extent = hi - lo
-    live = np.flatnonzero((extent > 0).all(axis=1))
-    size = int(extent[live].prod(axis=1).max(initial=0))
-    d2_buf, int_buf, better_buf = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-    for cid in live:
+    for cid in np.flatnonzero((hi > lo).all(axis=1)):
         sx, sy, sz = (slice(lo[cid, a], hi[cid, a]) for a in range(3))
         sl = (sz, sx, sy)
         if only is not None and not only[sl].any():
             continue
-        nx, ny, nz = extent[cid]
-        shape, n = (nz, nx, ny), int(nx * ny * nz)
         cpos = centers_pos[cid]
         dx2, dy2, dz2 = ((coords_mm[a][s] - cpos[a]) ** 2 for a, s in enumerate((sx, sy, sz)))
-        d2 = np.add(np.add.outer(dx2, dy2)[None], dz2[:, None, None],
-                    out=d2_buf[:n].reshape(shape))
-        np.multiply(d2, m2_over_s2, out=d2)
-        d_int = np.subtract(intensity[sl], centers_int[cid], out=int_buf[:n].reshape(shape))
-        np.multiply(d_int, d_int, out=d_int)
-        np.add(d_int, d2, out=d2)
-        best_view = best_d2[sl]
-        better = np.less(d2, best_view, out=better_buf[:n].reshape(shape))
+        d2 = np.add.outer(dx2, dy2)[None] + dz2[:, None, None]
+        d2 *= m2_over_s2
+        d_int = intensity[sl] - centers_int[cid]
+        d_int *= d_int
+        d2 += d_int
+        better = d2 < best_d2[sl]
         np.copyto(labels[sl], cid, where=better)
-        np.copyto(best_view, d2, where=better)
+        np.copyto(best_d2[sl], d2, where=better)
+        del d2, d_int, better  # with the in-place steps: two window arrays at most
 
 
 def _assign(intensity, coords_mm, centers_pos, centers_int, step, compactness):
@@ -228,11 +220,11 @@ def _cluster_sums(labels, intensity, coords_mm, n: int):
 
 
 def _slic_state(vol: Volume, params: SlicParams):
-    """Run seeding plus Lloyd rounds; returns the pre-connectivity state.
+    """Run seeding, exactly ``params.iterations`` Lloyd rounds and a final assignment.
 
-    Returns ``(labels, centers_pos_mm, centers_int, step_mm)`` after a final
-    assignment against the last center estimates, so every voxel is nearest
-    (by D) to its own center among centers whose window covers it.
+    Returns the pre-connectivity ``(labels, centers_pos_mm, centers_int, step_mm)``.
+    The final assignment uses the last center estimates, so every voxel is
+    nearest (by D) to its own center among the centers whose window covers it.
     """
     shape = vol.shape
     params.check_fits(shape)
@@ -243,7 +235,7 @@ def _slic_state(vol: Volume, params: SlicParams):
     spacing = np.asarray(vol.spacing)
     coords_mm = tuple(np.arange(shape[a]) * spacing[a] for a in range(3))
     centers_pos = seed_idx.astype(np.float64) * spacing[None, :]
-    centers_int = intensity[seed_idx[:, 0], seed_idx[:, 1], seed_idx[:, 2]].copy()
+    centers_int = intensity[seed_idx[:, 0], seed_idx[:, 1], seed_idx[:, 2]]
     # [x, y, z] view of a z-major copy: every sweep runs on it without a transpose
     intensity = np.ascontiguousarray(intensity.transpose(2, 0, 1)).transpose(1, 2, 0)
 
@@ -253,14 +245,8 @@ def _slic_state(vol: Volume, params: SlicParams):
         counts, sums, int_sums = _cluster_sums(labels, intensity, coords_mm, n)
         del labels  # not alive through the next round's sweeps
         nonempty = counts > 0
-        new_pos = centers_pos.copy()
-        new_int = centers_int.copy()
-        new_pos[nonempty] = sums[nonempty] / counts[nonempty, None]
-        new_int[nonempty] = int_sums[nonempty] / counts[nonempty]
-        moved = float(np.abs(new_pos - centers_pos).sum())
-        centers_pos, centers_int = new_pos, new_int
-        if moved == 0.0:
-            break
+        centers_pos[nonempty] = sums[nonempty] / counts[nonempty, None]
+        centers_int[nonempty] = int_sums[nonempty] / counts[nonempty]
     labels = _assign(intensity, coords_mm, centers_pos, centers_int, step, params.compactness)[0]
     return labels, centers_pos, centers_int, step
 
@@ -270,13 +256,13 @@ def slic3d(vol: Volume, params: SlicParams) -> SupervoxelMap:
 
     Seeds start on a regular physical grid with step S, get perturbed to the
     lowest-gradient voxel of their 3x3x3 neighborhood (gradients taken there
-    only), then run ``params.iterations`` Lloyd rounds of windowed assignment
-    and center updates. Each assignment is the nearest center among those
-    within 2S per physical axis, found by a ±S pass (certified wherever a
-    voxel's best D² is below m²) plus a ±2S recheck of the other voxels. Empty
-    clusters' IDs are dropped unsorted, as connectivity, enforced before
-    returning, renumbers by first voxel: IDs are contiguous and each
-    supervoxel is 6-connected.
+    only), then run exactly ``params.iterations`` Lloyd rounds of windowed
+    assignment and center updates, plus a final assignment. Each assignment is
+    the nearest center among those within 2S per physical axis, found by a ±S
+    pass (certified wherever a voxel's best D² is below m²) plus a ±2S recheck
+    of the other voxels. Empty clusters' IDs are dropped unsorted, as
+    connectivity, enforced before returning, renumbers by first voxel: IDs are
+    contiguous and each supervoxel is 6-connected.
 
     Raises:
         KTooLargeError: when ``params.k`` exceeds the voxel count.

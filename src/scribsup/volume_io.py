@@ -400,9 +400,7 @@ def _parse_header(raw: bytes, path: str):
         raise MalformedHeaderError(
             f"{path}: bitpix is {int(hdr['bitpix'])}, datatype code {code} needs {bits}"
         )
-    spacing = tuple(float(p) for p in hdr["pixdim"][1:4])
-    if not all(np.isfinite(s) and s > 0 for s in spacing):
-        raise MalformedHeaderError(f"{path}: nonpositive pixdim {spacing}")
+    spacing = tuple(float(p) for p in hdr["pixdim"][1:4])  # the container checks the scaled spacing
     units = int(hdr["xyzt_units"]) & 7  # spatial unit: 0 unknown (read as mm), 1 m, 2 mm, 3 micron
     if units > 3:
         raise MalformedHeaderError(f"{path}: xyzt_units spatial code {units} is not a length unit")
@@ -420,9 +418,12 @@ def _parse_header(raw: bytes, path: str):
     return shape, spacing, code, int(vox_offset)
 
 
-# each ``kind`` of ``read_nifti`` and its container; a label file's class count is its top label's
+# each ``kind`` of ``read_nifti`` and its container; a label file's class count is its top label's,
+# and ``auto`` reads a float file as an image and an integer file as labels
 _KINDS = {"image": Volume, "binary": BinaryVolume, "supervoxels": SupervoxelMap,
-          "labels": lambda data, spacing: LabelVolume(data, spacing, max(2, int(data.max()) + 1))}
+          "labels": lambda data, spacing: LabelVolume(data, spacing, max(2, int(data.max()) + 1)),
+          "auto": lambda data, spacing: _KINDS["image" if data.dtype.kind == "f" else "labels"](
+              data, spacing)}
 
 
 def read_nifti(path, kind: str = "auto") -> AnyVolume:
@@ -430,22 +431,23 @@ def read_nifti(path, kind: str = "auto") -> AnyVolume:
 
     Args:
         path: Path to a ``.nii`` file.
-        kind: ``"auto"`` or a key of ``_KINDS`` (``"image"``, ``"labels"``, ``"binary"``,
-            ``"supervoxels"``), which forces its container; ``auto`` reads a float file
+        kind: a key of ``_KINDS``: ``"image"``, ``"labels"``, ``"binary"`` or
+            ``"supervoxels"`` forces its container; ``"auto"`` reads a float file
             as ``"image"`` and an integer file as ``"labels"``.
 
     Returns:
         Volume, LabelVolume, BinaryVolume or SupervoxelMap; spacing in mm (``xyzt_units``).
 
     Raises:
-        MalformedHeaderError: bad magic, size, dims, bitpix, pixdim, spatial
-            unit (``xyzt_units``), or a vox_offset that is not a whole number >= 352.
+        MalformedHeaderError: bad magic, size, dims, bitpix, spatial unit
+            (``xyzt_units``), or a vox_offset that is not a whole number >= 352.
         UnsupportedDatatypeError: datatype outside {uint8, int16, int32, float32},
-            or a payload or spacing the requested container refuses.
+            or a payload or spacing the requested container refuses (a pixdim
+            that is not positive and finite in float32 once scaled to mm).
         UnsupportedScalingError: scl_slope/scl_inter other than unscaled.
         TruncatedDataError: payload shorter than the header declares.
     """
-    if kind != "auto" and kind not in _KINDS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -456,8 +458,6 @@ def read_nifti(path, kind: str = "auto") -> AnyVolume:
         raise TruncatedDataError(f"{path}: expected {end} bytes, file has {len(raw)}")
     # a view of the file's bytes: the payload is not copied before a container owns it
     data = np.frombuffer(raw, dtype, count=n, offset=vox_offset).reshape(shape, order="F")
-    if kind == "auto":
-        kind = "image" if dtype.kind == "f" else "labels"
     with _refusal_names(path):
         return _KINDS[kind](data, spacing)
 

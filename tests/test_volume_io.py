@@ -167,12 +167,16 @@ def test_spatial_unit_other_than_a_length_is_malformed(tmp_path, units):
         read_nifti(path)
 
 
-@pytest.mark.parametrize("units, pixdim", [(1, 1e36), (3, 1e-44)], ids=["metre", "micron"])
+@pytest.mark.parametrize("units, pixdim", [
+    (1, 1e36), (3, 1e-44), (2, 0.0), (2, -1.0), (2, np.nan), (2, np.inf),
+], ids=["metre", "micron", "zero", "negative", "nan", "inf"])
 def test_spacing_float32_cannot_hold_after_unit_scaling_is_refused(tmp_path, units, pixdim):
-    # 1e36 m is 1e39 mm, and 1e-44 micron 1e-47 mm: neither is writable back as a float32 pixdim
+    # 1e36 m is 1e39 mm, and 1e-44 micron 1e-47 mm: neither is writable back as a float32
+    # pixdim. The header checks no pixdim itself: the containers' spacing rule names each.
     path = _patched_file(tmp_path, {80: np.float32(pixdim).tobytes(), 123: bytes([units])})
+    rule = re.escape(f"{path}: spacing must be three positive values finite in float32")
     for kind in ("auto", "image", "labels", "binary", "supervoxels"):
-        with pytest.raises(UnsupportedDatatypeError, match=re.escape(f"{path}: spacing")):
+        with pytest.raises(UnsupportedDatatypeError, match=rule):
             read_nifti(path, kind=kind)
 
 

@@ -45,11 +45,13 @@ def _config(**settings):  # a set-up: a 32x32x4 image and gt, and a config that 
     return setup
 
 
-def _metre_image(d):  # pixdim[1] 1e36 in metres: 1e39 mm, beyond float32
-    _block(d, (32, 32, 4))
-    raw = bytearray((d / "image.nii").read_bytes())
-    raw[80:84], raw[123] = struct.pack("<f", 1e36), 1  # pixdim[1], xyzt_units
-    (d / "image.nii").write_bytes(raw)
+def _pixdim_image(pixdim, units=2):  # a set-up: an image with pixdim[1] in the given unit
+    def setup(d):
+        _block(d, (32, 32, 4))
+        raw = bytearray((d / "image.nii").read_bytes())
+        raw[80:84], raw[123] = struct.pack("<f", pixdim), units  # pixdim[1], xyzt_units
+        (d / "image.nii").write_bytes(raw)
+    return setup
 
 
 _AT_ARTIFACTS = (("image", "edges"), ("gt", "pseudo_mask"))  # each input at the artifact's path
@@ -70,6 +72,7 @@ def _inputs_kept(d):
 SIM = "scribsup simulate-scribbles --gt {d}/gt.nii --output {d}/scribbles.nii"
 PIPE = "scribsup pipeline --config {d}/config.json"
 FWD = "scribsup forward --input {d}/image.nii --classes 2 --out-prefix {d}/o"
+EDGES = "scribsup edges --input {d}/image.nii --output {d}/edges.nii"
 ROWS = [  # name, set-up, commands, the last one's exit code and stderr, globs of no path[, check]
     ("console entry points", lambda d: None, ["scribsup --help", "scribsup pipeline --help",
                                               "{py} -m scribsup.cli --help"], 0, "", []),
@@ -87,8 +90,11 @@ ROWS = [  # name, set-up, commands, the last one's exit code and stderr, globs o
      [FWD + " --patch 16,16,0"], 1, "patch_shape", ["o*"]),
     ("an image off the ladder is refused, naming the file", lambda d: _block(d, (20, 16, 4)),
      [FWD], 1, "{d}/image.nii: patch (20, 16, 4)", ["o*"]),
-    ("a spacing float32 cannot hold is refused, naming the file", _metre_image,
-     ["scribsup edges --input {d}/image.nii --output {d}/edges.nii"], 1, "{d}/image.nii", ["edges*"]),
+    ("a spacing float32 cannot hold is refused, naming the file",  # 1e36 m is 1e39 mm
+     _pixdim_image(1e36, units=1), [EDGES], 1, "{d}/image.nii", ["edges*"]),
+    ("a NaN pixdim is refused by the spacing rule, naming the file", _pixdim_image(float("nan")),
+     [EDGES], 1, "{d}/image.nii: spacing must be three positive values finite in float32",
+     ["edges*"]),
     ("an input at an artifact path is refused before any output", _inputs_at_artifacts, [PIPE], 1,
      "'image'", ["out/*.json", "out/s*", "out/c*"], _inputs_kept),
 ]
