@@ -45,7 +45,7 @@ def _config(**settings):  # a set-up: a 32x32x4 image and gt, and a config that 
     return setup
 
 
-def _pixdim_image(pixdim, units=2):  # a set-up: an image with pixdim[1] in the given unit
+def _pixdim_image(pixdim, units):  # a set-up: an image with pixdim[1] in spatial unit ``units``
     def setup(d):
         _block(d, (32, 32, 4))
         raw = bytearray((d / "image.nii").read_bytes())
@@ -91,8 +91,8 @@ ROWS = [  # name, set-up, commands, the last one's exit code and stderr, globs o
     ("an image off the ladder is refused, naming the file", lambda d: _block(d, (20, 16, 4)),
      [FWD], 1, "{d}/image.nii: patch (20, 16, 4)", ["o*"]),
     ("a spacing float32 cannot hold is refused, naming the file",  # 1e36 m is 1e39 mm
-     _pixdim_image(1e36, units=1), [EDGES], 1, "{d}/image.nii", ["edges*"]),
-    ("a NaN pixdim is refused by the spacing rule, naming the file", _pixdim_image(float("nan")),
+     _pixdim_image(1e36, 1), [EDGES], 1, "{d}/image.nii", ["edges*"]),
+    ("a NaN pixdim is refused by the spacing rule, naming the file", _pixdim_image(float("nan"), 2),
      [EDGES], 1, "{d}/image.nii: spacing must be three positive values finite in float32",
      ["edges*"]),
     ("an input at an artifact path is refused before any output", _inputs_at_artifacts, [PIPE], 1,
