@@ -24,8 +24,8 @@ import numpy as np
 from . import label_propagation, losses, metrics, refnet, scribble_sim, supervoxel
 from .errors import InvalidConfigError, NoConfidentVoxelsError, ScribsupError, check_setting
 from .volume_io import (
-    BinaryVolume, LabelVolume, ProbVolume, PseudoLabels, Volume, _check_same_grid, _refusal_names,
-    crop_or_pad, read_nifti, write_nifti,
+    BinaryVolume, LabelVolume, ProbVolume, PseudoLabels, Volume, _check_probability_range,
+    _check_same_grid, _refusal_names, crop_or_pad, read_nifti, write_nifti,
 )
 
 # Every default of the pipeline config; the subcommands' options read theirs
@@ -99,11 +99,11 @@ def _slic_params(image: Volume, k, compactness: float, iterations: int) -> super
 
 def _read_edge_probs(path, image: Volume, image_path, threshold: float) -> BinaryVolume:
     """The static boundary from a precomputed edge-probability volume on the image grid: its
-    values held to ProbVolume's rule, kept where they reach ``threshold``."""
+    values held to ProbVolume's range rule, kept where they reach ``threshold``."""
     label_propagation._check_edge_threshold(threshold)
     edges = _read_on_grid(path, "image", image, image_path)
     with _refusal_names(path):
-        ProbVolume(edges.data[..., None], edges.spacing)
+        _check_probability_range(edges.data)
     return BinaryVolume((edges.data >= threshold).astype(np.uint8), edges.spacing)
 
 

@@ -41,10 +41,6 @@ _NORM_EPS = 1e-5
 # Sigmoid pre-activations are clipped here so gates stay strictly inside
 # (1e-12, 1 - 1e-12) even for adversarial features.
 _GATE_CLIP = 26.0
-# Byte budget of the im2col buffer that _conv3d fills per x-slab. Larger
-# slabs made the 224x224x32 forward no faster but raised peak RSS on small
-# volumes.
-_IM2COL_BUDGET = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -197,47 +193,55 @@ def count_params(net: Network) -> int:
 
 
 def _conv3d(x, w, b, dilation=(1, 1, 1)):
-    """Zero-padded 'same' convolution as im2col plus one GEMM per x-slab.
+    """Zero-padded 'same' convolution: a y/z-im2col block per input x-row, kx GEMMs per output row.
 
     ``x`` is one (c, sx, sy, sz) array or a tuple of them on one grid, read as
-    their channel concatenation. Each tap copies its in-range box straight from
-    the inputs and zeroes the strips outside the grid, so no padded or
-    concatenated copy is made. The im2col buffer holds whole x-rows of
-    (c_in * taps) columns and is sized by ``_IM2COL_BUDGET`` bytes (at least
-    one row), so memory stays bounded whatever the grid.
+    their channel concatenation. Each input x-row's (c_in, ky, kz, sy, sz) block
+    is gathered exactly once, each in-plane tap copying its in-range box straight
+    from the inputs, so no padded or concatenated copy is made. The blocks live
+    in a ring of R = min(sx, (kx - 1) * dx + 1) slots indexed by row mod R, which
+    holds every row the current output row reads. Output row ``xo`` is the sum,
+    over the x-taps ``i`` that land on the grid, of ``w[:, :, i] @ block(xo + (i -
+    kx // 2) * dx)`` (the shifted-block GEMMs of MEC, Cho & Brand, ICML 2017); the
+    centre tap always lands. The strips outside the y/z grid are the same in every
+    block, so the ring starts zeroed and they are never written.
     """
     parts = x if isinstance(x, tuple) else (x,)
-    c_out, c_in = w.shape[:2]
-    kx, ky, kz = w.shape[2:]
+    c_out, c_in, kx, ky, kz = w.shape
     sx, sy, sz = parts[0].shape[1:]
-    rows = c_in * kx * ky * kz
-    w2d = w.reshape(c_out, rows)
-    plane = sy * sz
-    step = max(1, min(sx, _IM2COL_BUDGET // (rows * plane * 4)))
-    buf = np.empty(rows * step * plane, dtype=np.float32)
+    dx, reach = dilation[0], kx // 2 * dilation[0]
+    taps = np.moveaxis(w, 2, 0).reshape(kx, c_out, c_in * ky * kz)
+    copies = []  # (ring-slot box, part number, box of that part's x-row) per in-plane tap
+    for j, l in np.ndindex(ky, kz):
+        dst, src = (), ()
+        for o, size in (((j - ky // 2) * dilation[1], sy), ((l - kz // 2) * dilation[2], sz)):
+            lo = min(max(0, -o), size)  # outputs [lo, hi) read sources inside [0, size)
+            hi = max(lo, size - max(o, 0))
+            dst, src = dst + (slice(lo, hi),), src + (slice(lo + o, hi + o),)
+        c0 = 0
+        for k, part in enumerate(parts):
+            copies.append(((slice(c0, c0 + part.shape[0]), j, l) + dst, k, (slice(None),) + src))
+            c0 += part.shape[0]
+    n_slots = min(sx, 2 * reach + 1)
+    ring = np.zeros((n_slots, c_in, ky, kz, sy, sz), dtype=np.float32)
+    blocks = ring.reshape(n_slots, c_in * ky * kz, sy * sz)
     out = np.empty((c_out, sx, sy, sz), dtype=np.float32)
-    out2d = out.reshape(c_out, sx * plane)
-    for x0 in range(0, sx, step):
-        n = min(step, sx - x0)
-        col = buf[: rows * n * plane].reshape(c_in, kx, ky, kz, n, sy, sz)
-        for i, j, l in np.ndindex(kx, ky, kz):
-            dst = col[:, i, j, l]
-            offsets = (x0 + (i - kx // 2) * dilation[0], (j - ky // 2) * dilation[1],
-                       (l - kz // 2) * dilation[2])
-            box, src = (slice(None),), (slice(None),)
-            for o, m, size in zip(offsets, (n, sy, sz), (sx, sy, sz)):
-                lo = min(max(0, -o), m)  # outputs [lo, hi) read sources inside [0, size)
-                hi = max(lo, min(m, size - o))
-                dst[box + (slice(0, lo),)] = 0.0
-                dst[box + (slice(hi, m),)] = 0.0
-                box, src = box + (slice(lo, hi),), src + (slice(lo + o, hi + o),)
-            c0 = 0
-            for part in parts:
-                dst[(slice(c0, c0 + part.shape[0]),) + box[1:]] = part[src]
-                c0 += part.shape[0]
-        dst = out2d[:, x0 * plane : (x0 + n) * plane]
-        np.matmul(w2d, col.reshape(rows, n * plane), out=dst)
-        dst += b[:, None]
+    rows_out = out.reshape(c_out, sx, sy * sz)
+    scratch = np.empty((c_out, sy * sz), dtype=np.float32)
+    gathered = 0  # input rows [0, gathered) have been gathered
+    for xo in range(sx):
+        for r in range(gathered, min(sx, xo + reach + 1)):
+            slot, rows = ring[r % n_slots], [part[:, r] for part in parts]
+            for dst, k, src in copies:
+                slot[dst] = rows[k][src]
+            gathered = r + 1
+        (w0, r0), *rest = [(taps[i], r) for i, r in enumerate(range(xo - reach, xo + reach + 1, dx))
+                           if 0 <= r < sx]
+        row = rows_out[:, xo]
+        np.matmul(w0, blocks[r0 % n_slots], out=row)
+        for wi, r in rest:
+            row += np.matmul(wi, blocks[r % n_slots], out=scratch)
+        row += b[:, None]
     return out
 
 
@@ -274,9 +278,12 @@ def _softmax64(logits):
 
 
 def _maxpool(x, factor):
-    c, sx, sy, sz = x.shape
+    """Max over each (fx, fy, fz) block, as a running maximum over its strided sub-grids."""
     fx, fy, fz = factor
-    return x.reshape(c, sx // fx, fx, sy // fy, fy, sz // fz, fz).max(axis=(2, 4, 6))
+    out = x[:, ::fx, ::fy, ::fz].copy()
+    for i, j, k in list(np.ndindex(fx, fy, fz))[1:]:
+        np.maximum(out, x[:, i::fx, j::fy, k::fz], out=out)
+    return out
 
 
 def _interp_matrix(n_src: int, n_dst: int) -> np.ndarray:

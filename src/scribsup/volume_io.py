@@ -258,6 +258,15 @@ AnyVolume = Union[Volume, LabelVolume, BinaryVolume]
 _SUM_ATOL = 5e-5
 
 
+def _check_probability_range(data: np.ndarray) -> None:
+    """Raise ValueError unless every value of the non-empty ``data`` lies in [0, 1], within
+    ``_SUM_ATOL``. The extremes compare as Python floats, so a float32 array tests exactly as
+    its float64 cast would, with no cast made."""
+    lo, hi = float(data.min()), float(data.max())  # NaN if any entry is NaN, which fails both tests
+    if not (lo >= -_SUM_ATOL and hi <= 1.0 + _SUM_ATOL):
+        raise ValueError("probabilities must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class ProbVolume(_Grid):
     """Per-voxel per-class probabilities, shape (nx, ny, nz, channels).
@@ -275,9 +284,7 @@ class ProbVolume(_Grid):
     def _values(self, data: np.ndarray) -> np.ndarray:
         data = data.astype(np.float64, copy=False)
         if data.size:
-            lo, hi = data.min(), data.max()  # NaN if any entry is NaN, which fails both tests
-            if not (lo >= -_SUM_ATOL and hi <= 1.0 + _SUM_ATOL):
-                raise ValueError("probabilities must lie in [0, 1]")
+            _check_probability_range(data)
             if data.shape[3] >= 2 and np.abs(data.sum(axis=3) - 1.0).max() > _SUM_ATOL:
                 raise ValueError("per-voxel channel sums must equal 1")
         return data

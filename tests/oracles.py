@@ -228,6 +228,15 @@ def brute_conv3d(x, w, b, dilation=(1, 1, 1)):
     return out
 
 
+def reference_maxpool(x, factor):
+    """``refnet._maxpool`` before it took a running maximum over strided sub-grids, copied
+    verbatim: one reshape that splits each axis into (blocks, factor), then a max over the
+    factor axes."""
+    c, sx, sy, sz = x.shape
+    fx, fy, fz = factor
+    return x.reshape(c, sx // fx, fx, sy // fy, fy, sz // fz, fz).max(axis=(2, 4, 6))
+
+
 def brute_upsample(x, target):
     """Separable linear resize in float64, one output index at a time.
 

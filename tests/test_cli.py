@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import sphere_labels
+from conftest import sphere_labels, traced_peak_volumes
 from scribsup import cli, losses, refnet, scribble_sim, supervoxel
 from scribsup.cli import main, run_pipeline, PipelineStageError
 from scribsup.errors import (
@@ -334,6 +334,21 @@ def test_precomputed_edges_are_thresholded_as_float32(tmp_path, runner):
                                   "--threshold", "0.7", "--output", str(out)])
     assert result.exit_code == 0, result.output
     assert np.array_equal(read_nifti(out, kind="binary").data, (probs == probs[3, 0, 0]))
+
+
+def test_precomputed_edges_are_read_within_one_float64_volume(tmp_path):
+    """The range test runs on the float32 array as read. A ProbVolume built only to test it
+    cast the array to float64 and copied it: 2.50 float64 volumes in all, against 1.00."""
+    shape, spacing = (96, 96, 16), (1.25, 1.25, 5.0)
+    probs = np.random.default_rng(4).random(shape).astype(np.float32)
+    pre = tmp_path / "pre.nii"
+    write_nifti(Volume(probs, spacing), pre)
+    image = Volume(np.zeros(shape, dtype=np.float32), spacing)
+    edges = []
+    peak = traced_peak_volumes(lambda: edges.append(cli._read_edge_probs(pre, image, "image.nii", 0.5)),
+                               shape)
+    assert peak <= 1.05, f"traced peak is {peak:.2f} float64 volumes"
+    assert np.array_equal(edges[0].data, probs >= np.float32(0.5))
 
 
 _FORWARD_SETTINGS = [

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import brute_conv3d, brute_upsample, reference_decoder_level
+from oracles import brute_conv3d, brute_upsample, reference_decoder_level, reference_maxpool
 from scribsup import refnet
 from scribsup.errors import BadPatchShapeError, InvalidConfigError
 from scribsup.refnet import (
@@ -203,20 +203,25 @@ def test_forward_matches_pre_change_golden(shape):
         assert err <= GOLDEN_ATOL, f"{name}: {err:.3g} from golden"
 
 
-# Budgets for _conv3d's im2col buffer: the default (one chunk on these grids),
-# one x-row per chunk, and three x-rows per chunk (a short last chunk).
-@pytest.mark.parametrize("rows_per_chunk", [None, 1, 3], ids=["default", "1row", "3rows"])
-@pytest.mark.parametrize("kernel", [(3, 3, 1), (3, 3, 3)], ids=["3x3x1", "3x3x3"])
-@pytest.mark.parametrize("dil", [1, 3], ids=["dil1", "dil3"])
-def test_conv3d_matches_per_tap_reference(monkeypatch, rows_per_chunk, kernel, dil):
+# x-rows of the test grid, against _conv3d's ring of min(sx, (kx - 1) * d + 1) gathered
+# rows: the default grid wraps the ring at rates 1 and 3; one row, and three rows (below
+# the rate-3 span), make the ring hold the whole grid. At rate 18 every tap but the
+# centre falls outside all three grids.
+_CONV_ROWS = pytest.mark.parametrize("sx", [11, 1, 3], ids=["default", "1row", "3rows"])
+_CONV_KERNELS = pytest.mark.parametrize("kernel", [(3, 3, 1), (3, 3, 3), (1, 1, 1)],
+                                        ids=["3x3x1", "3x3x3", "1x1x1"])
+_CONV_RATES = pytest.mark.parametrize("dil", [1, 3, 18], ids=["dil1", "dil3", "dil18"])
+
+
+@_CONV_ROWS
+@_CONV_KERNELS
+@_CONV_RATES
+def test_conv3d_matches_per_tap_reference(sx, kernel, dil):
     rng = np.random.default_rng(31)
-    c_in, c_out, grid = 3, 5, (7, 5, 9)
+    c_in, c_out, grid = 3, 5, (sx, 5, 9)
     x = rng.standard_normal((c_in,) + grid).astype(np.float32)
     w = rng.standard_normal((c_out, c_in) + kernel).astype(np.float32)
     b = rng.standard_normal(c_out).astype(np.float32)
-    if rows_per_chunk is not None:
-        row_bytes = c_in * int(np.prod(kernel)) * grid[1] * grid[2] * 4
-        monkeypatch.setattr(refnet, "_IM2COL_BUDGET", rows_per_chunk * row_bytes)
     got = refnet._conv3d(x, w, b, dilation=(dil, dil, dil))
     assert got.dtype == np.float32 and got.shape == (c_out,) + grid
     assert np.abs(got - brute_conv3d(x, w, b, (dil, dil, dil))).max() <= 1e-5
@@ -258,18 +263,15 @@ def test_forward_traced_peak_is_bounded():
     assert peak <= 20 * unit, f"traced peak is {peak / unit:.1f}x one 8-channel tensor"
 
 
-@pytest.mark.parametrize("rows_per_chunk", [None, 1, 3], ids=["default", "1row", "3rows"])
-@pytest.mark.parametrize("kernel", [(3, 3, 1), (3, 3, 3)], ids=["3x3x1", "3x3x3"])
-@pytest.mark.parametrize("dil", [1, 3], ids=["dil1", "dil3"])
-def test_conv3d_tuple_input_equals_concatenated_input(monkeypatch, rows_per_chunk, kernel, dil):
+@_CONV_ROWS
+@_CONV_KERNELS
+@_CONV_RATES
+def test_conv3d_tuple_input_equals_concatenated_input(sx, kernel, dil):
     rng = np.random.default_rng(33)
-    grid = (7, 5, 9)
+    grid = (sx, 5, 9)
     parts = tuple(rng.standard_normal((c,) + grid).astype(np.float32) for c in (2, 1, 3))
     w = rng.standard_normal((4, 6) + kernel).astype(np.float32)
     b = rng.standard_normal(4).astype(np.float32)
-    if rows_per_chunk is not None:
-        row_bytes = 6 * int(np.prod(kernel)) * grid[1] * grid[2] * 4
-        monkeypatch.setattr(refnet, "_IM2COL_BUDGET", rows_per_chunk * row_bytes)
     got = refnet._conv3d(parts, w, b, dilation=(dil, dil, dil))
     assert np.array_equal(got, refnet._conv3d(np.concatenate(parts), w, b, dilation=(dil, dil, dil)))
 
@@ -282,6 +284,14 @@ def test_conv3d_dilation_beyond_the_grid():
     b = rng.standard_normal(2).astype(np.float32)
     got = refnet._conv3d(x, w, b, dilation=(18, 18, 18))
     assert np.abs(got - brute_conv3d(x, w, b, (18, 18, 18))).max() <= 1e-5
+
+
+@pytest.mark.parametrize("factor", [(2, 2, 2), (2, 2, 1)], ids=["2x2x2", "2x2x1"])
+def test_maxpool_bytes_match_block_max_reference(factor):
+    x = np.random.default_rng(35).standard_normal((3, 8, 6, 4)).astype(np.float32)
+    got, want = refnet._maxpool(x, factor), reference_maxpool(x, factor)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("target", [(7, 4, 3), (5, 9, 3), (5, 4, 5), (13, 11, 7)],
