@@ -39,6 +39,7 @@ _DEFAULTS = {
     "patch_shape": [224, 224, 32], "margin_vox": 10, "seed": refnet.NetConfig.seed,
     "forward": False, "forward_base_filters": refnet.NetConfig.base_filters, "num_classes": 0,
 }
+_MANIFEST = "manifest.json"  # run_pipeline's last file, which lists its artifacts
 
 
 class PipelineStageError(ScribsupError):
@@ -107,18 +108,14 @@ def _read_edge_probs(path, image: Volume, image_path, threshold: float) -> Binar
     return BinaryVolume((edges.data >= threshold).astype(np.uint8), edges.spacing)
 
 
-def _write_heads(spacing, boundary_path, prefix, boundary, init, final) -> dict:
-    """Write float32 files: ``boundary``'s one channel to ``boundary_path`` and channel ``c``
-    (last axis) of ``init``/``final`` to ``{prefix}_{init,final}_c{c}.nii``; return the paths."""
-    def put(data, paths):
-        for c, path in enumerate(paths):
-            write_nifti(Volume(data[..., c].astype(np.float32), spacing), path)
-        return [str(p) for p in paths]
-
-    written = {"boundary": put(boundary, [boundary_path])[0]}
-    for tag, d in (("init", init), ("final", final)):
-        written[f"mask_{tag}"] = put(d, [f"{prefix}_{tag}_c{c}.nii" for c in range(d.shape[-1])])
-    return written
+def _heads(spacing, boundary_name: str, prefix: str, boundary, init, final):
+    """Yield each network head channel as ``(name, float32 volume)``: ``boundary``'s one channel
+    as ``boundary_name``, then channel ``c`` (last axis) of ``init``/``final`` as
+    ``{prefix}_{init,final}_c{c}``."""
+    yield boundary_name, Volume(boundary[..., 0].astype(np.float32), spacing)
+    for tag, data in (("init", init), ("final", final)):
+        for c in range(data.shape[-1]):
+            yield f"{prefix}_{tag}_c{c}", Volume(data[..., c].astype(np.float32), spacing)
 
 
 def _write_json(obj, path) -> None:
@@ -217,10 +214,14 @@ def forward_cmd(input_path, classes, seed, base_filters, patch, out_prefix):
         vol = crop_or_pad(image, patch_shape or image.shape)
         net = refnet.build(net_cfg)
         out = refnet.forward(net, vol)
+        paths = []
+        for name, head in _heads(vol.spacing, f"{out_prefix}_boundary", out_prefix,
+                                 out.boundary.data, out.mask_init.data, out.mask_final.data):
+            paths.append(f"{name}.nii")
+            write_nifti(head, paths[-1])
         summary = {"input_shape": list(vol.shape), **asdict(net_cfg),
-                   "param_count": refnet.count_params(net),
-                   **_write_heads(vol.spacing, f"{out_prefix}_boundary.nii", out_prefix,
-                                  out.boundary.data, out.mask_init.data, out.mask_final.data)}
+                   "param_count": refnet.count_params(net), "boundary": paths[0],
+                   "mask_init": paths[1:classes + 1], "mask_final": paths[classes + 1:]}
         _write_json(summary, f"{out_prefix}_summary.json")
         click.echo(f"wrote forward outputs with prefix {out_prefix}")
 
@@ -265,8 +266,9 @@ def loss_cmd(pred_init, pred_final, boundary_pred, pseudo, conf, edges_path, ima
                                    ab=ab, weights=weights)
         _write_json(report.terms, report_path)
         if grad_prefix:
-            _write_heads(image.spacing, f"{grad_prefix}_grad_boundary.nii", f"{grad_prefix}_grad",
-                         report.grad_boundary, report.grad_init, report.grad_final)
+            for name, head in _heads(image.spacing, f"{grad_prefix}_grad_boundary", f"{grad_prefix}_grad",
+                                     report.grad_boundary, report.grad_init, report.grad_final):
+                write_nifti(head, f"{name}.nii")
         click.echo(f"total loss: {report.value:.6f}")
 
 
@@ -305,12 +307,24 @@ def _merge_config(user: dict) -> dict:
     return cfg
 
 
+def _artifacts(cfg: dict, num_classes: int) -> dict:
+    """``run_pipeline``'s artifacts for the merged ``cfg``: manifest name -> file, in write order."""
+    heads = [f"mask_{tag}_c{c}.nii" for tag in ("init", "final") for c in range(num_classes)]
+    rows = [(["scribbles.nii"], not cfg["scribbles"]),  # files, whether this config writes them
+            (["supervoxels.nii", "pseudo_mask.nii", "confidence.nii", "edges.nii"], True),
+            (["boundary_pred.nii", *heads, "loss.json"], cfg["forward"]), (["eval.json"], bool(cfg["gt"]))]
+    return {Path(f).stem: f for files, written in rows if written for f in files}
+
+
 def run_pipeline(cfg: dict, echo=click.echo) -> dict:
     """Execute slic -> propagate -> edges -> (forward) -> loss/eval.
 
-    Every intermediate lands in ``output_dir`` as NIfTI or JSON; the
-    returned manifest records the full effective config and a sha256 per
-    artifact. Raises PipelineStageError naming the stage that failed.
+    Writes to ``output_dir``, in ``_artifacts``' order: ``scribbles.nii`` if simulated from ``gt``;
+    ``supervoxels``, ``pseudo_mask``, ``confidence`` and ``edges`` ``.nii`` always; with ``forward``
+    ``boundary_pred.nii``, ``mask_{init,final}_c{c}.nii`` per class and ``loss.json``; with ``gt``
+    ``eval.json``. Last, ``manifest.json`` records the full effective config and each artifact's
+    sha256, and is returned. Stage ``config`` refuses an input at any of these paths. Raises
+    PipelineStageError naming the stage that failed.
     """
     with stage("config"):
         cfg = _merge_config(cfg)
@@ -339,25 +353,19 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
         patch_shape = tuple(cfg["patch_shape"])
         ab, weights = losses.AbParams(**cfg["ab"]), losses.TotalLossWeights(**cfg["weights"])
         out_dir = Path(cfg["output_dir"])
-        # the files this run writes: an input at one would be overwritten, yet named as the input
-        writes = {"supervoxels.nii", "pseudo_mask.nii", "confidence.nii", "edges.nii", "manifest.json",
-                  *["scribbles.nii"] * (not cfg["scribbles"]), *["eval.json"] * bool(cfg["gt"])}
-        if cfg["forward"]:  # an inferred class count stays below the scribble sentinel, 255
-            writes |= {"boundary_pred.nii", "loss.json", *(f"mask_{t}_c{c}.nii" for t in (
-                "init", "final") for c in range(cfg["num_classes"] or 255))}
-        for key in ("image", "scribbles", "gt", "edges_input"):
-            path = cfg[key] and Path(cfg[key]).resolve()
-            if path and path.parent == out_dir.resolve() and path.name in writes:
+        files = _artifacts(cfg, cfg["num_classes"] or 255)  # inferred: below the 255 sentinel
+        for key in ("image", "scribbles", "gt", "edges_input"):  # an input at a file this run
+            path = cfg[key] and Path(cfg[key]).resolve()  # writes would be named but overwritten
+            if path and path.parent == out_dir.resolve() and path.name in {*files.values(), _MANIFEST}:
                 raise InvalidConfigError(f"input path for {key!r} is written by this run: {cfg[key]}")
         out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
 
-    def emit(name: str, path):
-        artifacts.append({"name": name, "path": str(path)})
-
-    def write(vol, name: str):
-        write_nifti(vol, out_dir / f"{name}.nii")
-        emit(name, out_dir / f"{name}.nii")
+    def write(obj, name: str):  # a name the table lacks raises KeyError; ``write_nifti`` is the
+        path = out_dir / files[name]  # module global at each call, so a tracer can rebind it
+        (write_nifti if path.suffix == ".nii" else _write_json)(obj, path)
+        artifacts.append({"name": name, "path": str(path),
+                          "sha256": hashlib.sha256(path.read_bytes()).hexdigest()})
 
     with stage("read"):
         image = read_nifti(cfg["image"], kind="image")
@@ -404,30 +412,22 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
             patch = crop_or_pad(image, patch_shape)
             net = refnet.build(replace(net_cfg, num_classes=scribbles.num_classes))
             outputs = refnet.forward(net, patch)
-            written = _write_heads(patch.spacing, out_dir / "boundary_pred.nii", out_dir / "mask",
-                                   outputs.boundary.data, outputs.mask_init.data,
-                                   outputs.mask_final.data)
-            for path in (written["boundary"], *written["mask_init"], *written["mask_final"]):
-                emit(Path(path).stem, path)
+            for name, head in _heads(patch.spacing, "boundary_pred", "mask", outputs.boundary.data,
+                                     outputs.mask_init.data, outputs.mask_final.data):
+                write(head, name)
 
         with stage("loss"):
-            report = losses.total_loss(
-                outputs.boundary, crop_or_pad(edge_vol, patch_shape), outputs.mask_init,
-                outputs.mask_final, pl_patch, patch, ab=ab, weights=weights,
-            )
-            _write_json(report.terms, out_dir / "loss.json")
-            emit("loss", out_dir / "loss.json")
+            write(losses.total_loss(outputs.boundary, crop_or_pad(edge_vol, patch_shape),
+                                    outputs.mask_init, outputs.mask_final, pl_patch, patch,
+                                    ab=ab, weights=weights).terms, "loss")
 
     if gt is not None:
         with stage("eval"):
-            _write_json(metrics.evaluate(pl.mask, gt).to_dict(), out_dir / "eval.json")
-            emit("eval", out_dir / "eval.json")
+            write(metrics.evaluate(pl.mask, gt).to_dict(), "eval")
 
     with stage("manifest"):
-        for art in artifacts:
-            art["sha256"] = hashlib.sha256(Path(art["path"]).read_bytes()).hexdigest()
         manifest = {"config": cfg, "artifacts": artifacts}
-        _write_json(manifest, out_dir / "manifest.json")
+        _write_json(manifest, out_dir / _MANIFEST)
         echo(f"pipeline complete: {len(artifacts)} artifacts in {out_dir}")
         return manifest
 

@@ -549,6 +549,7 @@ def test_pipeline_file_io_goes_through_cli_module_attributes(tmp_path, monkeypat
     nii = [a["path"] for a in manifest["artifacts"] if a["path"].endswith(".nii")]
     assert len(nii) == 10  # scribbles .. edges, boundary_pred, 2 x 2 mask channels
     assert written == nii
+    assert sorted(written) == sorted(str(p) for p in (tmp_path / "out").glob("*.nii"))  # no bypass
     assert read == [str(img_path), str(gt_path)]
 
 
@@ -878,6 +879,71 @@ def test_an_input_at_an_artifact_path_fails_in_config_before_any_compute(
     assert calls == [] and {p.name for p in (tmp_path / "out").iterdir()} == {
         Path(rel).name for rel in inputs.values()}
     assert all((tmp_path / rel).read_bytes() == raw for rel, raw in kept.items())
+
+
+def _three_class_phantom(tmp_path, shape=(16, 16, 4), spacing=(1.0, 1.0, 4.0)):
+    """A class-1 ball inside a class-2 shell on a dark background, and its image."""
+    centre = tuple(s // 2 for s in shape)
+    gt = sphere_labels(shape, centre, 5.0, spacing)
+    gt[(sphere_labels(shape, centre, 9.0, spacing) > 0) & (gt == 0)] = 2
+    noise = 0.02 * np.random.default_rng(99).random(shape).astype(np.float32)
+    img_path, gt_path = tmp_path / "image.nii", tmp_path / "gt.nii"
+    write_nifti(Volume(0.1 + 0.3 * gt.astype(np.float32) + noise, spacing), img_path)
+    write_nifti(LabelVolume(gt, spacing, 3), gt_path)
+    return img_path, gt_path
+
+
+_SMALL_RUN = {"slic": {"k": 8}, "margin_vox": 2, "patch_shape": [16, 16, 4], "forward_base_filters": 2}
+
+
+@pytest.mark.parametrize("scribbles", ["simulated", "given"])
+@pytest.mark.parametrize("forward", [False, True], ids=["forward_off", "forward_on"])
+def test_a_run_writes_exactly_the_table_files_in_write_order(tmp_path, monkeypatch, forward, scribbles):
+    """``output_dir`` holds the artifact table's files for the config at the realised class
+    count, plus ``manifest.json``, and the manifest lists them in the order they were written."""
+    img_path, gt_path = _three_class_phantom(tmp_path)
+    out = tmp_path / "out"
+    cfg = {"image": str(img_path), "gt": str(gt_path), "output_dir": str(out), **_SMALL_RUN,
+           "forward": forward}
+    if scribbles == "given":
+        merged = cli._simulate_scribbles(read_nifti(gt_path, kind="labels"), 2)
+        write_nifti(scribble_sim.scribbles_to_label_volume(merged), tmp_path / "scribbles.nii")
+        cfg["scribbles"] = str(tmp_path / "scribbles.nii")
+    order = []
+    for name in ("write_nifti", "_write_json"):
+        def recorded(obj, path, _fn=getattr(cli, name)):
+            order.append(str(path))
+            return _fn(obj, path)
+        monkeypatch.setattr(cli, name, recorded)
+    manifest = run_pipeline(cfg, echo=lambda *_: None)
+    table = cli._artifacts(manifest["config"], 3)  # the class count the gt realises
+    # supervoxels, pseudo_mask, confidence, edges and eval; the simulated scribbles; with
+    # forward boundary_pred, 2 x 3 mask channels and loss
+    assert len(table) == 5 + (scribbles == "simulated") + 8 * forward
+    assert sorted(p.name for p in out.iterdir()) == sorted([*table.values(), "manifest.json"])
+    assert [(a["name"], a["path"]) for a in manifest["artifacts"]] == [
+        (name, str(out / file)) for name, file in table.items()]
+    assert order == [a["path"] for a in manifest["artifacts"]] + [str(out / "manifest.json")]
+
+
+def test_each_file_a_run_wrote_is_refused_as_its_gt_in_config_before_any_compute(
+        tmp_path, monkeypatch):
+    """Driven by the files a real run left, not by the artifact table, so a file the run writes
+    but the table lacks fails here."""
+    img_path, gt_path = _three_class_phantom(tmp_path)
+    cfg = {"image": str(img_path), "gt": str(gt_path), "output_dir": str(tmp_path / "out"),
+           "num_classes": 3, "forward": True, **_SMALL_RUN}
+    run_pipeline(cfg, echo=lambda *_: None)
+    written = {path: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+    assert len(written) == 15  # 14 artifacts and the manifest
+    calls = _record_compute(monkeypatch, (cli, "read_nifti"))
+    for path in written:
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline({**cfg, "gt": str(path)}, echo=lambda *_: None)
+        assert info.value.stage == "config", path.name
+        assert f"input path for 'gt' is written by this run: {path}" in str(info.value)
+    assert calls == []
+    assert {path: path.read_bytes() for path in (tmp_path / "out").iterdir()} == written
 
 
 def test_scribbles_an_earlier_run_wrote_to_the_output_dir_are_read_again(tmp_path):

@@ -2,6 +2,7 @@
 fails. A row runs in a fresh directory ``{d}``; its commands run until one exits non-zero. Stdlib
 only: the set-ups import numpy and ``scribsup``, which the console script needs anyway."""
 
+import hashlib
 import json
 import shutil
 import struct
@@ -69,6 +70,16 @@ def _inputs_kept(d):
                  if (d / "out" / f"{name}.nii").read_bytes() != (d / f"{key}.nii").read_bytes()), None)
 
 
+def _manifest_files(d):  # out/ holds the manifest's files and manifest.json, each at its sha256
+    arts = json.loads((d / "out" / "manifest.json").read_text())["artifacts"]
+    listed = sorted([*(Path(a["path"]).name for a in arts), "manifest.json"])
+    found = sorted(p.name for p in (d / "out").iterdir())
+    if found != listed:
+        return f"out/ holds {found}, not the manifest's {listed}"
+    return next((f"{a['path']}: sha256 differs from the manifest" for a in arts
+                 if hashlib.sha256(Path(a["path"]).read_bytes()).hexdigest() != a["sha256"]), None)
+
+
 SIM = "scribsup simulate-scribbles --gt {d}/gt.nii --output {d}/scribbles.nii"
 PIPE = "scribsup pipeline --config {d}/config.json"
 FWD = "scribsup forward --input {d}/image.nii --classes 2 --out-prefix {d}/o"
@@ -97,6 +108,9 @@ ROWS = [  # name, set-up, commands, the last one's exit code and stderr, globs o
      ["edges*"]),
     ("an input at an artifact path is refused before any output", _inputs_at_artifacts, [PIPE], 1,
      "'image'", ["out/*.json", "out/s*", "out/c*"], _inputs_kept),
+    ("a forward-on pipeline writes exactly its manifest's files",
+     _config(forward=True, patch_shape=[32, 32, 4], forward_base_filters=2, margin_vox=2), [PIPE], 0,
+     "", [], _manifest_files),
 ]
 
 
