@@ -308,7 +308,7 @@ def _merge_config(user: dict) -> dict:
 
 
 def _artifacts(cfg: dict, num_classes: int) -> dict:
-    """``run_pipeline``'s artifacts for the merged ``cfg``: manifest name -> file, in write order."""
+    """What ``run_pipeline`` writes for merged ``cfg`` at ``num_classes``: name -> file, in order."""
     heads = [f"mask_{tag}_c{c}.nii" for tag in ("init", "final") for c in range(num_classes)]
     rows = [(["scribbles.nii"], not cfg["scribbles"]),  # files, whether this config writes them
             (["supervoxels.nii", "pseudo_mask.nii", "confidence.nii", "edges.nii"], True),
