@@ -323,8 +323,10 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
     ``supervoxels``, ``pseudo_mask``, ``confidence`` and ``edges`` ``.nii`` always; with ``forward``
     ``boundary_pred.nii``, ``mask_{init,final}_c{c}.nii`` per class and ``loss.json``; with ``gt``
     ``eval.json``. Last, ``manifest.json`` records the full effective config and each artifact's
-    sha256, and is returned. Stage ``config`` refuses an input at any of these paths. Raises
-    PipelineStageError naming the stage that failed.
+    sha256, and is returned; before it, any other file of the table at 255 classes with every row
+    on is removed unless it is an input, so a reused ``output_dir`` holds no earlier run's leftovers.
+    Stage ``config`` refuses an input at any of these paths. Raises PipelineStageError naming the
+    stage that failed.
     """
     with stage("config"):
         cfg = _merge_config(cfg)
@@ -354,9 +356,10 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
         ab, weights = losses.AbParams(**cfg["ab"]), losses.TotalLossWeights(**cfg["weights"])
         out_dir = Path(cfg["output_dir"])
         files = _artifacts(cfg, cfg["num_classes"] or 255)  # inferred: below the 255 sentinel
-        for key in ("image", "scribbles", "gt", "edges_input"):  # an input at a file this run
-            path = cfg[key] and Path(cfg[key]).resolve()  # writes would be named but overwritten
-            if path and path.parent == out_dir.resolve() and path.name in {*files.values(), _MANIFEST}:
+        inputs = {key: Path(cfg[key]).resolve() for key in ("image", "scribbles", "gt", "edges_input")
+                  if cfg[key]}
+        for key, path in inputs.items():  # an input at a file this run writes: named, then overwritten
+            if path.parent == out_dir.resolve() and path.name in {*files.values(), _MANIFEST}:
                 raise InvalidConfigError(f"input path for {key!r} is written by this run: {cfg[key]}")
         out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
@@ -426,6 +429,11 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
             write(metrics.evaluate(pl.mask, gt).to_dict(), "eval")
 
     with stage("manifest"):
+        written = {a["path"] for a in artifacts}  # any other file some config writes is an earlier
+        for file in _artifacts({**cfg, "scribbles": None, "gt": True, "forward": True}, 255).values():
+            path = out_dir / file  # run's, and goes unless it is one of this run's inputs
+            if str(path) not in written and path.is_file() and path.resolve() not in inputs.values():
+                path.unlink()
         manifest = {"config": cfg, "artifacts": artifacts}
         _write_json(manifest, out_dir / _MANIFEST)
         echo(f"pipeline complete: {len(artifacts)} artifacts in {out_dir}")

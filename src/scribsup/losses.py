@@ -200,8 +200,8 @@ def active_boundary_loss(
     total = 0.0
     grad = np.zeros_like(probs.data)
     for c in range(1, probs.channels):
-        value, grad[..., c] = _active_boundary_term(
-            probs.data[..., c], v, image.spacing, image.voxel_volume_mm3, params)
+        value, grad[..., c] = _active_boundary_term(  # on a contiguous copy of the channel
+            np.ascontiguousarray(probs.data[..., c]), v, image.spacing, image.voxel_volume_mm3, params)
         total += value
     return LossReport(total, grad)
 

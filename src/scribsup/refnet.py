@@ -193,25 +193,25 @@ def count_params(net: Network) -> int:
 
 
 def _conv3d(x, w, b, dilation=(1, 1, 1)):
-    """Zero-padded 'same' convolution: a y/z-im2col block per input x-row, kx GEMMs per output row.
+    """Zero-padded 'same' convolution: one y/z-im2col block and one GEMM per input x-row.
 
     ``x`` is one (c, sx, sy, sz) array or a tuple of them on one grid, read as
     their channel concatenation. Each input x-row's (c_in, ky, kz, sy, sz) block
-    is gathered exactly once, each in-plane tap copying its in-range box straight
-    from the inputs, so no padded or concatenated copy is made. The blocks live
-    in a ring of R = min(sx, (kx - 1) * dx + 1) slots indexed by row mod R, which
-    holds every row the current output row reads. Output row ``xo`` is the sum,
-    over the x-taps ``i`` that land on the grid, of ``w[:, :, i] @ block(xo + (i -
-    kx // 2) * dx)`` (the shifted-block GEMMs of MEC, Cho & Brand, ICML 2017); the
-    centre tap always lands. The strips outside the y/z grid are the same in every
-    block, so the ring starts zeroed and they are never written.
+    is gathered once into one reused slot, each in-plane tap copying its in-range
+    box straight from the inputs, so no padded or concatenated copy is made. The
+    strips outside the y/z grid are the same in every row, so the slot starts
+    zeroed and they are never written. One GEMM multiplies the block by the kx
+    x-taps' weights stacked as a (kx * c_out, c_in * ky * kz) matrix (the
+    shifted-block products of MEC, Cho & Brand, ICML 2017); tap ``i``'s c_out rows
+    belong to output row ``r - (i - kx // 2) * dx`` when it is on the grid. Rows
+    run in increasing ``r``, so each output row sums its landing taps in
+    increasing ``i``: the first copies, later ones add, and the bias follows the last.
     """
     parts = x if isinstance(x, tuple) else (x,)
     c_out, c_in, kx, ky, kz = w.shape
-    sx, sy, sz = parts[0].shape[1:]
-    dx, reach = dilation[0], kx // 2 * dilation[0]
-    taps = np.moveaxis(w, 2, 0).reshape(kx, c_out, c_in * ky * kz)
-    copies = []  # (ring-slot box, part number, box of that part's x-row) per in-plane tap
+    (sx, sy, sz), dx = parts[0].shape[1:], dilation[0]
+    taps = np.moveaxis(w, 2, 0).reshape(kx * c_out, c_in * ky * kz)
+    copies = []  # (slot box, part number, box of that part's x-row) per in-plane tap
     for j, l in np.ndindex(ky, kz):
         dst, src = (), ()
         for o, size in (((j - ky // 2) * dilation[1], sy), ((l - kz // 2) * dilation[2], sz)):
@@ -222,26 +222,26 @@ def _conv3d(x, w, b, dilation=(1, 1, 1)):
         for k, part in enumerate(parts):
             copies.append(((slice(c0, c0 + part.shape[0]), j, l) + dst, k, (slice(None),) + src))
             c0 += part.shape[0]
-    n_slots = min(sx, 2 * reach + 1)
-    ring = np.zeros((n_slots, c_in, ky, kz, sy, sz), dtype=np.float32)
-    blocks = ring.reshape(n_slots, c_in * ky * kz, sy * sz)
+    slot = np.zeros((c_in, ky, kz, sy, sz), dtype=np.float32)
+    prods = np.empty((kx, c_out, sy * sz), dtype=np.float32)
     out = np.empty((c_out, sx, sy, sz), dtype=np.float32)
     rows_out = out.reshape(c_out, sx, sy * sz)
-    scratch = np.empty((c_out, sy * sz), dtype=np.float32)
-    gathered = 0  # input rows [0, gathered) have been gathered
-    for xo in range(sx):
-        for r in range(gathered, min(sx, xo + reach + 1)):
-            slot, rows = ring[r % n_slots], [part[:, r] for part in parts]
-            for dst, k, src in copies:
-                slot[dst] = rows[k][src]
-            gathered = r + 1
-        (w0, r0), *rest = [(taps[i], r) for i, r in enumerate(range(xo - reach, xo + reach + 1, dx))
-                           if 0 <= r < sx]
-        row = rows_out[:, xo]
-        np.matmul(w0, blocks[r0 % n_slots], out=row)
-        for wi, r in rest:
-            row += np.matmul(wi, blocks[r % n_slots], out=scratch)
-        row += b[:, None]
+    for r in range(sx):
+        rows = [part[:, r] for part in parts]
+        for dst, k, src in copies:
+            slot[dst] = rows[k][src]
+        np.matmul(taps, slot.reshape(c_in * ky * kz, sy * sz), out=prods.reshape(kx * c_out, sy * sz))
+        for i, prod in enumerate(prods):
+            xo = r - (i - kx // 2) * dx
+            if not 0 <= xo < sx:
+                continue
+            row = rows_out[:, xo]
+            if i == 0 or r < dx:  # first tap to land: tap i - 1 would read row r - dx < 0
+                np.copyto(row, prod)
+            else:
+                row += prod
+            if i == kx - 1 or r + dx >= sx:  # last: tap i + 1 would read row r + dx >= sx
+                row += b[:, None]
     return out
 
 
@@ -253,9 +253,8 @@ def _conv1x1(x, w, b):
 
 def _instance_norm(x):
     """Standardize each channel of ``x`` in place."""
-    mu = x.mean(axis=(1, 2, 3), keepdims=True)
-    var = x.var(axis=(1, 2, 3), keepdims=True)
-    x -= mu
+    x -= x.mean(axis=(1, 2, 3), keepdims=True)
+    var = np.square(x).sum(axis=(1, 2, 3), keepdims=True) / x[0].size  # the steps of ``x.var``
     x /= np.sqrt(var + _NORM_EPS)
     return x
 

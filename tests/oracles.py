@@ -228,6 +228,60 @@ def brute_conv3d(x, w, b, dilation=(1, 1, 1)):
     return out
 
 
+def ring_conv3d(x, w, b, dilation=(1, 1, 1)):
+    """``refnet._conv3d`` before it stacked the x-taps into one GEMM per input x-row, copied
+    verbatim: a y/z-im2col block per input x-row, kx GEMMs per output row.
+
+    ``x`` is one (c, sx, sy, sz) array or a tuple of them on one grid, read as
+    their channel concatenation. Each input x-row's (c_in, ky, kz, sy, sz) block
+    is gathered exactly once, each in-plane tap copying its in-range box straight
+    from the inputs, so no padded or concatenated copy is made. The blocks live
+    in a ring of R = min(sx, (kx - 1) * dx + 1) slots indexed by row mod R, which
+    holds every row the current output row reads. Output row ``xo`` is the sum,
+    over the x-taps ``i`` that land on the grid, of ``w[:, :, i] @ block(xo + (i -
+    kx // 2) * dx)`` (the shifted-block GEMMs of MEC, Cho & Brand, ICML 2017); the
+    centre tap always lands. The strips outside the y/z grid are the same in every
+    block, so the ring starts zeroed and they are never written.
+    """
+    parts = x if isinstance(x, tuple) else (x,)
+    c_out, c_in, kx, ky, kz = w.shape
+    sx, sy, sz = parts[0].shape[1:]
+    dx, reach = dilation[0], kx // 2 * dilation[0]
+    taps = np.moveaxis(w, 2, 0).reshape(kx, c_out, c_in * ky * kz)
+    copies = []  # (ring-slot box, part number, box of that part's x-row) per in-plane tap
+    for j, l in np.ndindex(ky, kz):
+        dst, src = (), ()
+        for o, size in (((j - ky // 2) * dilation[1], sy), ((l - kz // 2) * dilation[2], sz)):
+            lo = min(max(0, -o), size)  # outputs [lo, hi) read sources inside [0, size)
+            hi = max(lo, size - max(o, 0))
+            dst, src = dst + (slice(lo, hi),), src + (slice(lo + o, hi + o),)
+        c0 = 0
+        for k, part in enumerate(parts):
+            copies.append(((slice(c0, c0 + part.shape[0]), j, l) + dst, k, (slice(None),) + src))
+            c0 += part.shape[0]
+    n_slots = min(sx, 2 * reach + 1)
+    ring = np.zeros((n_slots, c_in, ky, kz, sy, sz), dtype=np.float32)
+    blocks = ring.reshape(n_slots, c_in * ky * kz, sy * sz)
+    out = np.empty((c_out, sx, sy, sz), dtype=np.float32)
+    rows_out = out.reshape(c_out, sx, sy * sz)
+    scratch = np.empty((c_out, sy * sz), dtype=np.float32)
+    gathered = 0  # input rows [0, gathered) have been gathered
+    for xo in range(sx):
+        for r in range(gathered, min(sx, xo + reach + 1)):
+            slot, rows = ring[r % n_slots], [part[:, r] for part in parts]
+            for dst, k, src in copies:
+                slot[dst] = rows[k][src]
+            gathered = r + 1
+        (w0, r0), *rest = [(taps[i], r) for i, r in enumerate(range(xo - reach, xo + reach + 1, dx))
+                           if 0 <= r < sx]
+        row = rows_out[:, xo]
+        np.matmul(w0, blocks[r0 % n_slots], out=row)
+        for wi, r in rest:
+            row += np.matmul(wi, blocks[r % n_slots], out=scratch)
+        row += b[:, None]
+    return out
+
+
 def reference_maxpool(x, factor):
     """``refnet._maxpool`` before it took a running maximum over strided sub-grids, copied
     verbatim: one reshape that splits each axis into (blocks, factor), then a max over the

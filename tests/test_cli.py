@@ -957,6 +957,20 @@ def test_scribbles_an_earlier_run_wrote_to_the_output_dir_are_read_again(tmp_pat
     assert "scribbles" not in [a["name"] for a in manifest["artifacts"]]
 
 
+def test_a_second_run_into_one_output_dir_leaves_only_its_own_files(tmp_path):
+    """A forward-off run after a forward-on one removes the heads, boundary and loss that only the
+    first run wrote, and keeps a file no config writes."""
+    img_path, gt_path = _three_class_phantom(tmp_path)
+    out = tmp_path / "out"
+    cfg = {"image": str(img_path), "gt": str(gt_path), "output_dir": str(out), **_SMALL_RUN}
+    run_pipeline({**cfg, "forward": True}, echo=lambda *_: None)
+    (out / "notes.txt").write_text("kept")
+    manifest = run_pipeline({**cfg, "forward": False}, echo=lambda *_: None)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [Path(a["path"]).name for a in manifest["artifacts"]] + ["manifest.json", "notes.txt"])
+    assert (out / "notes.txt").read_text() == "kept"
+
+
 def test_k_above_the_voxel_count_fails_in_read_before_any_compute(tmp_path, monkeypatch):
     img_path, gt_path = _phantom(tmp_path, shape=(16, 16, 4))  # 1,024 voxels
     calls = _record_compute(monkeypatch)

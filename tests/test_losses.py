@@ -244,7 +244,8 @@ def test_ab_surface_symmetric_under_complement(rng):
 def _ab_cases():
     """Seeded (probs, image, params): random shapes and spacings, every third
     spacing quantised to quarters, eps in {0, 1e-6, 1e-3}, some constant images
-    and some channels flat enough that the field vanishes at eps = 0."""
+    and some channels flat enough that the field vanishes at eps = 0; last, one
+    40x36x12 case with 4 channels, whose sums span many of numpy's pairwise blocks."""
     for case in range(24):
         rng = np.random.default_rng(700 + case)
         shape = tuple(int(n) for n in rng.integers(2, 9, size=3))
@@ -260,6 +261,11 @@ def _ab_cases():
             image[:] = 0.7
         params = AbParams(float(rng.uniform(0, 2)), float(rng.uniform(0, 1)), [0.0, 1e-6, 1e-3][case % 3])
         yield ProbVolume(e / e.sum(-1, keepdims=True), spacing), make_volume(image, spacing), params
+    rng = np.random.default_rng(724)
+    e = np.exp(rng.normal(size=(40, 36, 12, 4)))
+    spacing = (0.8, 0.9, 3.0)
+    yield (ProbVolume(e / e.sum(-1, keepdims=True), spacing), make_volume(rng.random((40, 36, 12)), spacing),
+           AbParams(1.0, 0.5, 1e-6))
 
 
 def test_ab_bytes_match_out_of_place_reference():

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import brute_conv3d, brute_upsample, reference_decoder_level, reference_maxpool
+from oracles import (brute_conv3d, brute_upsample, reference_decoder_level, reference_maxpool,
+                     ring_conv3d)
 from scribsup import refnet
 from scribsup.errors import BadPatchShapeError, InvalidConfigError
 from scribsup.refnet import (
@@ -203,10 +204,12 @@ def test_forward_matches_pre_change_golden(shape):
         assert err <= GOLDEN_ATOL, f"{name}: {err:.3g} from golden"
 
 
-# x-rows of the test grid, against _conv3d's ring of min(sx, (kx - 1) * d + 1) gathered
-# rows: the default grid wraps the ring at rates 1 and 3; one row, and three rows (below
-# the rate-3 span), make the ring hold the whole grid. At rate 18 every tap but the
-# centre falls outside all three grids.
+# x-rows of the test grid, against _conv3d's border rows, where an output row's first or
+# last x-tap falls off the grid, so a later tap makes the copy or an earlier one is followed
+# by the bias: at rate 1 the default grid's rows 0 and 10 are the border rows and rows 1-9
+# take all three taps; at rate 3 its rows 0-2 start at the centre tap and rows 8-10 end there.
+# Three rows have one full row (row 1) at rate 1. One row, three rows at rate 3, and rate 18
+# on all three grids leave every row only the centre tap.
 _CONV_ROWS = pytest.mark.parametrize("sx", [11, 1, 3], ids=["default", "1row", "3rows"])
 _CONV_KERNELS = pytest.mark.parametrize("kernel", [(3, 3, 1), (3, 3, 3), (1, 1, 1)],
                                         ids=["3x3x1", "3x3x3", "1x1x1"])
@@ -225,6 +228,7 @@ def test_conv3d_matches_per_tap_reference(sx, kernel, dil):
     got = refnet._conv3d(x, w, b, dilation=(dil, dil, dil))
     assert got.dtype == np.float32 and got.shape == (c_out,) + grid
     assert np.abs(got - brute_conv3d(x, w, b, (dil, dil, dil))).max() <= 1e-5
+    assert np.abs(got - ring_conv3d(x, w, b, (dil, dil, dil))).max() <= 1e-6
 
 
 @pytest.mark.parametrize("target", [
@@ -274,6 +278,7 @@ def test_conv3d_tuple_input_equals_concatenated_input(sx, kernel, dil):
     b = rng.standard_normal(4).astype(np.float32)
     got = refnet._conv3d(parts, w, b, dilation=(dil, dil, dil))
     assert np.array_equal(got, refnet._conv3d(np.concatenate(parts), w, b, dilation=(dil, dil, dil)))
+    assert np.abs(got - ring_conv3d(parts, w, b, (dil, dil, dil))).max() <= 1e-6
 
 
 def test_conv3d_dilation_beyond_the_grid():
@@ -284,6 +289,7 @@ def test_conv3d_dilation_beyond_the_grid():
     b = rng.standard_normal(2).astype(np.float32)
     got = refnet._conv3d(x, w, b, dilation=(18, 18, 18))
     assert np.abs(got - brute_conv3d(x, w, b, (18, 18, 18))).max() <= 1e-5
+    assert np.abs(got - ring_conv3d(x, w, b, (18, 18, 18))).max() <= 1e-6
 
 
 @pytest.mark.parametrize("factor", [(2, 2, 2), (2, 2, 1)], ids=["2x2x2", "2x2x1"])
