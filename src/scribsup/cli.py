@@ -355,7 +355,7 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
         patch_shape = tuple(cfg["patch_shape"])
         ab, weights = losses.AbParams(**cfg["ab"]), losses.TotalLossWeights(**cfg["weights"])
         out_dir = Path(cfg["output_dir"])
-        files = _artifacts(cfg, cfg["num_classes"] or 255)  # inferred: below the 255 sentinel
+        files = _artifacts(cfg, cfg["num_classes"] or scribble_sim.SCRIBBLE_SENTINEL)  # inferred: below it
         inputs = {key: Path(cfg[key]).resolve() for key in ("image", "scribbles", "gt", "edges_input")
                   if cfg[key]}
         for key, path in inputs.items():  # an input at a file this run writes: named, then overwritten
@@ -429,10 +429,11 @@ def run_pipeline(cfg: dict, echo=click.echo) -> dict:
             write(metrics.evaluate(pl.mask, gt).to_dict(), "eval")
 
     with stage("manifest"):
-        written = {a["path"] for a in artifacts}  # any other file some config writes is an earlier
-        for file in _artifacts({**cfg, "scribbles": None, "gt": True, "forward": True}, 255).values():
-            path = out_dir / file  # run's, and goes unless it is one of this run's inputs
-            if str(path) not in written and path.is_file() and path.resolve() not in inputs.values():
+        all_on = {**cfg, "scribbles": None, "gt": True, "forward": True}  # every row of the table
+        stale = set(_artifacts(all_on, scribble_sim.SCRIBBLE_SENTINEL).values())
+        stale -= {Path(a["path"]).name for a in artifacts}  # any other is an earlier run's: it goes,
+        for path in out_dir.iterdir():  # unless it is one of this run's inputs
+            if path.name in stale and path.is_file() and path.resolve() not in inputs.values():
                 path.unlink()
         manifest = {"config": cfg, "artifacts": artifacts}
         _write_json(manifest, out_dir / _MANIFEST)

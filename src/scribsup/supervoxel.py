@@ -17,7 +17,7 @@ window is more than S away on some axis, so its D² is at least m², and a
 voxel whose best D² is already below m² needs no wider window. Only the
 remaining voxels are rechecked against the ±2S windows clipped to their
 bounding box, which at the default compactness is almost nothing; voxels
-outside every ±2S window are compared with all centres.
+outside every ±2S window go through the same sweep with unbounded windows.
 
 Sweeps run on z-major ``(z, x, y)`` arrays, so window rows run along y, not
 along the few z voxels of an anisotropic volume. The Lloyd update sums the
@@ -120,11 +120,10 @@ def _sweep(intensity, coords_mm, centers_pos, centers_int, m2_over_s2, half, lab
     ``(z, x, y)`` arrays; ``coords_mm`` and the centres are ``[x, y, z]``. The
     spatial term is summed as ``(dx² + dy²) + dz²`` in any layout, since float
     addition does not associate. Centres go in ID order and a voxel moves only
-    to a strictly smaller D², so ties keep the lowest ID. With ``only``, every
-    window is clipped to the bounding box of the ``only`` voxels, and a centre
-    whose clipped window holds none of them is skipped. ``only`` must hold a
-    voxel, and the voxels outside it must be certified, as ``_assign`` leaves
-    them: then none of them can change, and the clip only skips work.
+    to a strictly smaller D², so ties keep the lowest ID. With ``only`` (which
+    must hold a voxel), only the ``only`` voxels are updated: every window is
+    clipped to their bounding box, and a centre whose clipped window holds
+    none of them is skipped. ``half = np.inf`` compares with every centre.
     """
     lo = np.stack([np.searchsorted(coords_mm[a], centers_pos[:, a] - half, side="left")
                    for a in range(3)], axis=1)
@@ -148,6 +147,8 @@ def _sweep(intensity, coords_mm, centers_pos, centers_int, m2_over_s2, half, lab
         d_int *= d_int
         d2 += d_int
         better = d2 < best_d2[sl]
+        if only is not None:
+            better &= only[sl]
         np.copyto(labels[sl], cid, where=better)
         np.copyto(best_d2[sl], d2, where=better)
         del d2, d_int, better  # with the in-place steps: two window arrays at most
@@ -161,9 +162,9 @@ def _assign(intensity, coords_mm, centers_pos, centers_int, step, compactness):
     outside v's ±S window lies more than S from v on some axis, so its D² is
     at least m². Every voxel whose best D² is already below m² (less a
     margin for rounding) therefore holds its ±2S winner; only the others are
-    reset and rerun through the ±2S windows, clipped to their bounding box. A
-    certified voxel inside the box cannot change either: a centre outside its
-    ±S window gives D² >= m², and one inside gives the D² it already lost to.
+    reset and rerun through the ±2S windows, clipped to their bounding box.
+    Voxels outside every ±2S window then run through the same sweep with
+    unbounded windows, so they take the nearest of all centres.
 
     ``intensity`` and the results are indexed ``[x, y, z]``; the transpose to
     the sweeps' ``(z, x, y)`` layout copies nothing when ``intensity`` is a view
@@ -172,29 +173,17 @@ def _assign(intensity, coords_mm, centers_pos, centers_int, step, compactness):
     zxy = np.ascontiguousarray(intensity.transpose(2, 0, 1))
     best_d2 = np.full(zxy.shape, np.inf)
     labels = np.full(zxy.shape, -1, dtype=np.int32)
-    m2_over_s2 = (compactness / step) ** 2
-    args = (zxy, coords_mm, centers_pos, centers_int, m2_over_s2)
+    args = (zxy, coords_mm, centers_pos, centers_int, (compactness / step) ** 2)
     _sweep(*args, step, labels, best_d2)
-    recheck = best_d2 >= compactness ** 2 * (1.0 - 1e-9)
+    recheck = best_d2 >= compactness ** 2 * (1.0 - 1e-9)  # every voxel still at -1 is here too
     if recheck.any():
         labels[recheck] = -1
         best_d2[recheck] = np.inf
         _sweep(*args, 2.0 * step, labels, best_d2, only=recheck)
-    labels, best_d2 = labels.transpose(1, 2, 0), best_d2.transpose(1, 2, 0)
-    # Voxels outside every search window fall back to a full comparison.
-    if (labels < 0).any():
-        miss = np.argwhere(labels < 0)
-        pos = np.stack(
-            [coords_mm[0][miss[:, 0]], coords_mm[1][miss[:, 1]], coords_mm[2][miss[:, 2]]],
-            axis=1,
-        )
-        d_sp2 = ((pos[:, None, :] - centers_pos[None, :, :]) ** 2).sum(axis=2)
-        d_int = intensity[miss[:, 0], miss[:, 1], miss[:, 2]][:, None] - centers_int[None, :]
-        d2 = d_int * d_int + d_sp2 * m2_over_s2
-        pick = np.argmin(d2, axis=1).astype(np.int32)
-        labels[miss[:, 0], miss[:, 1], miss[:, 2]] = pick
-        best_d2[miss[:, 0], miss[:, 1], miss[:, 2]] = d2[np.arange(len(pick)), pick]
-    return labels, best_d2
+        miss = labels < 0
+        if miss.any():
+            _sweep(*args, np.inf, labels, best_d2, only=miss)
+    return labels.transpose(1, 2, 0), best_d2.transpose(1, 2, 0)
 
 
 def _cluster_sums(labels, intensity, coords_mm, n: int):
@@ -228,7 +217,8 @@ def _slic_state(vol: Volume, params: SlicParams):
     """
     shape = vol.shape
     params.check_fits(shape)
-    intensity = _normalize(vol.data)
+    # [x, y, z] view of a z-major array: every sweep runs on it without a transpose
+    intensity = _normalize(vol.data.transpose(2, 0, 1)).transpose(1, 2, 0)
     seeds_mm, step = _seed_grid(shape, vol.spacing, params.k)
     seed_idx = _perturb_seeds(seeds_mm, intensity, vol.spacing)
 
@@ -236,8 +226,6 @@ def _slic_state(vol: Volume, params: SlicParams):
     coords_mm = tuple(np.arange(shape[a]) * spacing[a] for a in range(3))
     centers_pos = seed_idx.astype(np.float64) * spacing[None, :]
     centers_int = intensity[seed_idx[:, 0], seed_idx[:, 1], seed_idx[:, 2]]
-    # [x, y, z] view of a z-major copy: every sweep runs on it without a transpose
-    intensity = np.ascontiguousarray(intensity.transpose(2, 0, 1)).transpose(1, 2, 0)
 
     n = len(centers_pos)
     for _ in range(params.iterations):

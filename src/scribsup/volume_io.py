@@ -160,12 +160,14 @@ def _check_same_grid(a, b, what: str) -> None:
 
 
 def _normalize(data: np.ndarray) -> np.ndarray:
-    """Min-max scale ``data`` to [0, 1] in float64; a constant volume maps to zeros."""
-    data = data.astype(np.float64)
+    """Min-max scale ``data`` to [0, 1] as ``(x - lo) / (hi - lo)``, in one fresh C-ordered
+    float64 array scaled in place; a constant volume maps to zeros."""
+    data = np.array(data, dtype=np.float64, order="C")
     lo, hi = float(data.min()), float(data.max())
-    if hi <= lo:
-        return np.zeros_like(data)
-    return (data - lo) / (hi - lo)
+    data -= lo
+    if hi > lo:
+        data /= hi - lo
+    return data
 
 
 def _own_array(grid, name: str, ndim: int, rule) -> None:

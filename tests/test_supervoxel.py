@@ -488,6 +488,37 @@ def test_recheck_box_reaches_a_lone_voxel_and_opposite_corners(corners):
     assert np.array_equal(best_d2.transpose(1, 2, 0), want_d2)
 
 
+@pytest.mark.parametrize("half_steps", [2.0, np.inf], ids=["2S", "unbounded"])
+def test_sweep_updates_only_the_only_voxels(half_steps):
+    """With ``only``, a voxel outside it keeps its label and D², even inside the
+    clipped box (here the whole grid) with D² = inf; the ``only`` voxels get the
+    windowed winner of the full-window loop, or with unbounded windows the
+    nearest of all centres."""
+    compactness = 10.0
+    intensity, coords_mm, centers_pos, centers_int, step = _assign_inputs(
+        11, (1.25, 1.25, 5.0), quantised=False, jitter=True)
+    zxy = np.ascontiguousarray(intensity.transpose(2, 0, 1))
+    labels, best_d2 = np.full(zxy.shape, -1, dtype=np.int32), np.full(zxy.shape, np.inf)
+    only = np.zeros(zxy.shape, dtype=bool)
+    only[0, 0, 0] = only[-1, -1, -1] = only[3, 9, 4] = True
+    m2_over_s2 = (compactness / step) ** 2
+    _sweep(zxy, coords_mm, centers_pos, centers_int, m2_over_s2, half_steps * step, labels, best_d2,
+           only=only)
+    assert (labels[~only] == -1).all() and np.isinf(best_d2[~only]).all()
+    if half_steps == 2.0:
+        want_labels, want_d2 = (a.transpose(2, 0, 1)[only] for a in brute_assign(
+            intensity, coords_mm, centers_pos, centers_int, step, compactness))
+    else:
+        z, x, y = np.nonzero(only)
+        d_sp2 = ((np.stack([coords_mm[0][x], coords_mm[1][y], coords_mm[2][z]], axis=1)[:, None]
+                  - centers_pos) ** 2).sum(axis=2)
+        d_int = zxy[only][:, None] - centers_int
+        d2 = d_int * d_int + d_sp2 * m2_over_s2
+        want_labels, want_d2 = np.argmin(d2, axis=1), d2.min(axis=1)
+    assert np.array_equal(labels[only], want_labels)
+    assert np.array_equal(best_d2[only], want_d2)
+
+
 def test_assign_falls_back_to_all_centres_outside_every_window():
     rng = np.random.default_rng(17)
     intensity = rng.random((16, 16, 4))

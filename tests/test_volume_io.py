@@ -22,6 +22,7 @@ from scribsup.volume_io import (
     BinaryVolume,
     LabelVolume,
     Volume,
+    _normalize,
     crop_or_pad,
     read_nifti,
     write_nifti,
@@ -326,6 +327,32 @@ def test_binary_volume_checks_a_uint8_map_within_half_a_volume(rng):
     data = (rng.random(shape) < 0.3).astype(np.uint8)
     peak = traced_peak_volumes(lambda: BinaryVolume(data, (1.25, 1.25, 5.0)), shape)
     assert peak <= 0.5, f"traced peak is {peak:.2f} float64 volumes"
+
+
+@pytest.mark.parametrize("layout", ["C", "transposed"])
+def test_normalize_scales_one_c_ordered_copy_in_place(rng, layout):
+    """``_normalize`` gives the bytes of ``(x - lo) / (hi - lo)`` in one fresh C-ordered
+    float64 array, whatever the input's layout. The cast then two out-of-place steps
+    peaked at 2.00 float64 volumes; scaling the cast copy in place holds 1.00."""
+    shape = (96, 96, 16)
+    data = (5.0 * rng.random(shape) - 1.5).astype(np.float32)
+    if layout == "transposed":  # an [x, y, z] view of a z-major array
+        data = np.ascontiguousarray(data.transpose(2, 0, 1)).transpose(1, 2, 0)
+    x = data.astype(np.float64)
+    lo, hi = x.min(), x.max()
+    want = np.ascontiguousarray((x - lo) / (hi - lo))
+    out = []
+    peak = traced_peak_volumes(lambda: out.append(_normalize(data)), shape)
+    got = out[0]
+    assert got.dtype == np.float64 and got.flags.c_contiguous and got.shape == shape
+    assert got.tobytes() == want.tobytes()
+    assert peak <= 1.05, f"traced peak is {peak:.2f} float64 volumes"
+
+
+@pytest.mark.parametrize("value", [-2.5, 0.0, 3.25])
+def test_normalize_maps_a_constant_volume_to_positive_zeros(value):
+    got = _normalize(np.full((4, 3, 2), value, dtype=np.float32))
+    assert got.flags.c_contiguous and (got == 0.0).all() and not np.signbit(got).any()
 
 
 _CONTAINERS = pytest.mark.parametrize("make", [
